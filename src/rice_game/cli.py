@@ -68,8 +68,9 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker processes for parallel solves",
+            default=1,
+            help="worker processes for parallel solves (default 1; pareto"
+            " switches to parallel cold starts above 1)",
         )
         if horizon:
             p.add_argument("--horizon", type=int, help="planning horizon override")
@@ -314,6 +315,8 @@ def _cmd_rba(args) -> int:
             "welfare": [float(w) for w in cert.welfare],
             "best_response_welfare": [float(w) for w in cert.best_response_welfare],
             "relative_gain": [float(g) for g in cert.relative_gain],
+            "terminations": list(cert.terminations),
+            "converged": cert.converged,
             "regions": list(scenario.region_names),
         }
         write_json(cert_doc, outdir / "ne_certificate.json")
@@ -352,11 +355,12 @@ def _cmd_scc(args) -> int:
         profile = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed)).profile
     else:
         profile = ControlProfile.constant(scenario.n_regions, scenario.horizon, 0.25, 0.0)
-    rows = []
-    for t in steps:
-        for i, nm in enumerate(scenario.region_names):
-            value = social_cost_of_co2(scenario, scenario.x0, profile, i, t)
-            rows.append((scenario.year(t), nm, value))
+    table = social_cost_of_co2(scenario, scenario.x0, profile, steps)
+    rows = [
+        (scenario.year(t), nm, float(value))
+        for t, row in zip(steps, table)
+        for nm, value in zip(scenario.region_names, row)
+    ]
     write_scc_csv(rows, outdir / "scc.csv")
     summary = {
         "policy": args.policy,

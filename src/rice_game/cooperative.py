@@ -9,6 +9,7 @@ controls.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -168,15 +169,9 @@ def _polish_savings(
     """
     steps = controls.shape[1]
     polished = controls.copy()
-    sub = SolveOptions(
-        max_iter=options.max_iter,
-        grad_tol=options.grad_tol,
-        obj_rel_tol=options.obj_rel_tol,
-        multistart=1,
-        seed=options.seed,
-        lbfgs_memory=options.lbfgs_memory,
-        max_line_search=options.max_line_search,
-    )
+    # Each subproblem is a different objective, so the caller's scale for the
+    # joint one does not carry over.
+    sub = dataclasses.replace(options, multistart=1, obj_scale=None)
     for i in range(scenario.n_regions):
         w = np.zeros(scenario.n_regions)
         w[i] = 1.0

@@ -391,10 +391,6 @@ class Scenario:
     def n_regions(self) -> int:
         return len(self.regions)
 
-    def theta1_at(self, t: int, i: int) -> float:
-        """Backstop cost coefficient theta1 of region i at absolute step t."""
-        return float(self._theta1[t, i])
-
     def year(self, t: int) -> int:
         return YEAR_ZERO + STEP_YEARS * t
 
@@ -517,14 +513,12 @@ def _forward(
     mu_tn: np.ndarray,
     t0: int = 0,
     check: bool = True,
-    e_extra: np.ndarray | None = None,
 ):
     """Roll the dynamics forward. Controls are time-major (T+1, n).
 
     ``t0`` is the absolute step of the first control, used to index the
-    exogenous paths and discount factors. ``e_extra`` optionally adds a
-    (steps,) vector to total emissions (perturbation hook). Returns a dict
-    of arrays; states has shape (T+2, 5+n).
+    exogenous paths and discount factors. Returns a dict of arrays; states
+    has shape (T+2, 5+n).
     """
     n = scenario.n_regions
     steps = s_tn.shape[0]
@@ -592,8 +586,6 @@ def _forward(
         c = (1.0 - s_t) * q
         ereg = sig * (1.0 - mu_t) * y + exo.e_land[ta]
         etot = float(ereg.sum())
-        if e_extra is not None:
-            etot += float(e_extra[rel])
         forcing = eta * math.log(m[0] / m1750) / log2 + exo.f_ex[ta]
 
         m_next = zmat @ m
@@ -654,6 +646,94 @@ def _marginal_utilities(
     cpc = np.maximum(consumption / labor, CONSUMPTION_FLOOR)
     dudc = cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps]
     return np.where(floored, 0.0, dudc)
+
+
+def _adjoint_arrays(
+    scenario: Scenario,
+    x0_vec: np.ndarray,
+    s_tn: np.ndarray,
+    mu_tn: np.ndarray,
+    weights: np.ndarray,
+    t0: int = 0,
+    check: bool = False,
+):
+    """Weighted welfare and its exact discrete adjoint, time-major controls.
+
+    ``weights`` is (n,) or a batch (m, n) of weight rows; every costate
+    carries the batch axis of ``weights`` between the time and region axes.
+    Returns ``(f, gs, gmu, lam_mat, dudc)``: the welfare (a float, or (m,)),
+    its gradients with respect to s and mu, shaped (steps, [m,] n), the
+    path ``lam_mat`` (steps, [m]) whose entry t is the costate of
+    M_AT(t+1), and the marginal utilities du_i/dC_i(t), (steps, n). The
+    backward sweep mirrors the rollout exactly: one adjoint per state
+    coordinate, zero marginal utility where the consumption floor bit.
+    ``check`` validates controls and the initial state as the rollout does.
+    """
+    fw = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
+    steps, n = s_tn.shape
+    util = _utilities(scenario, fw["C"], t0)
+    f = util.sum(axis=0) @ weights.T
+    if weights.ndim == 1:
+        f = float(f)
+    dudc = _marginal_utilities(scenario, fw["C"], fw["floored"], t0)
+
+    geo = scenario.geo
+    zmat = scenario._zmat
+    a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
+    theta2 = scenario._theta2
+    gamma = scenario._gamma
+    xi1 = geo.xi1
+
+    states = fw["states"]
+    Y, OM, LAM, Q = fw["Y"], fw["OM"], fw["LAM"], fw["Q"]
+    K = states[:steps, 5:]
+    sig = scenario.exo.sigma[t0 : t0 + steps]
+    unabated = 1.0 - mu_tn
+
+    # Everything that does not depend on the costates, as whole-window
+    # arrays; ``batch`` inserts the weight-batch axis after time.
+    batch = (slice(None),) + (None,) * (weights.ndim - 1)
+    w_mu = weights * dudc[batch]
+    w_mu_kept = w_mu * (1.0 - s_tn[batch])
+    om_prime = -(a1 + a2 * a3 * states[:steps, 0:1] ** (a3 - 1.0))
+    lam_prime = -(scenario._theta1[t0 : t0 + steps] * theta2 * mu_tn ** (theta2 - 1.0))
+    dq_dk = gamma * Q / K
+    dq_dtat = LAM * Y * om_prime
+    k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
+    forcing_sens = geo.xi2 * geo.eta / (states[:steps, 2] * math.log(2.0))
+
+    shape = weights.shape[:-1]
+    lam_tat = lam_tlo = lam_m0 = lam_m1 = lam_m2 = np.zeros(shape)
+    lam_k = np.zeros(shape + (n,))
+    lam_k_path = np.empty((steps,) + shape + (n,))
+    lam_mat = np.empty((steps,) + shape)
+
+    for t in range(steps - 1, -1, -1):
+        lam_k_path[t] = lam_k
+        lam_mat[t] = lam_m0
+        new_tat = (
+            (w_mu_kept[t] + 5.0 * lam_k * s_tn[t]) @ dq_dtat[t]
+            + geo.phi11 * lam_tat
+            + geo.phi21 * lam_tlo
+        )
+        new_tlo = geo.phi12 * lam_tat + geo.phi22 * lam_tlo
+        new_m0 = zmat[0, 0] * lam_m0 + zmat[1, 0] * lam_m1 + forcing_sens[t] * lam_tat
+        new_m1 = zmat[0, 1] * lam_m0 + zmat[1, 1] * lam_m1 + zmat[2, 1] * lam_m2
+        new_m2 = zmat[1, 2] * lam_m1 + zmat[2, 2] * lam_m2
+        lam_k = (
+            w_mu_kept[t] * dq_dk[t]
+            + lam_k * k_sens[t]
+            + (lam_m0 * xi1)[..., None] * sig[t] * unabated[t] * gamma * Y[t] / K[t]
+        )
+        lam_tat, lam_tlo = new_tat, new_tlo
+        lam_m0, lam_m1, lam_m2 = new_m0, new_m1, new_m2
+
+    Q, OM, Y, sig, lam_prime = Q[batch], OM[batch], Y[batch], sig[batch], lam_prime[batch]
+    gs = (-w_mu + 5.0 * lam_k_path) * Q
+    gmu = (w_mu_kept + 5.0 * s_tn[batch] * lam_k_path) * OM * Y * lam_prime - (
+        lam_mat[..., None] * xi1 * sig * Y
+    )
+    return f, gs, gmu, lam_mat, dudc
 
 
 def step(
@@ -765,50 +845,37 @@ def social_cost_of_co2(
     scenario: Scenario,
     x0: RiceState,
     profile: ControlProfile,
-    i: int,
-    t: int,
-    eps: float = 1.0,
-) -> float:
-    """Social cost of CO2 for region i at step t (USD per tCO2).
+    steps=None,
+) -> np.ndarray:
+    """Social cost of CO2 (USD per tCO2), one row per step, one column per region.
 
-    Both derivatives are central finite differences: the emissions
-    derivative re-simulates with ``eps`` added to total emissions at step
-    t, the consumption derivative adds a small amount to C_i(t) inside the
-    payoff only. The ratio is scaled by -1000 to convert trillions of USD
-    per GtCO2 into USD per tCO2.
+    Entry [j, i] is region i's shadow-price ratio at step ``steps[j]`` (all
+    steps 0..T when ``steps`` is None): the welfare value of one more
+    GtCO2/yr of global emissions, ``xi1`` times the costate of M_AT at the
+    next step, over the marginal utility of region i's own consumption,
+    scaled by -1000 to convert trillions of USD per GtCO2 into USD per
+    tCO2. Every entry comes from one rollout and one adjoint sweep with one
+    unit-weight row per region. Raises :class:`ModelDomainError` for a step
+    outside 0..T and where the consumption floor zeroes a requested
+    marginal utility.
     """
-    if eps <= 0.0:
-        raise ModelDomainError("eps must be positive")
-    if not 0 <= t <= profile.horizon:
+    idx = np.arange(profile.horizon + 1) if steps is None else np.asarray(steps)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ModelDomainError("steps must be a 1-d sequence of integers")
+    idx = idx.astype(int)
+    if np.any((idx < 0) | (idx > profile.horizon)):
         raise ModelDomainError("step index out of range")
-    s_tn = np.ascontiguousarray(profile.saving.T)
-    mu_tn = np.ascontiguousarray(profile.mu.T)
-    x0_vec = x0.to_vector()
-
-    def welfare_with_injection(delta: float) -> float:
-        extra = np.zeros(s_tn.shape[0])
-        extra[t] = delta
-        out = _forward(scenario, x0_vec, s_tn, mu_tn, 0, check=False, e_extra=extra)
-        u = _utilities(scenario, out["C"], 0)
-        return float(u[:, i].sum())
-
-    dj_de = (welfare_with_injection(eps) - welfare_with_injection(-eps)) / (2.0 * eps)
-
-    base = _forward(scenario, x0_vec, s_tn, mu_tn, 0)
-    c = base["C"]
-    eps_c = 1e-4 * c[t, i]
-    if eps_c <= 0.0:
-        raise ModelDomainError("consumption at (i, t) must be positive")
-
-    def welfare_with_consumption(delta: float) -> float:
-        cc = c.copy()
-        cc[t, i] += delta
-        u = _utilities(scenario, cc, 0)
-        return float(u[:, i].sum())
-
-    dj_dc = (welfare_with_consumption(eps_c) - welfare_with_consumption(-eps_c)) / (
-        2.0 * eps_c
+    _, _, _, lam_mat, dudc = _adjoint_arrays(
+        scenario,
+        x0.to_vector(),
+        np.ascontiguousarray(profile.saving.T),
+        np.ascontiguousarray(profile.mu.T),
+        np.eye(scenario.n_regions),
+        check=True,
     )
-    if abs(dj_dc) < 1e-300:
-        raise ModelDomainError("consumption derivative vanished; SCC undefined")
-    return -1000.0 * dj_de / dj_dc
+    dudc = dudc[idx]
+    if np.any(dudc == 0.0):
+        raise ModelDomainError(
+            "consumption floor zeroes a requested marginal utility; SCC undefined"
+        )
+    return -1000.0 * scenario.geo.xi1 * lam_mat[idx] / dudc

@@ -40,6 +40,9 @@ __all__ = [
     "rhfa_dg",
 ]
 
+#: Solver terminations after which a best response counts as converged.
+_CONVERGED_TERMINATIONS = ("gradient", "objective-change")
+
 
 @dataclass
 class BestResponseResult:
@@ -77,13 +80,18 @@ class NeCertificate:
     """Unilateral-deviation audit of a candidate equilibrium.
 
     ``epsilon`` is the largest relative welfare gain any region can
-    secure by best-responding to the candidate.
+    secure by best-responding to the candidate. ``terminations`` holds each
+    region's best-response termination reason. ``converged`` is true only
+    when every best response stopped on its gradient or objective-change
+    test; otherwise a solve cut short may understate ``epsilon``.
     """
 
     welfare: np.ndarray
     best_response_welfare: np.ndarray
     relative_gain: np.ndarray
     epsilon: float
+    terminations: list
+    converged: bool
 
 
 @dataclass
@@ -139,25 +147,18 @@ def best_response(
 def _br_worker(args):
     scenario, region, controls, options = args
     result = best_response(scenario, region, ControlProfile(controls), options)
-    return region, result.controls, result.welfare
+    return result.controls, result.welfare, result.report.termination
 
 
-def _jacobi_round(
+def _best_responses(
     scenario: Scenario, controls: np.ndarray, options: SolveOptions, threads: int
-) -> np.ndarray:
-    n = scenario.n_regions
-    new = np.empty_like(controls)
+) -> list:
+    """Every region's (controls, welfare, termination) against ``controls``."""
+    args = [(scenario, i, controls, options) for i in range(scenario.n_regions)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for region, ctrl, _ in pool.map(
-                _br_worker, [(scenario, i, controls, options) for i in range(n)]
-            ):
-                new[region] = ctrl
-    else:
-        for i in range(n):
-            res = best_response(scenario, i, ControlProfile(controls), options)
-            new[i] = res.controls
-    return new
+            return list(pool.map(_br_worker, args))
+    return [_br_worker(a) for a in args]
 
 
 def rba_dg(
@@ -199,7 +200,8 @@ def rba_dg(
     converged = False
     for k in range(1, episodes + 1):
         if update == "jacobi":
-            new = _jacobi_round(scenario, controls, opts, threads)
+            results = _best_responses(scenario, controls, opts, threads)
+            new = np.array([r[0] for r in results])
         else:
             new = controls.copy()
             for i in range(scenario.n_regions):
@@ -237,19 +239,11 @@ def verify_epsilon_ne(
 ) -> NeCertificate:
     """Measure the largest relative unilateral improvement on ``profile``."""
     opts = options or SolveOptions()
-    n = scenario.n_regions
     traj = simulate(scenario.x0, profile, scenario)
     welfare = _regional_welfares(scenario, traj)
-    br_welfare = np.empty(n)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for region, _, wf in pool.map(
-                _br_worker, [(scenario, i, profile.controls, opts) for i in range(n)]
-            ):
-                br_welfare[region] = wf
-    else:
-        for i in range(n):
-            br_welfare[i] = best_response(scenario, i, profile, opts).welfare
+    results = _best_responses(scenario, profile.controls, opts, threads)
+    br_welfare = np.array([r[1] for r in results])
+    terminations = [r[2] for r in results]
     # maximize() guarantees br_welfare >= welfare (init is the own slice).
     gains = (br_welfare - welfare) / np.abs(welfare)
     return NeCertificate(
@@ -257,6 +251,8 @@ def verify_epsilon_ne(
         best_response_welfare=br_welfare,
         relative_gain=gains,
         epsilon=float(gains.max()),
+        terminations=terminations,
+        converged=all(t in _CONVERGED_TERMINATIONS for t in terminations),
     )
 
 

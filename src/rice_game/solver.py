@@ -3,9 +3,9 @@
 The decision vector flattens a :class:`~rice_game.model.ControlProfile` in
 region-major, time-minor, [s, mu] order. Welfare is maximized by running a
 projected quasi-Newton method (the L-BFGS-B engine from scipy) on the
-negated, scaled objective. Gradients come from a hand-derived discrete
-adjoint sweep that matches the rollout step by step; an independent
-finite-difference fallback is provided for verification.
+negated, scaled objective. Gradients come from the model's hand-derived
+discrete adjoint sweep, which matches the rollout step by step; an
+independent finite-difference fallback is provided for verification.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .model import (
     ModelDomainError,
     RiceState,
     Scenario,
+    _adjoint_arrays,
     _forward,
-    _marginal_utilities,
     _utilities,
 )
 
@@ -250,88 +250,6 @@ def maximize(
 # ---------------------------------------------------------------------------
 
 
-def _adjoint_arrays(
-    scenario: Scenario,
-    x0_vec: np.ndarray,
-    s_tn: np.ndarray,
-    mu_tn: np.ndarray,
-    weights: np.ndarray,
-    t0: int = 0,
-):
-    """Objective and exact gradient of weighted welfare, time-major controls.
-
-    Returns (f, gs, gmu) with gs and gmu shaped (steps, n). The backward
-    sweep mirrors the rollout exactly: one adjoint per state coordinate,
-    zero marginal utility where the consumption floor bit.
-    """
-    fw = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=False)
-    steps, n = s_tn.shape
-    util = _utilities(scenario, fw["C"], t0)
-    f = float(util.sum(axis=0) @ weights)
-    mu_marg = _marginal_utilities(scenario, fw["C"], fw["floored"], t0)
-
-    geo = scenario.geo
-    zmat = scenario._zmat
-    a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
-    theta2 = scenario._theta2
-    gamma = scenario._gamma
-    keep5 = scenario._keep5
-    ln2 = math.log(2.0)
-
-    states = fw["states"]
-    Y, OM, LAM, Q = fw["Y"], fw["OM"], fw["LAM"], fw["Q"]
-
-    lam_tat = 0.0
-    lam_tlo = 0.0
-    lam_m = np.zeros(3)
-    lam_k = np.zeros(n)
-    gs = np.empty((steps, n))
-    gmu = np.empty((steps, n))
-
-    for t in range(steps - 1, -1, -1):
-        ta = t0 + t
-        w_mu = weights * mu_marg[t]
-        y, q, om, lam = Y[t], Q[t], OM[t], LAM[t]
-        s_t, mu_t = s_tn[t], mu_tn[t]
-        k = states[t, 5:]
-        tat = states[t, 0]
-        mat = states[t, 2]
-        sig = scenario.exo.sigma[ta]
-        th1 = scenario._theta1[ta]
-
-        om_prime = -(a1 + a2 * a3 * tat ** (a3 - 1.0))
-        lam_prime = -(th1 * theta2 * mu_t ** (theta2 - 1.0))
-        dq_dk = gamma * q / k
-
-        gs[t] = (-w_mu + 5.0 * lam_k) * q
-        gmu[t] = (w_mu * (1.0 - s_t) + 5.0 * s_t * lam_k) * om * y * lam_prime - (
-            lam_m[0] * geo.xi1 * sig * y
-        )
-
-        dq_dtat = lam * y * om_prime
-        new_tat = (
-            float((w_mu * (1.0 - s_t) + 5.0 * lam_k * s_t) @ dq_dtat)
-            + geo.phi11 * lam_tat
-            + geo.phi21 * lam_tlo
-        )
-        new_tlo = geo.phi12 * lam_tat + geo.phi22 * lam_tlo
-        forcing_sens = geo.xi2 * geo.eta / (mat * ln2)
-        new_m0 = zmat[0, 0] * lam_m[0] + zmat[1, 0] * lam_m[1] + forcing_sens * lam_tat
-        new_m1 = zmat[0, 1] * lam_m[0] + zmat[1, 1] * lam_m[1] + zmat[2, 1] * lam_m[2]
-        new_m2 = zmat[1, 2] * lam_m[1] + zmat[2, 2] * lam_m[2]
-        new_k = (
-            w_mu * (1.0 - s_t) * dq_dk
-            + lam_k * (keep5 + 5.0 * s_t * dq_dk)
-            + lam_m[0] * geo.xi1 * sig * (1.0 - mu_t) * gamma * y / k
-        )
-
-        lam_tat, lam_tlo = new_tat, new_tlo
-        lam_m = np.array([new_m0, new_m1, new_m2])
-        lam_k = new_k
-
-    return f, gs, gmu
-
-
 def gradient_adjoint(
     profile: ControlProfile,
     scenario: Scenario,
@@ -346,7 +264,7 @@ def gradient_adjoint(
     x0_vec = (scenario.x0 if x0 is None else x0).to_vector()
     s_tn = np.ascontiguousarray(profile.saving.T)
     mu_tn = np.ascontiguousarray(profile.mu.T)
-    _, gs, gmu = _adjoint_arrays(scenario, x0_vec, s_tn, mu_tn, weights, t0)
+    _, gs, gmu, _, _ = _adjoint_arrays(scenario, x0_vec, s_tn, mu_tn, weights, t0)
     grad = np.stack([gs, gmu], axis=-1)  # (steps, n, 2)
     return np.ascontiguousarray(grad.transpose(1, 0, 2)).ravel()
 
@@ -463,7 +381,7 @@ class WindowProblem:
         full = self.embed(z)
         s_tn = np.ascontiguousarray(full[:, :, 0].T)
         mu_tn = np.ascontiguousarray(full[:, :, 1].T)
-        f, gs, gmu = _adjoint_arrays(
+        f, gs, gmu, _, _ = _adjoint_arrays(
             self.scenario, self.x0_vec, s_tn, mu_tn, self.weights, self.t0
         )
         grad = np.stack([gs, gmu], axis=-1).transpose(1, 0, 2)

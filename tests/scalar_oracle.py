@@ -88,10 +88,15 @@ def scenario_constants(scenario):
     }
 
 
-def oracle_weighted_welfare(consts, s, mu, weights, backend=None, t0=0):
+def oracle_weighted_welfare(
+    consts, s, mu, weights, backend=None, t0=0, e_extra=None, c_extra=None
+):
     """Weighted welfare of controls s[t][i], mu[t][i] from the stored x0.
 
     Returns the scalar objective. ``backend`` defaults to float64.
+    ``e_extra[t]`` (GtCO2/yr) is added to total emissions at step t, and
+    ``c_extra[t][i]`` to region i's consumption at step t inside the payoff
+    only; central differences over them give the social cost of CO2.
     """
     be = backend or FloatBackend()
     num = be.num
@@ -141,6 +146,8 @@ def oracle_weighted_welfare(consts, s, mu, weights, backend=None, t0=0):
             q = om * lam * y
             q_list.append(q)
             c = (one - num(s[rel][i])) * q
+            if c_extra is not None:
+                c = c + num(c_extra[rel][i])
             cpc = c / l
             if cpc < floor:
                 cpc = floor
@@ -155,6 +162,8 @@ def oracle_weighted_welfare(consts, s, mu, weights, backend=None, t0=0):
                 consts["e_land"][ta][i]
             )
 
+        if e_extra is not None:
+            e_tot = e_tot + num(e_extra[rel])
         forcing = eta * be.log(m[0] / m1750) / ln2 + num(consts["f_ex"][ta])
         m_new = [
             zeta[0][0] * m[0] + zeta[0][1] * m[1] + zeta[0][2] * m[2] + xi1 * e_tot,

@@ -466,21 +466,19 @@ def test_criterion_10_scc_properties(scenario, coop):
         damage_loss_2c=np.zeros(scenario.n_regions),
     )
     flat = ControlProfile.constant(scenario.n_regions, scenario.horizon, 0.25, 0.1)
-    worst_zero = max(
-        abs(social_cost_of_co2(lossless, lossless.x0, flat, i, t))
-        for i in range(scenario.n_regions)
-        for t in (0, 10, 20, 30)
+    worst_zero = float(
+        np.abs(social_cost_of_co2(lossless, lossless.x0, flat, [0, 10, 20, 30])).max()
     )
 
     names = list(scenario.region_names)
     idx = {nm: names.index(nm) for nm in ("US", "India", "Africa", "OthAsia")}
+    years = (20, 24, 30, 36)
+    table = social_cost_of_co2(scenario, scenario.x0, coop.profile, years)
     orderings = []
-    for t in (20, 24, 30, 36):
-        scc_us = social_cost_of_co2(scenario, scenario.x0, coop.profile, idx["US"], t)
+    for t, row in zip(years, table):
+        scc_us = row[idx["US"]]
         for nm in ("India", "Africa", "OthAsia"):
-            scc_nm = social_cost_of_co2(
-                scenario, scenario.x0, coop.profile, idx[nm], t
-            )
+            scc_nm = row[idx[nm]]
             orderings.append((t, nm, scc_nm, scc_us, scc_nm > scc_us))
     all_ordered = all(o[-1] for o in orderings)
     ok = worst_zero < 0.5 and all_ordered

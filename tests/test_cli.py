@@ -194,6 +194,13 @@ def test_simulate_writes_all_outputs(scenario_file, tmp_path):
     assert manifest["options"]["mu"] == 0.2
 
 
+def test_threads_default_ignores_core_count(scenario_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    out = tmp_path / "run"
+    assert run(["simulate", "--scenario", scenario_file, "--out", out]) == 0
+    assert read_json(out / "manifest.json")["options"]["threads"] == 1
+
+
 def test_simulate_is_reproducible(scenario_file, tmp_path):
     args = ["simulate", "--scenario", scenario_file]
     assert run(args + ["--out", tmp_path / "a"]) == 0
@@ -291,9 +298,15 @@ def test_rba_with_certificate(scenario_file, tmp_path):
         "welfare",
         "best_response_welfare",
         "relative_gain",
+        "terminations",
+        "converged",
         "regions",
     }
     assert cert["epsilon"] >= -1e-12
+    assert len(cert["terminations"]) == sc.n_regions
+    assert cert["converged"] == all(
+        t in ("gradient", "objective-change") for t in cert["terminations"]
+    )
     summary = read_json(out / "summary.json")
     assert summary["epsilon"] == cert["epsilon"]
     manifest = read_json(out / "manifest.json")
@@ -336,6 +349,20 @@ def test_scc_baseline_table(scenario_file, tmp_path):
     assert summary["policy"] == "baseline"
     assert summary["steps"] == [0, 2]
     assert len(summary["scc_usd_per_tco2"]) == 2 * sc.n_regions
+
+
+def test_scc_table_matches_library(scenario_file, tmp_path):
+    out = tmp_path / "scc"
+    code = run(
+        ["scc", "--scenario", scenario_file, "--out", out,
+         "--policy", "baseline", "--steps", "6,1,6"]
+    )
+    assert code == 0
+    sc = make_scenario()
+    profile = rice_game.ControlProfile.constant(sc.n_regions, sc.horizon, 0.25, 0.0)
+    want = rice_game.social_cost_of_co2(sc, sc.x0, profile, [6, 1, 6]).ravel()
+    got = [float(r[2]) for r in read_csv(out / "scc.csv")[1:]]
+    assert got == want.tolist()
 
 
 def test_scc_rejects_non_integer_steps(scenario_file, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_scenario, random_profile
 from scalar_oracle import (
     FloatBackend,
+    MpBackend,
     oracle_trajectory,
     oracle_weighted_welfare,
     scenario_constants,
@@ -41,6 +42,7 @@ from rice_game.model import (
     utility,
     weighted_welfare,
 )
+from rice_game.model import _adjoint_arrays
 
 
 def profile_to_lists(profile):
@@ -448,17 +450,34 @@ def test_oracle_agreement_property(seed):
 
 
 def test_scc_validation(small_scenario, rng):
-    profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
-    with pytest.raises(ModelDomainError):
-        social_cost_of_co2(small_scenario, small_scenario.x0, profile, 0, 0, eps=0.0)
-    with pytest.raises(ModelDomainError):
-        social_cost_of_co2(small_scenario, small_scenario.x0, profile, 0, 99)
+    sc = small_scenario
+    profile = random_profile(sc, sc.horizon + 1, rng)
+    for steps in ([99], [-1], [0, sc.horizon + 1], [0.5], [[0]]):
+        with pytest.raises(ModelDomainError):
+            social_cost_of_co2(sc, sc.x0, profile, steps)
+    controls = profile.controls.copy()
+    controls[1, 3, 0] = 1.0  # region 1 consumes nothing at step 3
+    starved = ControlProfile(controls)
+    assert social_cost_of_co2(sc, sc.x0, starved, [2, 4]).shape == (2, 3)
+    with pytest.raises(ModelDomainError, match="consumption floor"):
+        social_cost_of_co2(sc, sc.x0, starved, [2, 3])
+
+
+def test_scc_table_shape(small_scenario, rng):
+    sc = small_scenario
+    profile = random_profile(sc, sc.horizon + 1, rng)
+    table = social_cost_of_co2(sc, sc.x0, profile)
+    assert table.shape == (sc.horizon + 1, 3)
+    np.testing.assert_array_equal(
+        social_cost_of_co2(sc, sc.x0, profile, [4, 0, 4]), table[[4, 0, 4]]
+    )
+    assert social_cost_of_co2(sc, sc.x0, profile, []).shape == (0, 3)
 
 
 def test_scc_positive_under_damages(small_scenario):
     profile = ControlProfile.constant(3, small_scenario.horizon, 0.25, 0.1)
-    for i in range(3):
-        assert social_cost_of_co2(small_scenario, small_scenario.x0, profile, i, 0) > 0.0
+    table = social_cost_of_co2(small_scenario, small_scenario.x0, profile, [0])
+    assert np.all(table > 0.0)
 
 
 def test_scc_zero_without_damages():
@@ -468,5 +487,68 @@ def test_scc_zero_without_damages():
         sc, regions=regions, damage_loss_2c=np.zeros(3)
     )
     profile = ControlProfile.constant(3, sc.horizon, 0.25, 0.1)
-    for i in range(3):
-        assert abs(social_cost_of_co2(sc, sc.x0, profile, i, 0)) < 0.5
+    assert np.all(np.abs(social_cost_of_co2(sc, sc.x0, profile, [0])) < 0.5)
+
+
+def test_scc_matches_oracle_central_differences(small_scenario, rng):
+    # Float64 central differences of this oracle miss the small late
+    # entries by up to 2e-7 relative, too close to the 1e-6 bound, so the
+    # reference runs at 40 digits, where these steps agree to about 1e-12.
+    import mpmath
+
+    sc = small_scenario
+    steps = sc.horizon + 1
+    n = sc.n_regions
+    consts = scenario_constants(sc)
+    profile = random_profile(sc, steps, rng, margin=0.05)
+    s, mu = profile_to_lists(profile)
+    consumption = oracle_trajectory(consts, s, mu)[1]["C"]
+    table = social_cost_of_co2(sc, sc.x0, profile)
+
+    # Emissions at the last two steps reach no welfare-relevant state.
+    np.testing.assert_array_equal(table[-2:], 0.0)
+
+    with mpmath.workdps(40):
+        backend = MpBackend(mpmath)
+
+        def welfare(i, t, de=0, dc=0):
+            e_extra = [0] * steps
+            e_extra[t] = de
+            c_extra = [[0] * n for _ in range(steps)]
+            c_extra[t][i] = dc
+            weights = [1.0 if j == i else 0.0 for j in range(n)]
+            return oracle_weighted_welfare(
+                consts, s, mu, weights, backend, e_extra=e_extra, c_extra=c_extra
+            )
+
+        de = mpmath.mpf("1e-6")
+        for t in range(steps - 2):
+            for i in range(n):
+                dc = de * consumption[t][i]
+                dw_de = (welfare(i, t, de=de) - welfare(i, t, de=-de)) / (2 * de)
+                dw_dc = (welfare(i, t, dc=dc) - welfare(i, t, dc=-dc)) / (2 * dc)
+                ref = float(-1000 * dw_de / dw_dc)
+                assert ref != 0.0
+                assert abs(table[t, i] - ref) <= 1e-6 * abs(ref), (t, i, table[t, i], ref)
+
+
+def test_batched_adjoint_rows_match_single_sweeps(small_scenario, rng):
+    sc = small_scenario
+    steps = sc.horizon + 1
+    profile = random_profile(sc, steps, rng)
+    s_tn = np.ascontiguousarray(profile.saving.T)
+    mu_tn = np.ascontiguousarray(profile.mu.T)
+    x0 = sc.x0.to_vector()
+    weights = np.vstack([rng.uniform(0.0, 1.0, size=(3, 3)), np.eye(3)])
+    f, gs, gmu, lam_mat, dudc = _adjoint_arrays(sc, x0, s_tn, mu_tn, weights)
+    assert f.shape == (6,)
+    assert gs.shape == gmu.shape == (steps, 6, 3)
+    assert lam_mat.shape == (steps, 6)
+    for j, w in enumerate(weights):
+        f1, gs1, gmu1, lam1, dudc1 = _adjoint_arrays(sc, x0, s_tn, mu_tn, w)
+        assert isinstance(f1, float)
+        np.testing.assert_allclose(f[j], f1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gs[:, j], gs1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gmu[:, j], gmu1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(lam_mat[:, j], lam1, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(dudc, dudc1)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import random_profile
+
 from rice_game import (
     ControlProfile,
     ModelDomainError,
@@ -147,6 +149,18 @@ def test_certificate_fields_are_consistent(small_scenario):
     np.testing.assert_allclose(cert.relative_gain, expected, rtol=0, atol=0)
     assert cert.epsilon == pytest.approx(cert.relative_gain.max(), abs=0)
     assert cert.epsilon >= -1e-12
+    assert len(cert.terminations) == n
+    assert cert.converged == all(
+        t in ("gradient", "objective-change") for t in cert.terminations
+    )
+
+
+def test_certificate_not_converged_when_best_responses_stop_early(small_scenario, rng):
+    profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
+    cert = verify_epsilon_ne(small_scenario, profile, SolveOptions(max_iter=1))
+    assert len(cert.terminations) == small_scenario.n_regions
+    assert "max-iter" in cert.terminations
+    assert cert.converged is False
 
 
 def test_certificate_flags_non_equilibrium(small_scenario):

@@ -26,7 +26,6 @@ from .model import (
     GeoParams,
     ModelBreakdownError,
     ModelDomainError,
-    RegionControl,
     RegionParams,
     RiceGameError,
     RiceState,
@@ -41,7 +40,6 @@ from .model import (
 )
 from .noncooperative import best_response, rba_dg, rhfa_dg, verify_epsilon_ne
 from .solver import (
-    DecisionVector,
     SolveOptions,
     SolveReport,
     gradient_adjoint,
@@ -56,7 +54,6 @@ __all__ = [
     "GeoParams",
     "ModelBreakdownError",
     "ModelDomainError",
-    "RegionControl",
     "RegionParams",
     "RiceGameError",
     "RiceState",
@@ -83,7 +80,6 @@ __all__ = [
     "rba_dg",
     "rhfa_dg",
     "verify_epsilon_ne",
-    "DecisionVector",
     "SolveOptions",
     "SolveReport",
     "gradient_adjoint",

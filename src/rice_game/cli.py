@@ -26,7 +26,13 @@ from .calibration import (
     validate_scenario,
 )
 from .cooperative import mpc_rice, pareto_frontier, solve_swm
-from .model import ControlProfile, RiceGameError, simulate, social_cost_of_co2
+from .model import (
+    ControlProfile,
+    RiceGameError,
+    regional_welfare,
+    simulate,
+    social_cost_of_co2,
+)
 from .noncooperative import rba_dg, rhfa_dg, verify_epsilon_ne
 from .reporting import (
     RunManifest,
@@ -203,9 +209,7 @@ def _cmd_simulate(args) -> int:
     )
     traj = simulate(scenario.x0, profile, scenario)
     write_trajectory_csv(traj, profile, scenario, outdir / "trajectory.csv")
-    from .model import _utilities
-
-    welfare = _utilities(scenario, traj.consumption, 0).sum(axis=0)
+    welfare = regional_welfare(traj, scenario)
     summary = {
         "terminal_t_at_degc": float(traj.states[-2, 0]),
         "terminal_year": scenario.year(traj.horizon),

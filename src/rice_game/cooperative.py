@@ -10,7 +10,6 @@ controls.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +19,11 @@ from .model import (
     ModelDomainError,
     Scenario,
     Trajectory,
-    _utilities,
+    regional_welfare,
     simulate,
     step,
 )
-from .solver import SolveOptions, SolveReport, WindowProblem, maximize
+from .solver import SolveOptions, SolveReport, WindowProblem, _pool_map, maximize
 
 __all__ = [
     "SwmResult",
@@ -105,16 +104,6 @@ def default_initial_profile(scenario: Scenario, steps: int) -> np.ndarray:
     return full
 
 
-def _cluster_welfares(
-    scenario: Scenario, traj: Trajectory, profile: ControlProfile
-) -> tuple[float, float]:
-    """Summed welfare of the developed and developing clusters."""
-    util = _utilities(scenario, traj.consumption, 0).sum(axis=0)
-    dev = float(util[scenario.developed].sum())
-    devg = float(util[~scenario.developed].sum())
-    return dev, devg
-
-
 def solve_swm(
     scenario: Scenario,
     options: SolveOptions | None = None,
@@ -135,12 +124,11 @@ def solve_swm(
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
     profile = ControlProfile(report.x.reshape(scenario.n_regions, steps, 2).copy())
     traj = simulate(scenario.x0, profile, scenario)
-    util = _utilities(scenario, traj.consumption, 0).sum(axis=0)
     return SwmResult(
         profile=profile,
         trajectory=traj,
         welfare=report.objective,
-        regional_welfare=util,
+        regional_welfare=regional_welfare(traj, scenario),
         report=report,
     )
 
@@ -169,9 +157,7 @@ def _polish_savings(
     """
     steps = controls.shape[1]
     polished = controls.copy()
-    # Each subproblem is a different objective, so the caller's scale for the
-    # joint one does not carry over.
-    sub = dataclasses.replace(options, multistart=1, obj_scale=None)
+    sub = dataclasses.replace(options, multistart=1)
     for i in range(scenario.n_regions):
         w = np.zeros(scenario.n_regions)
         w[i] = 1.0
@@ -211,12 +197,12 @@ def solve_pareto_point(
         controls = _polish_savings(scenario, controls, opts)
     profile = ControlProfile(controls)
     traj = simulate(scenario.x0, profile, scenario)
-    dev, devg = _cluster_welfares(scenario, traj, profile)
+    welfare = regional_welfare(traj, scenario)
     return ParetoPoint(
         p=float(p),
         profile=profile,
-        welfare_developed=dev,
-        welfare_developing=devg,
+        welfare_developed=float(welfare[scenario.developed].sum()),
+        welfare_developing=float(welfare[~scenario.developed].sum()),
         terminal_t_at=float(traj.states[-2, 0]),
         report=report,
     )
@@ -257,14 +243,12 @@ def pareto_frontier(
     points: list[ParetoPoint | None] = [None] * p_grid.size
     failures = []
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for idx, (p, point, err) in enumerate(
-                pool.map(_frontier_worker, [(scenario, p, opts) for p in p_grid])
-            ):
-                if err is not None:
-                    failures.append((float(p), err))
-                else:
-                    points[idx] = point
+        args = [(scenario, p, opts) for p in p_grid]
+        for idx, (p, point, err) in enumerate(_pool_map(_frontier_worker, args, threads)):
+            if err is not None:
+                failures.append((float(p), err))
+            else:
+                points[idx] = point
     else:
         init = None
         for idx, p in enumerate(p_grid):

@@ -31,20 +31,9 @@ __all__ = [
     "RegionParams",
     "ExogenousPaths",
     "RiceState",
-    "RegionControl",
     "ControlProfile",
     "Trajectory",
     "Scenario",
-    "radiative_forcing",
-    "step_carbon",
-    "step_temperature",
-    "gross_output",
-    "backstop_theta1",
-    "abatement_fraction",
-    "damage_fraction",
-    "global_emissions",
-    "step_capital",
-    "utility",
     "step",
     "simulate",
     "regional_welfare",
@@ -227,14 +216,6 @@ class RiceState:
 
 
 @dataclass(frozen=True)
-class RegionControl:
-    """One region's control at one step: savings rate and emission control."""
-
-    s: float
-    mu: float
-
-
-@dataclass(frozen=True)
 class ControlProfile:
     """Joint open-loop control path.
 
@@ -270,11 +251,6 @@ class ControlProfile:
     def mu(self) -> np.ndarray:
         """(n, T+1) view of emission-control rates."""
         return self.controls[:, :, 1]
-
-    def control(self, i: int, t: int) -> RegionControl:
-        return RegionControl(
-            s=float(self.controls[i, t, 0]), mu=float(self.controls[i, t, 1])
-        )
 
     @staticmethod
     def constant(n: int, horizon: int, s: float, mu: float) -> "ControlProfile":
@@ -399,99 +375,6 @@ class Scenario:
 
     def control_upper(self) -> np.ndarray:
         return np.array([self.s_bounds[1], self.mu_bounds[1]])
-
-
-# ---------------------------------------------------------------------------
-# Scalar building blocks
-# ---------------------------------------------------------------------------
-
-
-def radiative_forcing(m_at: float, f_ex: float, geo: GeoParams) -> float:
-    """Total forcing (W/m^2) from atmospheric carbon and exogenous sources."""
-    if m_at <= 0.0:
-        raise ModelDomainError("m_at must be positive")
-    return geo.eta * math.log2(m_at / geo.m_at_1750) + f_ex
-
-
-def step_carbon(m: np.ndarray, e_total: float, geo: GeoParams) -> np.ndarray:
-    """Advance (M_AT, M_UP, M_LO) one step under total emissions e_total."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3,):
-        raise ModelDomainError("carbon state must have shape (3,)")
-    out = geo.carbon_matrix() @ m
-    out[0] += geo.xi1 * e_total
-    return out
-
-
-def step_temperature(temp: np.ndarray, forcing: float, geo: GeoParams) -> np.ndarray:
-    """Advance (T_AT, T_LO) one step under the given forcing."""
-    temp = np.asarray(temp, dtype=float)
-    if temp.shape != (2,):
-        raise ModelDomainError("temperature state must have shape (2,)")
-    out = geo.temperature_matrix() @ temp
-    out[0] += geo.xi2 * forcing
-    return out
-
-
-def gross_output(a: float, k: float, l: float, gamma: float) -> float:
-    """Cobb-Douglas gross output A * K^gamma * L^(1-gamma)."""
-    if a <= 0.0 or k <= 0.0 or l <= 0.0:
-        raise ModelDomainError("tfp, capital and labor must be positive")
-    return a * k**gamma * l ** (1.0 - gamma)
-
-
-def backstop_theta1(t: int, params: RegionParams, sigma_t: float) -> float:
-    """Abatement cost coefficient theta1_i(t).
-
-    Declines geometrically from the 2020 backstop price; the (t-1)
-    exponent applies verbatim at every step including t = 0.
-    """
-    decay = 1.0 - params.delta_pb
-    if decay == 0.0 and t == 0:
-        raise ZeroDivisionError("delta_pb = 1 makes theta1 undefined at t = 0")
-    return params.pb / (1000.0 * params.theta2) * decay ** (t - 1) * sigma_t
-
-
-def abatement_fraction(mu: float, theta1: float, theta2: float) -> float:
-    """Output fraction kept after abatement spending, 1 - theta1 * mu^theta2."""
-    if not 0.0 <= mu <= 1.0:
-        raise ModelDomainError("mu must lie in [0, 1]")
-    return 1.0 - theta1 * mu**theta2
-
-
-def damage_fraction(t_at: float, params: RegionParams) -> float:
-    """Output fraction kept after climate damages, 1 - a1*T - a2*T^a3."""
-    return 1.0 - params.a1 * t_at - params.a2 * t_at**params.a3
-
-
-def global_emissions(
-    outputs: np.ndarray, mus: np.ndarray, sigma_t: np.ndarray, e_land_t: np.ndarray
-) -> float:
-    """Total emissions (GtCO2/yr): sum of sigma*(1-mu)*Y plus land use."""
-    outputs = np.asarray(outputs, dtype=float)
-    mus = np.asarray(mus, dtype=float)
-    return float(np.sum(sigma_t * (1.0 - mus) * outputs + e_land_t))
-
-
-def step_capital(k: float, s: float, q_net: float, delta_k: float) -> float:
-    """Capital recursion (1-delta_k)^5 * K + 5 * s * Q."""
-    return (1.0 - delta_k) ** STEP_YEARS * k + STEP_YEARS * s * q_net
-
-
-def utility(c: float, l: float, alpha: float, rho: float, t: int) -> float:
-    """Discounted CRRA population utility of consuming c with population l.
-
-    Per-capita consumption is floored at :data:`CONSUMPTION_FLOOR`. The
-    alpha = 1 branch is logarithmic.
-    """
-    if c <= 0.0 or l <= 0.0:
-        raise ModelDomainError("consumption and population must be positive")
-    cpc = max(c / l, CONSUMPTION_FLOOR)
-    if alpha == 1.0:
-        base = l * math.log(cpc)
-    else:
-        base = l * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
-    return base / (1.0 + rho) ** (STEP_YEARS * t)
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +624,11 @@ def step(
 ) -> tuple[RiceState, dict]:
     """Advance one step from state x at absolute step t under controls u.
 
-    ``u`` is an (n, 2) array of [s, mu] rows or a sequence of
-    :class:`RegionControl`. Returns the next state and a diagnostics dict
-    with per-region Y, Q, C, Lambda, Omega, emissions and the scalar
-    total emissions and forcing.
+    ``u`` is an (n, 2) array of [s, mu] rows. Returns the next state and a
+    diagnostics dict with per-region Y, Q, C, Lambda, Omega, emissions and
+    the scalar total emissions and forcing.
     """
-    if isinstance(u, np.ndarray):
-        uarr = np.asarray(u, dtype=float)
-    else:
-        uarr = np.array([[c.s, c.mu] for c in u], dtype=float)
+    uarr = np.asarray(u, dtype=float)
     if uarr.shape != (scenario.n_regions, 2):
         raise ModelDomainError("controls must have shape (n, 2)")
     out = _forward(
@@ -807,21 +686,14 @@ def simulate(
     )
 
 
-def regional_welfare(
-    traj: Trajectory, profile: ControlProfile, i: int, scenario: Scenario, t0: int = 0
-) -> float:
-    """Discounted welfare of region i along ``traj``.
+def regional_welfare(traj: Trajectory, scenario: Scenario, t0: int = 0) -> np.ndarray:
+    """Discounted welfare of every region along ``traj``, shape (n,).
 
-    ``traj`` must be the rollout of ``profile`` (shapes are checked; the
-    consumption stored in the trajectory already carries the
-    (1 - s_i) factor and the mu_i abatement argument).
+    ``t0`` is the absolute step of the trajectory's first control. The
+    consumption stored in the trajectory already carries the (1 - s_i)
+    factor and the mu_i abatement argument.
     """
-    if traj.horizon != profile.horizon or traj.n_regions != profile.n_regions:
-        raise ModelDomainError("trajectory is not consistent with profile")
-    if not 0 <= i < scenario.n_regions:
-        raise ModelDomainError("region index out of range")
-    u = _utilities(scenario, traj.consumption, t0)
-    return float(u[:, i].sum())
+    return _utilities(scenario, traj.consumption, t0).sum(axis=0)
 
 
 def weighted_welfare(
@@ -831,14 +703,13 @@ def weighted_welfare(
     scenario: Scenario,
     t0: int = 0,
 ) -> float:
-    """Weighted sum of regional welfares along ``traj``."""
+    """Weighted sum of regional welfares along ``traj``, the rollout of ``profile``."""
     if traj.horizon != profile.horizon or traj.n_regions != profile.n_regions:
         raise ModelDomainError("trajectory is not consistent with profile")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (scenario.n_regions,):
         raise ModelDomainError("weights must have shape (n,)")
-    u = _utilities(scenario, traj.consumption, t0)
-    return float(u.sum(axis=0) @ weights)
+    return float(regional_welfare(traj, scenario, t0) @ weights)
 
 
 def social_cost_of_co2(

@@ -11,8 +11,7 @@ against opponents frozen at their current controls.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +21,11 @@ from .model import (
     RiceState,
     Scenario,
     Trajectory,
-    _utilities,
+    regional_welfare,
     simulate,
     step,
 )
-from .solver import SolveOptions, SolveReport, WindowProblem, maximize
+from .solver import SolveOptions, SolveReport, WindowProblem, _pool_map, maximize
 
 __all__ = [
     "BestResponseResult",
@@ -103,10 +102,6 @@ class RhfaResult:
     t_rh: int
 
 
-def _regional_welfares(scenario: Scenario, traj: Trajectory) -> np.ndarray:
-    return _utilities(scenario, traj.consumption, 0).sum(axis=0)
-
-
 def best_response(
     scenario: Scenario,
     region: int,
@@ -155,10 +150,7 @@ def _best_responses(
 ) -> list:
     """Every region's (controls, welfare, termination) against ``controls``."""
     args = [(scenario, i, controls, options) for i in range(scenario.n_regions)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_br_worker, args))
-    return [_br_worker(a) for a in args]
+    return _pool_map(_br_worker, args, threads)
 
 
 def rba_dg(
@@ -177,7 +169,9 @@ def rba_dg(
     best-response rounds, stopping early when consecutive profiles are
     within ``stop_tol`` in the infinity norm. ``update`` may be
     ``"jacobi"`` (simultaneous, default) or ``"gauss-seidel"``
-    (sequential in region order).
+    (sequential in region order). ``converged`` is true only after such an
+    early stop whose round had every best response end on its gradient or
+    objective-change test.
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
@@ -192,7 +186,7 @@ def rba_dg(
         Episode(
             index=0,
             profile=controls.copy(),
-            welfare=_regional_welfares(scenario, traj),
+            welfare=regional_welfare(traj, scenario),
             distance_inf=float("nan"),
             distance_2=float("nan"),
         )
@@ -202,11 +196,14 @@ def rba_dg(
         if update == "jacobi":
             results = _best_responses(scenario, controls, opts, threads)
             new = np.array([r[0] for r in results])
+            terminations = [r[2] for r in results]
         else:
             new = controls.copy()
+            terminations = []
             for i in range(scenario.n_regions):
                 res = best_response(scenario, i, ControlProfile(new), opts)
                 new[i] = res.controls
+                terminations.append(res.report.termination)
         dist_inf = float(np.max(np.abs(new - controls)))
         dist_2 = float(np.linalg.norm((new - controls).ravel()))
         controls = new
@@ -215,13 +212,13 @@ def rba_dg(
             Episode(
                 index=k,
                 profile=controls.copy(),
-                welfare=_regional_welfares(scenario, traj),
+                welfare=regional_welfare(traj, scenario),
                 distance_inf=dist_inf,
                 distance_2=dist_2,
             )
         )
         if dist_inf < stop_tol:
-            converged = True
+            converged = all(t in _CONVERGED_TERMINATIONS for t in terminations)
             break
     return RbaResult(
         profile=ControlProfile(controls),
@@ -240,7 +237,7 @@ def verify_epsilon_ne(
     """Measure the largest relative unilateral improvement on ``profile``."""
     opts = options or SolveOptions()
     traj = simulate(scenario.x0, profile, scenario)
-    welfare = _regional_welfares(scenario, traj)
+    welfare = regional_welfare(traj, scenario)
     results = _best_responses(scenario, profile.controls, opts, threads)
     br_welfare = np.array([r[1] for r in results])
     terminations = [r[2] for r in results]
@@ -270,7 +267,7 @@ def _rhfa_worker(args):
         fixed=fixed,
     )
     report = maximize(problem, problem.lower, problem.upper, init, options)
-    return region, report.x.reshape(t_rh, 2)
+    return report.x.reshape(t_rh, 2)
 
 
 def rhfa_dg(
@@ -317,21 +314,11 @@ def rhfa_dg(
         inits = np.concatenate(
             [prev_plans[:, 1:, :], prev_plans[:, -1:, :]], axis=1
         )
-        plans = np.empty((n, t_rh, 2))
-        if threads > 1:
-            args = [
-                (scenario, i, x.to_vector(), t + 1, t_rh, fixed, inits[i].ravel(), opts)
-                for i in range(n)
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for region, plan in pool.map(_rhfa_worker, args):
-                    plans[region] = plan
-        else:
-            for i in range(n):
-                _, plan = _rhfa_worker(
-                    (scenario, i, x.to_vector(), t + 1, t_rh, fixed, inits[i].ravel(), opts)
-                )
-                plans[i] = plan
+        args = [
+            (scenario, i, x.to_vector(), t + 1, t_rh, fixed, inits[i].ravel(), opts)
+            for i in range(n)
+        ]
+        plans = np.array(_pool_map(_rhfa_worker, args, threads))
         played[:, t + 1, :] = plans[:, 0, :]
         x, _ = step(t + 1, x, plans[:, 0, :], scenario)
         prev_plans = plans

@@ -11,6 +11,7 @@ independent finite-difference fallback is provided for verification.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from .model import (
 )
 
 __all__ = [
-    "DecisionVector",
     "SolveOptions",
     "SolveReport",
     "maximize",
@@ -46,49 +46,6 @@ _BREAKDOWN_MARGIN = 1e6
 
 
 @dataclass
-class DecisionVector:
-    """Flat view of a control profile with its box bounds.
-
-    ``values[i*(T+1)*2 + t*2 + 0]`` is region i's savings rate at step t
-    and ``... + 1`` its emission-control rate.
-    """
-
-    values: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    n_regions: int
-    horizon: int
-
-    def __post_init__(self):
-        size = self.n_regions * (self.horizon + 1) * 2
-        for name in ("values", "lower", "upper"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (size,):
-                raise ModelDomainError(
-                    f"{name} must have shape ({size},) for"
-                    f" {self.n_regions} regions and horizon {self.horizon}"
-                )
-            setattr(self, name, arr)
-
-    @staticmethod
-    def from_profile(profile: ControlProfile, scenario: Scenario) -> "DecisionVector":
-        n, horizon = profile.n_regions, profile.horizon
-        reps = n * (horizon + 1)
-        return DecisionVector(
-            values=profile.controls.ravel().copy(),
-            lower=np.tile(scenario.control_lower(), reps),
-            upper=np.tile(scenario.control_upper(), reps),
-            n_regions=n,
-            horizon=horizon,
-        )
-
-    def to_profile(self) -> ControlProfile:
-        return ControlProfile(
-            self.values.reshape(self.n_regions, self.horizon + 1, 2).copy()
-        )
-
-
-@dataclass
 class SolveOptions:
     """Knobs for :func:`maximize`.
 
@@ -97,7 +54,6 @@ class SolveOptions:
     between accepted iterates. ``multistart`` runs the given initial point
     plus bound-respecting random perturbations of it (deterministic in
     ``seed``); exact objective ties keep the lowest start index.
-    ``obj_scale`` overrides the automatic 1/|f(init)| scaling.
     """
 
     max_iter: int = 2000
@@ -106,7 +62,6 @@ class SolveOptions:
     multistart: int = 1
     seed: int = 0
     perturb_scale: float = 0.1
-    obj_scale: float | None = None
     lbfgs_memory: int = 20
     max_line_search: int = 40
 
@@ -129,6 +84,14 @@ class SolveReport:
     start_index: int
     objective_log: np.ndarray
     start_objectives: list = field(default_factory=list)
+
+
+def _pool_map(fn, args, threads: int) -> list:
+    """``[fn(a) for a in args]``, spread over ``threads`` worker processes when > 1."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]
 
 
 def _termination_reason(res) -> str:
@@ -171,9 +134,7 @@ def maximize(
     f0, _ = objective(init)
     if not np.isfinite(f0):
         raise ModelDomainError("objective at init is not finite")
-    scale = opts.obj_scale if opts.obj_scale is not None else 1.0 / max(abs(f0), 1e-12)
-    if scale <= 0.0:
-        raise ModelDomainError("objective scale must be positive")
+    scale = 1.0 / max(abs(f0), 1e-12)
 
     rng = np.random.default_rng(opts.seed)
     starts = [init]
@@ -261,12 +222,11 @@ def gradient_adjoint(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (scenario.n_regions,):
         raise ModelDomainError("weights must have shape (n,)")
-    x0_vec = (scenario.x0 if x0 is None else x0).to_vector()
-    s_tn = np.ascontiguousarray(profile.saving.T)
-    mu_tn = np.ascontiguousarray(profile.mu.T)
-    _, gs, gmu, _, _ = _adjoint_arrays(scenario, x0_vec, s_tn, mu_tn, weights, t0)
-    grad = np.stack([gs, gmu], axis=-1)  # (steps, n, 2)
-    return np.ascontiguousarray(grad.transpose(1, 0, 2)).ravel()
+    if profile.n_regions != scenario.n_regions:
+        raise ModelDomainError("profile region count does not match scenario")
+    x0 = scenario.x0 if x0 is None else x0
+    problem = WindowProblem(scenario, weights, x0, t0, profile.horizon + 1)
+    return problem(profile.controls.ravel())[1]
 
 
 def gradient_fd(

@@ -27,7 +27,6 @@ from rice_game.calibration import (
 from rice_game.model import (
     ControlProfile,
     ModelDomainError,
-    damage_fraction,
     simulate,
 )
 
@@ -118,9 +117,14 @@ def test_calibrate_damage_round_trip():
     a1, a2, a3 = calibrate_damage(0.0124)
     assert (a1, a3) == (0.0, 2.0)
     assert a2 == pytest.approx(0.0031, rel=1e-15)
-    params = make_scenario().regions[0]
-    params = dataclasses.replace(params, a1=a1, a2=a2, a3=a3)
-    assert damage_fraction(2.0, params) == pytest.approx(1.0 - 0.0124, rel=1e-14)
+    sc = make_scenario()
+    sc = dataclasses.replace(
+        sc,
+        regions=[dataclasses.replace(r, a1=a1, a2=a2, a3=a3) for r in sc.regions],
+        x0=dataclasses.replace(sc.x0, t_at=2.0),
+    )
+    traj = simulate(sc.x0, ControlProfile.constant(3, 0, 0.25, 0.1), sc)
+    np.testing.assert_allclose(traj.damage_fraction[0], 1.0 - 0.0124, rtol=1e-14)
 
 
 def test_calibrate_damage_domain():

@@ -22,24 +22,12 @@ from rice_game.model import (
     ControlProfile,
     ModelBreakdownError,
     ModelDomainError,
-    RegionControl,
-    RegionParams,
     RiceState,
     SimulationError,
-    abatement_fraction,
-    backstop_theta1,
-    damage_fraction,
-    global_emissions,
-    gross_output,
-    radiative_forcing,
     regional_welfare,
     simulate,
     social_cost_of_co2,
     step,
-    step_capital,
-    step_temperature,
-    step_carbon,
-    utility,
     weighted_welfare,
 )
 from rice_game.model import _adjoint_arrays
@@ -53,8 +41,15 @@ def profile_to_lists(profile):
     return s, mu
 
 
+def first_step(scenario, s=0.25, mu=0.1, t0=0, **state):
+    """One-step rollout from the scenario's x0 with ``state`` fields replaced."""
+    x0 = dataclasses.replace(scenario.x0, **state)
+    profile = ControlProfile.constant(scenario.n_regions, 0, s, mu)
+    return simulate(x0, profile, scenario, t0=t0)
+
+
 # ---------------------------------------------------------------------------
-# Scalar building blocks
+# Building blocks of one step
 # ---------------------------------------------------------------------------
 
 
@@ -88,107 +83,114 @@ def test_control_profile_shapes():
     p = ControlProfile.constant(2, 4, 0.2, 0.3)
     assert p.n_regions == 2 and p.horizon == 4
     assert p.saving.shape == (2, 5) and p.mu.shape == (2, 5)
-    assert p.control(1, 2) == RegionControl(s=0.2, mu=0.3)
+    np.testing.assert_array_equal(p.controls[1, 2], [0.2, 0.3])
 
 
 def test_radiative_forcing_formula(small_scenario):
-    geo = small_scenario.geo
-    f = radiative_forcing(2.0 * geo.m_at_1750, 0.4, geo)
-    assert f == pytest.approx(geo.eta + 0.4, rel=1e-15)
-    with pytest.raises(ModelDomainError):
-        radiative_forcing(0.0, 0.0, geo)
+    sc = small_scenario
+    traj = first_step(sc, m_at=2.0 * sc.geo.m_at_1750)
+    np.testing.assert_allclose(traj.forcing[0], sc.geo.eta + sc.exo.f_ex[0], rtol=1e-15)
 
 
 def test_step_carbon_matches_matrix(small_scenario):
     geo = small_scenario.geo
-    m = np.array([800.0, 400.0, 1700.0])
-    out = step_carbon(m, 10.0, geo)
-    expect = geo.carbon_matrix() @ m
-    expect[0] += geo.xi1 * 10.0
-    np.testing.assert_allclose(out, expect, rtol=1e-15)
-    with pytest.raises(ModelDomainError):
-        step_carbon(np.zeros(2), 0.0, geo)
+    traj = first_step(small_scenario, m_at=800.0, m_up=400.0, m_lo=1700.0)
+    expect = geo.carbon_matrix() @ np.array([800.0, 400.0, 1700.0])
+    expect[0] += geo.xi1 * traj.total_emissions[0]
+    np.testing.assert_allclose(traj.states[1, 2:5], expect, rtol=1e-15)
 
 
 def test_step_temperature_matches_matrix(small_scenario):
     geo = small_scenario.geo
-    temp = np.array([1.1, 0.05])
-    out = step_temperature(temp, 2.0, geo)
-    expect = geo.temperature_matrix() @ temp
-    expect[0] += geo.xi2 * 2.0
-    np.testing.assert_allclose(out, expect, rtol=1e-15)
-    with pytest.raises(ModelDomainError):
-        step_temperature(np.zeros(3), 0.0, geo)
+    traj = first_step(small_scenario, t_at=1.1, t_lo=0.05)
+    expect = geo.temperature_matrix() @ np.array([1.1, 0.05])
+    expect[0] += geo.xi2 * traj.forcing[0]
+    np.testing.assert_allclose(traj.states[1, 0:2], expect, rtol=1e-15)
 
 
-def test_gross_output_cobb_douglas():
-    assert gross_output(2.0, 8.0, 27.0, 1.0 / 3.0) == pytest.approx(
-        2.0 * 8.0 ** (1.0 / 3.0) * 27.0 ** (2.0 / 3.0), rel=1e-15
+def test_gross_output_cobb_douglas(small_scenario):
+    sc = small_scenario
+    sc = dataclasses.replace(
+        sc,
+        regions=[dataclasses.replace(r, gamma=1.0 / 3.0) for r in sc.regions],
+        exo=dataclasses.replace(
+            sc.exo, tfp=np.full_like(sc.exo.tfp, 2.0), labor=np.full_like(sc.exo.labor, 27.0)
+        ),
+        exo_spec=None,
     )
-    for bad in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
-        with pytest.raises(ModelDomainError):
-            gross_output(*bad, 0.3)
-
-
-def test_backstop_theta1_keeps_printed_exponent():
-    params = RegionParams(
-        gamma=0.3, delta_k=0.1, alpha=1.25, rho=0.01,
-        a1=0.0, a2=0.001, a3=2.0, theta2=2.8, pb=1000.0, delta_pb=0.05,
+    traj = first_step(sc, capital=np.full(3, 8.0))
+    np.testing.assert_allclose(
+        traj.gross_output[0], 2.0 * 8.0 ** (1.0 / 3.0) * 27.0 ** (2.0 / 3.0), rtol=1e-15
     )
-    # At t = 0 the decline factor enters with exponent -1, as printed.
-    expect0 = 1000.0 / (1000.0 * 2.8) / 0.95 * 0.5
-    assert backstop_theta1(0, params, 0.5) == pytest.approx(expect0, rel=1e-15)
-    expect3 = 1000.0 / (1000.0 * 2.8) * 0.95**2 * 0.5
-    assert backstop_theta1(3, params, 0.5) == pytest.approx(expect3, rel=1e-15)
-    degenerate = dataclasses.replace(params, delta_pb=1.0)
-    with pytest.raises(ZeroDivisionError):
-        backstop_theta1(0, degenerate, 0.5)
 
 
-def test_abatement_and_damage_fractions():
-    assert abatement_fraction(0.5, 0.1, 2.8) == pytest.approx(
-        1.0 - 0.1 * 0.5**2.8, rel=1e-15
-    )
-    with pytest.raises(ModelDomainError):
-        abatement_fraction(1.5, 0.1, 2.8)
-    params = RegionParams(
-        gamma=0.3, delta_k=0.1, alpha=1.25, rho=0.01,
-        a1=0.0, a2=0.0066 / 4.0, a3=2.0, theta2=2.8, pb=1000.0, delta_pb=0.05,
+def test_backstop_theta1_keeps_printed_exponent(small_scenario):
+    sc = small_scenario
+    traj = simulate(sc.x0, ControlProfile.constant(3, 3, 0.25, 0.5), sc)
+    for t, decay in ((0, 0.97**-1), (3, 0.97**2)):
+        # At t = 0 the decline factor enters with exponent -1, as printed.
+        for i, r in enumerate(sc.regions):
+            theta1 = r.pb / (1000.0 * 2.8) * decay * sc.exo.sigma[t, i]
+            np.testing.assert_allclose(
+                traj.abatement_fraction[t, i], 1.0 - theta1 * 0.5**2.8, rtol=1e-15
+            )
+
+
+def test_scenario_rejects_backstop_decline_of_one(small_scenario):
+    regions = list(small_scenario.regions)
+    regions[1] = dataclasses.replace(regions[1], delta_pb=1.0)
+    with pytest.raises(ModelDomainError, match="delta_pb"):
+        dataclasses.replace(small_scenario, regions=regions)
+
+
+def test_abatement_and_damage_fractions(small_scenario):
+    sc = small_scenario
+    traj = first_step(sc, mu=0.5, t_at=2.0)
+    theta1 = np.array([r.pb for r in sc.regions]) / (1000.0 * 2.8) / 0.97 * sc.exo.sigma[0]
+    np.testing.assert_allclose(
+        traj.abatement_fraction[0], 1.0 - theta1 * 0.5**2.8, rtol=1e-15
     )
     # The quadratic fit reproduces the reference loss exactly at 2 degC.
-    assert damage_fraction(2.0, params) == pytest.approx(1.0 - 0.0066, rel=1e-14)
+    np.testing.assert_allclose(traj.damage_fraction[0], 1.0 - sc.damage_loss_2c, rtol=1e-14)
 
 
-def test_global_emissions_sum():
-    total = global_emissions(
-        np.array([10.0, 20.0]),
-        np.array([0.25, 0.5]),
-        np.array([0.5, 0.3]),
-        np.array([0.1, 0.2]),
-    )
-    assert total == pytest.approx(0.5 * 0.75 * 10.0 + 0.3 * 0.5 * 20.0 + 0.3, rel=1e-15)
+def test_global_emissions_sum(small_scenario):
+    sc = small_scenario
+    traj = first_step(sc, mu=0.25)
+    expect = sc.exo.sigma[0] * 0.75 * traj.gross_output[0] + sc.exo.e_land[0]
+    np.testing.assert_allclose(traj.emissions[0], expect, rtol=1e-15)
+    np.testing.assert_allclose(traj.total_emissions[0], expect.sum(), rtol=1e-15)
 
 
-def test_step_capital_recursion():
-    assert step_capital(10.0, 0.2, 5.0, 0.1) == pytest.approx(
-        0.9**5 * 10.0 + 5.0 * 0.2 * 5.0, rel=1e-15
-    )
+def test_step_capital_recursion(small_scenario):
+    sc = small_scenario
+    traj = first_step(sc, s=0.2)
+    expect = 0.9**5 * sc.x0.capital + 5.0 * 0.2 * traj.net_output[0]
+    np.testing.assert_allclose(traj.states[1, 5:], expect, rtol=1e-15)
 
 
 def test_utility_branches():
-    # CRRA branch.
-    expect = 100.0 * ((0.05) ** (-0.25) - 1.0) / (-0.25) / (1.01) ** 10
-    assert utility(5.0, 100.0, 1.25, 0.01, 2) == pytest.approx(expect, rel=1e-13)
-    # Log branch.
-    expect_log = 100.0 * math.log(0.05) / (1.01) ** 5
-    assert utility(5.0, 100.0, 1.0, 0.01, 1) == pytest.approx(expect_log, rel=1e-13)
+    # Regions 0 and 2 take the CRRA branch, region 1 the log branch.
+    sc = make_scenario(alpha=[1.25, 1.0, 1.25])
+    traj = first_step(sc, t0=2)
+    cons, labor = traj.consumption[0], sc.exo.labor[2]
+    disc = 1.01**-10
+    welfare = regional_welfare(traj, sc, t0=2)
+    for i in (0, 2):
+        expect = labor[i] * ((cons[i] / labor[i]) ** (-0.25) - 1.0) / (-0.25) * disc
+        assert welfare[i] == pytest.approx(expect, rel=1e-13)
+    expect_log = labor[1] * math.log(cons[1] / labor[1]) * disc
+    assert welfare[1] == pytest.approx(expect_log, rel=1e-13)
     # Floor binds for degenerate consumption.
-    floored = utility(1e-12, 100.0, 1.0, 0.0, 0)
-    assert floored == pytest.approx(100.0 * math.log(CONSUMPTION_FLOOR), rel=1e-13)
-    with pytest.raises(ModelDomainError):
-        utility(0.0, 100.0, 1.25, 0.01, 0)
-    with pytest.raises(ModelDomainError):
-        utility(1.0, 0.0, 1.25, 0.01, 0)
+    poor = dataclasses.replace(
+        sc, exo=dataclasses.replace(sc.exo, tfp=sc.exo.tfp * 1e-12), exo_spec=None
+    )
+    traj = first_step(poor, s=0.95)
+    assert traj.consumption_floored.all()
+    floored = regional_welfare(traj, poor)
+    assert floored[1] == pytest.approx(
+        poor.exo.labor[0, 1] * math.log(CONSUMPTION_FLOOR), rel=1e-13
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def test_simulate_with_offset_matches_oracle(small_scenario, rng):
     s, mu = profile_to_lists(profile)
     states, _ = oracle_trajectory(consts, s, mu, t0=4)
     np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12)
-    value = regional_welfare(traj, profile, 1, small_scenario, t0=4)
+    value = regional_welfare(traj, small_scenario, t0=4)[1]
     w = [0.0, 1.0, 0.0]
     expect = oracle_weighted_welfare(consts, s, mu, w, FloatBackend(), t0=4)
     assert value == pytest.approx(expect, rel=1e-12)
@@ -299,6 +301,9 @@ def test_control_bounds_validation(small_scenario):
     bad.controls[0, 0, 0] = 1.5
     with pytest.raises(ModelDomainError):
         simulate(small_scenario.x0, bad, small_scenario)
+    bad.controls[0, 0] = [0.25, 1.5]
+    with pytest.raises(ModelDomainError):
+        simulate(small_scenario.x0, bad, small_scenario)
     with pytest.raises(ModelDomainError):
         simulate(
             dataclasses.replace(small_scenario.x0, m_at=-1.0),
@@ -356,17 +361,14 @@ def test_welfare_validation(small_scenario, rng):
     traj = simulate(small_scenario.x0, profile, small_scenario)
     other = ControlProfile.constant(3, 2, 0.25, 0.0)
     with pytest.raises(ModelDomainError):
-        regional_welfare(traj, other, 0, small_scenario)
-    with pytest.raises(ModelDomainError):
-        regional_welfare(traj, profile, 7, small_scenario)
+        weighted_welfare(traj, other, small_scenario.weights, small_scenario)
     with pytest.raises(ModelDomainError):
         weighted_welfare(traj, profile, np.array([0.5, 0.5]), small_scenario)
     total = weighted_welfare(
         traj, profile, np.array([0.2, 0.3, 0.5]), small_scenario
     )
-    parts = [
-        regional_welfare(traj, profile, i, small_scenario) for i in range(3)
-    ]
+    parts = regional_welfare(traj, small_scenario)
+    assert parts.shape == (3,)
     assert total == pytest.approx(0.2 * parts[0] + 0.3 * parts[1] + 0.5 * parts[2],
                                   rel=1e-12)
 
@@ -418,17 +420,18 @@ def test_zero_forcing_temperature_fixed_point():
     assert traj.states[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
+_WARMING_SCENARIO = make_scenario()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     t_at=st.floats(min_value=0.0, max_value=6.0),
     bump=st.floats(min_value=1e-6, max_value=1.0),
 )
 def test_damage_fraction_decreases_with_warming(t_at, bump):
-    params = RegionParams(
-        gamma=0.3, delta_k=0.1, alpha=1.25, rho=0.01,
-        a1=0.0, a2=0.0066 / 4.0, a3=2.0, theta2=2.8, pb=1000.0, delta_pb=0.05,
-    )
-    assert damage_fraction(t_at + bump, params) < damage_fraction(t_at, params)
+    cooler = first_step(_WARMING_SCENARIO, t_at=t_at).damage_fraction[0]
+    warmer = first_step(_WARMING_SCENARIO, t_at=t_at + bump).damage_fraction[0]
+    assert np.all(warmer < cooler)
 
 
 @settings(max_examples=15, deadline=None)

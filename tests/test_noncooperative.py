@@ -33,9 +33,8 @@ def cold_profile(scenario):
 
 def test_best_response_improves_own_welfare(small_scenario):
     profile = cold_profile(small_scenario)
-    base = regional_welfare(
-        simulate(small_scenario.x0, profile, small_scenario), profile, 1, small_scenario
-    )
+    traj = simulate(small_scenario.x0, profile, small_scenario)
+    base = regional_welfare(traj, small_scenario)[1]
     br = best_response(small_scenario, 1, profile, FAST)
     assert br.region == 1
     assert br.welfare >= base
@@ -49,7 +48,7 @@ def test_best_response_welfare_matches_spliced_rollout(small_scenario):
     new_profile = ControlProfile(spliced)
     traj = simulate(small_scenario.x0, new_profile, small_scenario)
     assert br.welfare == pytest.approx(
-        regional_welfare(traj, new_profile, 2, small_scenario), rel=1e-10
+        regional_welfare(traj, small_scenario)[2], rel=1e-10
     )
     lo, hi = small_scenario.control_lower(), small_scenario.control_upper()
     assert np.all(br.controls >= lo - 1e-12)
@@ -113,6 +112,22 @@ def test_rba_converges_and_certifies_on_toy(small_scenario):
     assert len(res.episodes) < 11
     cert = verify_epsilon_ne(small_scenario, res.profile, FAST)
     assert cert.epsilon < 1e-8
+
+
+@pytest.mark.parametrize("update", ["jacobi", "gauss-seidel"])
+def test_rba_not_converged_when_best_responses_stop_early(small_scenario, update):
+    # Every control lies in [0, 1], so a stop tolerance of 2 ends the first
+    # round; its best responses were cut off after one iteration.
+    res = rba_dg(
+        small_scenario,
+        episodes=3,
+        options=SolveOptions(max_iter=1),
+        initial_profile=cold_profile(small_scenario),
+        stop_tol=2.0,
+        update=update,
+    )
+    assert len(res.episodes) == 2
+    assert res.converged is False
 
 
 def test_rba_rejects_unknown_update_rule(small_scenario):
@@ -212,3 +227,30 @@ def test_rhfa_is_deterministic(small_scenario):
     a = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST, initial_controls=first)
     b = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST, initial_controls=first)
     np.testing.assert_array_equal(a.profile.controls, b.profile.controls)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+
+def test_pooled_runs_match_serial(small_scenario):
+    init = cold_profile(small_scenario)
+    n = small_scenario.n_regions
+    first = np.column_stack([np.full(n, 0.25), np.full(n, 0.1)])
+    runs = {}
+    for threads in (1, 2):
+        rba = rba_dg(small_scenario, episodes=2, options=FAST, initial_profile=init,
+                     stop_tol=0.0, threads=threads)
+        cert = verify_epsilon_ne(small_scenario, init, FAST, threads=threads)
+        rhfa = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST,
+                       initial_controls=first, threads=threads)
+        runs[threads] = (rba, cert, rhfa)
+    (rba1, cert1, rhfa1), (rba2, cert2, rhfa2) = runs[1], runs[2]
+    np.testing.assert_array_equal(rba2.profile.controls, rba1.profile.controls)
+    for ep1, ep2 in zip(rba1.episodes, rba2.episodes, strict=True):
+        np.testing.assert_array_equal(ep2.welfare, ep1.welfare)
+    assert rba2.converged == rba1.converged
+    np.testing.assert_array_equal(cert2.best_response_welfare, cert1.best_response_welfare)
+    assert cert2.terminations == cert1.terminations
+    np.testing.assert_array_equal(rhfa2.profile.controls, rhfa1.profile.controls)

@@ -11,9 +11,14 @@ from scalar_oracle import (
     scenario_constants,
 )
 
-from rice_game.model import ModelBreakdownError, ModelDomainError, simulate, weighted_welfare
+from rice_game.model import (
+    ControlProfile,
+    ModelBreakdownError,
+    ModelDomainError,
+    simulate,
+    weighted_welfare,
+)
 from rice_game.solver import (
-    DecisionVector,
     SolveOptions,
     WindowProblem,
     gradient_adjoint,
@@ -36,26 +41,18 @@ def pack(controls):
 
 
 def test_decision_vector_round_trip(small_scenario, rng):
-    profile = random_profile(small_scenario, 5, rng)
-    vec = DecisionVector.from_profile(profile, small_scenario)
-    assert vec.n_regions == 3 and vec.horizon == 4
+    sc = small_scenario
+    profile = random_profile(sc, 5, rng)
+    problem = WindowProblem(sc, sc.weights, sc.x0, 0, 5)
+    z = problem.extract(profile.controls)
+    assert z.shape == (3 * 5 * 2,)
     # Region-major, then step, then [s, mu].
-    assert vec.values[1 * 5 * 2 + 3 * 2 + 1] == profile.controls[1, 3, 1]
-    assert vec.lower[0] == small_scenario.s_bounds[0]
-    assert vec.upper[1] == small_scenario.mu_bounds[1]
-    back = vec.to_profile()
-    np.testing.assert_array_equal(back.controls, profile.controls)
-
-
-def test_decision_vector_shape_validation():
-    with pytest.raises(ModelDomainError):
-        DecisionVector(
-            values=np.zeros(10),
-            lower=np.zeros(12),
-            upper=np.ones(12),
-            n_regions=2,
-            horizon=2,
-        )
+    assert z[1 * 5 * 2 + 3 * 2 + 1] == profile.controls[1, 3, 1]
+    np.testing.assert_array_equal(problem.lower, np.tile(sc.control_lower(), 3 * 5))
+    np.testing.assert_array_equal(problem.upper, np.tile(sc.control_upper(), 3 * 5))
+    assert problem.lower[0] == sc.s_bounds[0]
+    assert problem.upper[1] == sc.mu_bounds[1]
+    np.testing.assert_array_equal(problem.embed(z), profile.controls)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +61,6 @@ def test_decision_vector_shape_validation():
 
 
 def test_adjoint_matches_package_fd(small_scenario, rng):
-    from rice_game.model import ControlProfile
-
     sc = small_scenario
     steps = sc.horizon + 1
     lower = np.tile(sc.control_lower(), 3 * steps)
@@ -117,6 +112,17 @@ def test_adjoint_matches_high_precision_oracle(small_scenario, rng):
                 )
             g_mp = (vals[0] - vals[1]) / (2 * mpmath.mpf(h))
             assert abs(g_adj[j] - float(g_mp)) <= 1e-9 * max(abs(float(g_mp)), 1e-12)
+
+
+def test_gradient_adjoint_validation(small_scenario):
+    sc = small_scenario
+    profile = ControlProfile.constant(3, sc.horizon, 0.25, 0.1)
+    with pytest.raises(ModelDomainError):
+        gradient_adjoint(profile, sc, np.ones(2))
+    with pytest.raises(ModelDomainError):
+        gradient_adjoint(ControlProfile.constant(4, sc.horizon, 0.25, 0.1), sc, sc.weights)
+    with pytest.raises(ModelDomainError):
+        gradient_adjoint(profile, sc, sc.weights, t0=sc.exo.length - sc.horizon)
 
 
 def test_gradient_fd_one_sided_at_bounds(small_scenario):

@@ -14,6 +14,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Canonical 12-region split; the first cluster below is "developed".
+#: Canonical 12-region split; the first cluster below is developed.
 CANONICAL_REGIONS = (
     "US",
     "EU",
@@ -312,220 +313,221 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, keys: tuple[str, ...], path: str) -> None:
-    unknown = set(mapping) - set(keys)
-    if unknown:
-        raise ScenarioFormatError(
-            f"unknown key {path}.{sorted(unknown)[0]!r} in scenario file"
-        )
-    missing = set(keys) - set(mapping)
-    if missing:
-        raise ScenarioFormatError(
-            f"missing key {path}.{sorted(missing)[0]!r} in scenario file"
-        )
+class _Field(NamedTuple):
+    """One file key of a section and the attribute it maps to.
+
+    ``kind`` is the JSON type the key must hold: ``float`` (a number, not
+    a boolean), ``int``, ``bool`` or ``str``; ``list`` for a list of
+    numbers (a float array); a section table for a nested object; or
+    ``[table]`` for a list of such objects.
+    """
+
+    key: str
+    attr: str
+    kind: object
 
 
-_GEO_KEYS = (
-    "zeta11",
-    "zeta12",
-    "zeta21",
-    "zeta22",
-    "zeta23",
-    "zeta32",
-    "zeta33",
-    "xi1_gtc_per_gtco2",
-    "phi11",
-    "phi12",
-    "phi21",
-    "phi22",
-    "xi2_degc_per_wm2",
-    "eta_wm2_per_doubling",
-    "m_at_1750_gtc",
+def _f(key: str, attr: str | None = None, kind: object = float) -> _Field:
+    """A field whose attribute is named like its key unless ``attr`` is given."""
+    return _Field(key, attr or key, kind)
+
+
+# The file format, one table per section in file order. Parsing, the
+# unknown/missing key checks and serialization are all derived from these.
+_GEO = (
+    _f("zeta11"),
+    _f("zeta12"),
+    _f("zeta21"),
+    _f("zeta22"),
+    _f("zeta23"),
+    _f("zeta32"),
+    _f("zeta33"),
+    _f("xi1_gtc_per_gtco2", "xi1"),
+    _f("phi11"),
+    _f("phi12"),
+    _f("phi21"),
+    _f("phi22"),
+    _f("xi2_degc_per_wm2", "xi2"),
+    _f("eta_wm2_per_doubling", "eta"),
+    _f("m_at_1750_gtc", "m_at_1750"),
 )
 
-_REGION_KEYS = (
-    "name",
-    "developed",
-    "gamma",
-    "delta_k_per_year",
-    "alpha",
-    "rho_per_year",
-    "a1",
-    "a2",
-    "a3",
-    "damage_loss_at_2c",
-    "theta2",
-    "pb_usd_per_tco2",
-    "delta_pb_per_step",
+# A region row: RegionParams fields plus three per-region Scenario lists.
+_REGION = (
+    _f("name", "region_names", str),
+    _f("developed", kind=bool),
+    _f("gamma"),
+    _f("delta_k_per_year", "delta_k"),
+    _f("alpha"),
+    _f("rho_per_year", "rho"),
+    _f("a1"),
+    _f("a2"),
+    _f("a3"),
+    _f("damage_loss_at_2c", "damage_loss_2c"),
+    _f("theta2"),
+    _f("pb_usd_per_tco2", "pb"),
+    _f("delta_pb_per_step", "delta_pb"),
+)
+_COLUMNS = tuple(
+    f.attr for f in _REGION if f.attr not in RegionParams.__dataclass_fields__
 )
 
-_EXO_REGION_KEYS = (
-    "tfp0",
-    "tfp_growth0_per_step",
-    "tfp_growth_decline_per_step",
-    "pop0_millions",
-    "pop_asymptote_millions",
-    "pop_convergence_per_step",
-    "sigma0_gtco2_per_trillion_usd",
-    "sigma_decline_per_step",
-    "e_land0_gtco2_per_year",
-    "e_land_decline_per_step",
+_EXO_REGION = (
+    _f("tfp0"),
+    _f("tfp_growth0_per_step", "tfp_growth0"),
+    _f("tfp_growth_decline_per_step", "tfp_growth_decline"),
+    _f("pop0_millions", "pop0"),
+    _f("pop_asymptote_millions", "pop_asymptote"),
+    _f("pop_convergence_per_step", "pop_convergence"),
+    _f("sigma0_gtco2_per_trillion_usd", "sigma0"),
+    _f("sigma_decline_per_step", "sigma_decline"),
+    _f("e_land0_gtco2_per_year", "e_land0"),
+    _f("e_land_decline_per_step", "e_land_decline"),
 )
 
-_EXO_KEYS = ("length", "f_ex_start_wm2", "f_ex_end_wm2", "f_ex_ramp_steps", "regions")
-
-_STATE_KEYS = (
-    "t_at_degc",
-    "t_lo_degc",
-    "m_at_gtc",
-    "m_up_gtc",
-    "m_lo_gtc",
-    "capital_trillion_usd",
+_EXO = (
+    _f("length", kind=int),
+    _f("f_ex_start_wm2", "f_ex_start"),
+    _f("f_ex_end_wm2", "f_ex_end"),
+    _f("f_ex_ramp_steps", kind=int),
+    _f("regions", kind=[_EXO_REGION]),
 )
 
-_BOUNDS_KEYS = ("s_min", "s_max", "mu_min", "mu_max")
-
-_TOP_KEYS = (
-    "schema_version",
-    "horizon",
-    "geo",
-    "regions",
-    "exogenous",
-    "initial_state",
-    "weights",
-    "bounds",
+_STATE = (
+    _f("t_at_degc", "t_at"),
+    _f("t_lo_degc", "t_lo"),
+    _f("m_at_gtc", "m_at"),
+    _f("m_up_gtc", "m_up"),
+    _f("m_lo_gtc", "m_lo"),
+    _f("capital_trillion_usd", "capital", list),
 )
+
+# In order, the flattened (s_bounds, mu_bounds) of the Scenario.
+_BOUNDS = (_f("s_min"), _f("s_max"), _f("mu_min"), _f("mu_max"))
+
+_SCENARIO = (
+    _f("schema_version", kind=int),
+    _f("horizon", kind=int),
+    _f("geo", kind=_GEO),
+    _f("regions", kind=[_REGION]),
+    _f("exogenous", "exo_spec", _EXO),
+    _f("initial_state", "x0", _STATE),
+    _f("weights", kind=list),
+    _f("bounds", kind=_BOUNDS),
+)
+
+_JSON_NAMES = {
+    dict: "an object",
+    list: "a list",
+    float: "a number",
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    type(None): "null",
+}
+_SCALARS = (float, int, bool, str)
+
+
+def _type_error(value, kind: type, path: str) -> ScenarioFormatError:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return ScenarioFormatError(f"{path} must be {_JSON_NAMES[kind]}, not {got}")
+
+
+def _read(value, kind, path: str):
+    """Check a JSON value against its declared kind and convert it.
+
+    A section becomes a dict from attribute name to converted value.
+    """
+    if kind in _SCALARS:
+        # Python's bool is an int; only a boolean field takes true/false.
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(
+            value, accepted
+        ):
+            raise _type_error(value, kind, path)
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise ScenarioFormatError(f"{path} is too large for a float") from None
+    container = dict if isinstance(kind, tuple) else list
+    if not isinstance(value, container):
+        raise _type_error(value, container, path)
+    if container is list:
+        item = float if kind is list else kind[0]
+        items = [_read(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+        return np.array(items) if kind is list else items
+    prefix = f"{path}." if path else ""
+    missing = [f.key for f in kind if f.key not in value]
+    if missing or len(value) != len(kind):
+        unknown = sorted(set(value).difference(f.key for f in kind))
+        problem, key = ("unknown", unknown[0]) if unknown else ("missing", missing[0])
+        raise ScenarioFormatError(f"{problem} key {prefix}{key} in scenario file")
+    out = {}
+    for key, attr, sub in kind:
+        v = value[key]
+        # Plain JSON floats, the bulk of a file, need no check or conversion.
+        fast = sub is float and type(v) is float
+        out[attr] = v if fast else _read(v, sub, prefix + key)
+    return out
+
+
+def _write(value, kind):
+    """Inverse of :func:`_read`: a section's value is an object or a dict."""
+    if isinstance(kind, list):
+        return [_write(v, kind[0]) for v in value]
+    if kind is list:
+        return [float(x) for x in value]
+    attrs = value if isinstance(value, dict) else vars(value)
+    return {
+        key: sub(attrs[attr]) if sub in _SCALARS else _write(attrs[attr], sub)
+        for key, attr, sub in kind
+    }
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed scenario document.
 
     Raises :class:`ScenarioFormatError` on structural problems (wrong
-    version, unknown or missing keys, mismatched lengths). Semantic
-    invariants are checked separately by :func:`validate_scenario`.
+    version, unknown or missing keys, values of the wrong JSON type,
+    mismatched lengths). Semantic invariants are checked separately by
+    :func:`validate_scenario`.
     """
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    _require(doc, _TOP_KEYS, "$")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
         raise ScenarioFormatError(
-            f"unsupported schema_version {doc['schema_version']!r},"
-            f" expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
-
-    g = doc["geo"]
-    _require(g, _GEO_KEYS, "geo")
-    geo = GeoParams(
-        zeta11=float(g["zeta11"]),
-        zeta12=float(g["zeta12"]),
-        zeta21=float(g["zeta21"]),
-        zeta22=float(g["zeta22"]),
-        zeta23=float(g["zeta23"]),
-        zeta32=float(g["zeta32"]),
-        zeta33=float(g["zeta33"]),
-        xi1=float(g["xi1_gtc_per_gtco2"]),
-        phi11=float(g["phi11"]),
-        phi12=float(g["phi12"]),
-        phi21=float(g["phi21"]),
-        phi22=float(g["phi22"]),
-        xi2=float(g["xi2_degc_per_wm2"]),
-        eta=float(g["eta_wm2_per_doubling"]),
-        m_at_1750=float(g["m_at_1750_gtc"]),
-    )
-
-    if not isinstance(doc["regions"], list) or not doc["regions"]:
+    d = _read(doc, _SCENARIO, "")
+    rows = d["regions"]
+    if not rows:
         raise ScenarioFormatError("regions must be a non-empty list")
-    regions = []
-    names = []
-    developed = []
-    losses = []
-    for idx, r in enumerate(doc["regions"]):
-        _require(r, _REGION_KEYS, f"regions[{idx}]")
-        names.append(str(r["name"]))
-        developed.append(bool(r["developed"]))
-        losses.append(float(r["damage_loss_at_2c"]))
-        regions.append(
-            RegionParams(
-                gamma=float(r["gamma"]),
-                delta_k=float(r["delta_k_per_year"]),
-                alpha=float(r["alpha"]),
-                rho=float(r["rho_per_year"]),
-                a1=float(r["a1"]),
-                a2=float(r["a2"]),
-                a3=float(r["a3"]),
-                theta2=float(r["theta2"]),
-                pb=float(r["pb_usd_per_tco2"]),
-                delta_pb=float(r["delta_pb_per_step"]),
-            )
-        )
-
-    e = doc["exogenous"]
-    _require(e, _EXO_KEYS, "exogenous")
-    if len(e["regions"]) != len(regions):
-        raise ScenarioFormatError(
-            "exogenous.regions length does not match regions length"
-        )
-    growth = []
-    for idx, er in enumerate(e["regions"]):
-        _require(er, _EXO_REGION_KEYS, f"exogenous.regions[{idx}]")
-        growth.append(
-            RegionGrowthSpec(
-                tfp0=float(er["tfp0"]),
-                tfp_growth0=float(er["tfp_growth0_per_step"]),
-                tfp_growth_decline=float(er["tfp_growth_decline_per_step"]),
-                pop0=float(er["pop0_millions"]),
-                pop_asymptote=float(er["pop_asymptote_millions"]),
-                pop_convergence=float(er["pop_convergence_per_step"]),
-                sigma0=float(er["sigma0_gtco2_per_trillion_usd"]),
-                sigma_decline=float(er["sigma_decline_per_step"]),
-                e_land0=float(er["e_land0_gtco2_per_year"]),
-                e_land_decline=float(er["e_land_decline_per_step"]),
-            )
-        )
-    exo_spec = ExogenousGrowthSpec(
-        regions=tuple(growth),
-        f_ex_start=float(e["f_ex_start_wm2"]),
-        f_ex_end=float(e["f_ex_end_wm2"]),
-        f_ex_ramp_steps=int(e["f_ex_ramp_steps"]),
-        length=int(e["length"]),
-    )
-
-    st = doc["initial_state"]
-    _require(st, _STATE_KEYS, "initial_state")
-    capital = np.array([float(x) for x in st["capital_trillion_usd"]])
-    if capital.size != len(regions):
-        raise ScenarioFormatError(
-            "initial_state.capital_trillion_usd length does not match regions"
-        )
-    x0 = RiceState(
-        t_at=float(st["t_at_degc"]),
-        t_lo=float(st["t_lo_degc"]),
-        m_at=float(st["m_at_gtc"]),
-        m_up=float(st["m_up_gtc"]),
-        m_lo=float(st["m_lo_gtc"]),
-        capital=capital,
-    )
-
-    weights = np.array([float(x) for x in doc["weights"]])
-    if weights.size != len(regions):
-        raise ScenarioFormatError("weights length does not match regions")
-
-    b = doc["bounds"]
-    _require(b, _BOUNDS_KEYS, "bounds")
-
+    exo = d["exo_spec"]
+    for path, size in (
+        ("exogenous.regions", len(exo["regions"])),
+        ("initial_state.capital_trillion_usd", d["x0"]["capital"].size),
+        ("weights", d["weights"].size),
+    ):
+        if size != len(rows):
+            raise ScenarioFormatError(f"{path} length does not match regions")
+    growth = tuple(RegionGrowthSpec(**g) for g in exo["regions"])
+    exo_spec = ExogenousGrowthSpec(**{**exo, "regions": growth})
+    columns = {a: [row.pop(a) for row in rows] for a in _COLUMNS}
+    s_min, s_max, mu_min, mu_max = d["bounds"].values()
     return Scenario(
-        geo=geo,
-        regions=regions,
+        geo=GeoParams(**d["geo"]),
+        regions=[RegionParams(**row) for row in rows],
         exo=generate_exogenous(exo_spec),
-        x0=x0,
-        horizon=int(doc["horizon"]),
-        weights=weights,
-        region_names=names,
-        developed=np.array(developed, dtype=bool),
-        damage_loss_2c=np.array(losses),
-        s_bounds=(float(b["s_min"]), float(b["s_max"])),
-        mu_bounds=(float(b["mu_min"]), float(b["mu_max"])),
+        x0=RiceState(**d["x0"]),
+        horizon=d["horizon"],
+        weights=d["weights"],
+        s_bounds=(s_min, s_max),
+        mu_bounds=(mu_min, mu_max),
         exo_spec=exo_spec,
+        **columns,
     )
 
 
@@ -535,88 +537,22 @@ def serialize_scenario(scenario: Scenario) -> dict:
     Requires the scenario to carry its exogenous growth spec (scenarios
     built from files always do).
     """
-    spec = scenario.exo_spec
-    if not isinstance(spec, ExogenousGrowthSpec):
+    if not isinstance(scenario.exo_spec, ExogenousGrowthSpec):
         raise ModelDomainError(
             "scenario has no exogenous growth spec; cannot serialize"
         )
-    geo = scenario.geo
-    doc = {
+    rows = [
+        {**vars(r), **{a: getattr(scenario, a)[i] for a in _COLUMNS}}
+        for i, r in enumerate(scenario.regions)
+    ]
+    bounds = (*scenario.s_bounds, *scenario.mu_bounds)
+    attrs = {
+        **vars(scenario),
         "schema_version": SCHEMA_VERSION,
-        "horizon": scenario.horizon,
-        "geo": {
-            "zeta11": geo.zeta11,
-            "zeta12": geo.zeta12,
-            "zeta21": geo.zeta21,
-            "zeta22": geo.zeta22,
-            "zeta23": geo.zeta23,
-            "zeta32": geo.zeta32,
-            "zeta33": geo.zeta33,
-            "xi1_gtc_per_gtco2": geo.xi1,
-            "phi11": geo.phi11,
-            "phi12": geo.phi12,
-            "phi21": geo.phi21,
-            "phi22": geo.phi22,
-            "xi2_degc_per_wm2": geo.xi2,
-            "eta_wm2_per_doubling": geo.eta,
-            "m_at_1750_gtc": geo.m_at_1750,
-        },
-        "regions": [
-            {
-                "name": scenario.region_names[i],
-                "developed": bool(scenario.developed[i]),
-                "gamma": r.gamma,
-                "delta_k_per_year": r.delta_k,
-                "alpha": r.alpha,
-                "rho_per_year": r.rho,
-                "a1": r.a1,
-                "a2": r.a2,
-                "a3": r.a3,
-                "damage_loss_at_2c": float(scenario.damage_loss_2c[i]),
-                "theta2": r.theta2,
-                "pb_usd_per_tco2": r.pb,
-                "delta_pb_per_step": r.delta_pb,
-            }
-            for i, r in enumerate(scenario.regions)
-        ],
-        "exogenous": {
-            "length": spec.length,
-            "f_ex_start_wm2": spec.f_ex_start,
-            "f_ex_end_wm2": spec.f_ex_end,
-            "f_ex_ramp_steps": spec.f_ex_ramp_steps,
-            "regions": [
-                {
-                    "tfp0": g.tfp0,
-                    "tfp_growth0_per_step": g.tfp_growth0,
-                    "tfp_growth_decline_per_step": g.tfp_growth_decline,
-                    "pop0_millions": g.pop0,
-                    "pop_asymptote_millions": g.pop_asymptote,
-                    "pop_convergence_per_step": g.pop_convergence,
-                    "sigma0_gtco2_per_trillion_usd": g.sigma0,
-                    "sigma_decline_per_step": g.sigma_decline,
-                    "e_land0_gtco2_per_year": g.e_land0,
-                    "e_land_decline_per_step": g.e_land_decline,
-                }
-                for g in spec.regions
-            ],
-        },
-        "initial_state": {
-            "t_at_degc": scenario.x0.t_at,
-            "t_lo_degc": scenario.x0.t_lo,
-            "m_at_gtc": scenario.x0.m_at,
-            "m_up_gtc": scenario.x0.m_up,
-            "m_lo_gtc": scenario.x0.m_lo,
-            "capital_trillion_usd": [float(k) for k in scenario.x0.capital],
-        },
-        "weights": [float(w) for w in scenario.weights],
-        "bounds": {
-            "s_min": scenario.s_bounds[0],
-            "s_max": scenario.s_bounds[1],
-            "mu_min": scenario.mu_bounds[0],
-            "mu_max": scenario.mu_bounds[1],
-        },
+        "regions": rows,
+        "bounds": {f.attr: b for f, b in zip(_BOUNDS, bounds)},
     }
-    return doc
+    return _write(attrs, _SCENARIO)
 
 
 def load_scenario(path) -> Scenario:

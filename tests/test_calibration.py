@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -62,8 +63,8 @@ def test_generate_exogenous_recursions():
     for i, r in enumerate(spec.regions):
         a, g, pop = r.tfp0, r.tfp_growth0, r.pop0
         for t in range(12):
-            assert exo.tfp[t, i] == pytest.approx(a, rel=1e-15)
-            assert exo.labor[t, i] == pytest.approx(pop, rel=1e-15)
+            assert exo.tfp[t, i] == pytest.approx(a, rel=1e-15, abs=0)
+            assert exo.labor[t, i] == pytest.approx(pop, rel=1e-15, abs=0)
             assert exo.sigma[t, i] == pytest.approx(
                 r.sigma0 * (1.0 - r.sigma_decline) ** t, rel=1e-12
             )
@@ -79,7 +80,7 @@ def test_generate_exogenous_population_converges():
     spec = two_region_spec(length=300)
     exo = generate_exogenous(spec)
     for i, r in enumerate(spec.regions):
-        assert exo.labor[-1, i] == pytest.approx(r.pop_asymptote, rel=1e-9)
+        assert exo.labor[-1, i] == pytest.approx(r.pop_asymptote, rel=1e-9, abs=0)
     # Convergence is monotone from either side. Once the remaining gap is
     # a few ulps the update factor rounds to 1.0 and the path goes flat, so
     # strict growth is only required while the gap is resolvable.
@@ -116,7 +117,7 @@ def test_generate_exogenous_rejects_short_length():
 def test_calibrate_damage_round_trip():
     a1, a2, a3 = calibrate_damage(0.0124)
     assert (a1, a3) == (0.0, 2.0)
-    assert a2 == pytest.approx(0.0031, rel=1e-15)
+    assert a2 == pytest.approx(0.0031, rel=1e-15, abs=0)
     sc = make_scenario()
     sc = dataclasses.replace(
         sc,
@@ -177,7 +178,7 @@ def test_negishi_weights_equal_for_clone_regions():
         damage_loss_2c=sc.damage_loss_2c[[0, 0, 2]],
     )
     w = negishi_weights(sc2)
-    assert w[0] == pytest.approx(w[1], rel=1e-12)
+    assert w[0] == pytest.approx(w[1], rel=1e-12, abs=0)
 
 
 def test_negishi_respects_savings_bounds():
@@ -301,6 +302,14 @@ def test_save_load_round_trip(default_scenario, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_default_matches_packaged_file(tmp_path):
+    # Key order, float formatting and layout of a saved file are fixed.
+    path = tmp_path / "default.json"
+    save_scenario(build_default_scenario(), path)
+    packaged = resources.files("rice_game").joinpath("data/default_scenario.json")
+    assert path.read_bytes() == packaged.read_bytes()
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -355,6 +364,184 @@ def test_parse_rejects_length_mismatches(default_scenario):
     doc["initial_state"]["capital_trillion_usd"].append(1.0)
     with pytest.raises(ScenarioFormatError):
         parse_scenario(doc)
+
+
+def set_leaf(doc, location, value):
+    *parents, last = location
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+WRONG_TYPES = [
+    (("geo", "phi11"), "abc", "geo.phi11 must be a number"),
+    (("geo", "phi11"), None, "geo.phi11 must be a number, not null"),
+    (("geo", "phi11"), True, "geo.phi11 must be a number, not a boolean"),
+    (("geo", "phi11"), 10**400, "geo.phi11 is too large"),
+    (("weights",), "abc", "weights must be a list"),
+    (("weights", 1), "0.1", r"weights\[1\] must be a number"),
+    (("regions",), {}, "regions must be a list"),
+    (("regions", 0), 1, r"regions\[0\] must be an object"),
+    (("regions", 0, "developed"), "false", "developed must be a boolean"),
+    (("regions", 0, "developed"), 0, "developed must be a boolean"),
+    (("regions", 0, "name"), 7, "name must be a string"),
+    (("geo",), [], "geo must be an object"),
+    (("horizon",), 120.0, "horizon must be an integer"),
+    (("exogenous", "length"), "x", "exogenous.length must be an integer"),
+    (("exogenous", "length"), 181.5, "exogenous.length must be an integer"),
+    (("exogenous", "f_ex_ramp_steps"), True, "f_ex_ramp_steps must be an integer"),
+    (("exogenous", "regions", 3), [], r"exogenous.regions\[3\] must be an object"),
+    (
+        ("initial_state", "capital_trillion_usd"),
+        5,
+        "initial_state.capital_trillion_usd must be a list",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "location,value,needle",
+    WRONG_TYPES,
+    ids=[f"{'.'.join(map(str, loc))}={value!r:.12}" for loc, value, _ in WRONG_TYPES],
+)
+def test_parse_rejects_values_of_wrong_type(default_scenario, location, value, needle):
+    doc = json.loads(json.dumps(serialize_scenario(default_scenario)))
+    set_leaf(doc, location, value)
+    with pytest.raises(ScenarioFormatError, match=needle):
+        parse_scenario(doc)
+
+
+# Each file key and the attribute it sets, written out here independently
+# of the format tables in calibration.py: a key swapped in both the parse
+# and the write direction still round-trips, but fails against this map.
+GEO_ATTRS = {
+    "zeta11": "zeta11",
+    "zeta12": "zeta12",
+    "zeta21": "zeta21",
+    "zeta22": "zeta22",
+    "zeta23": "zeta23",
+    "zeta32": "zeta32",
+    "zeta33": "zeta33",
+    "xi1_gtc_per_gtco2": "xi1",
+    "phi11": "phi11",
+    "phi12": "phi12",
+    "phi21": "phi21",
+    "phi22": "phi22",
+    "xi2_degc_per_wm2": "xi2",
+    "eta_wm2_per_doubling": "eta",
+    "m_at_1750_gtc": "m_at_1750",
+}
+REGION_ATTRS = {
+    "gamma": "gamma",
+    "delta_k_per_year": "delta_k",
+    "alpha": "alpha",
+    "rho_per_year": "rho",
+    "a1": "a1",
+    "a2": "a2",
+    "a3": "a3",
+    "theta2": "theta2",
+    "pb_usd_per_tco2": "pb",
+    "delta_pb_per_step": "delta_pb",
+}
+REGION_LIST_ATTRS = {
+    "name": "region_names",
+    "developed": "developed",
+    "damage_loss_at_2c": "damage_loss_2c",
+}
+EXO_ATTRS = {
+    "length": "length",
+    "f_ex_start_wm2": "f_ex_start",
+    "f_ex_end_wm2": "f_ex_end",
+    "f_ex_ramp_steps": "f_ex_ramp_steps",
+}
+EXO_REGION_ATTRS = {
+    "tfp0": "tfp0",
+    "tfp_growth0_per_step": "tfp_growth0",
+    "tfp_growth_decline_per_step": "tfp_growth_decline",
+    "pop0_millions": "pop0",
+    "pop_asymptote_millions": "pop_asymptote",
+    "pop_convergence_per_step": "pop_convergence",
+    "sigma0_gtco2_per_trillion_usd": "sigma0",
+    "sigma_decline_per_step": "sigma_decline",
+    "e_land0_gtco2_per_year": "e_land0",
+    "e_land_decline_per_step": "e_land_decline",
+}
+STATE_ATTRS = {
+    "t_at_degc": "t_at",
+    "t_lo_degc": "t_lo",
+    "m_at_gtc": "m_at",
+    "m_up_gtc": "m_up",
+    "m_lo_gtc": "m_lo",
+}
+BOUNDS_ATTRS = {
+    "s_min": ("s_bounds", 0),
+    "s_max": ("s_bounds", 1),
+    "mu_min": ("mu_bounds", 0),
+    "mu_max": ("mu_bounds", 1),
+}
+
+
+def leaf_attributes(n):
+    """(location in the document, getter on the parsed Scenario) per leaf."""
+    yield ("horizon",), lambda sc: sc.horizon
+    for k, a in GEO_ATTRS.items():
+        yield ("geo", k), lambda sc, a=a: getattr(sc.geo, a)
+    for k, a in EXO_ATTRS.items():
+        yield ("exogenous", k), lambda sc, a=a: getattr(sc.exo_spec, a)
+    for k, a in STATE_ATTRS.items():
+        yield ("initial_state", k), lambda sc, a=a: getattr(sc.x0, a)
+    for k, (a, j) in BOUNDS_ATTRS.items():
+        yield ("bounds", k), lambda sc, a=a, j=j: getattr(sc, a)[j]
+    for i in range(n):
+        for k, a in REGION_ATTRS.items():
+            yield ("regions", i, k), lambda sc, i=i, a=a: getattr(sc.regions[i], a)
+        for k, a in REGION_LIST_ATTRS.items():
+            yield ("regions", i, k), lambda sc, i=i, a=a: getattr(sc, a)[i]
+        for k, a in EXO_REGION_ATTRS.items():
+            yield (
+                ("exogenous", "regions", i, k),
+                lambda sc, i=i, a=a: getattr(sc.exo_spec.regions[i], a),
+            )
+        yield (
+            ("initial_state", "capital_trillion_usd", i),
+            lambda sc, i=i: sc.x0.capital[i],
+        )
+        yield ("weights", i), lambda sc, i=i: sc.weights[i]
+
+
+def leaf_locations(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaf_locations(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def test_every_file_key_sets_its_own_attribute(default_scenario):
+    doc = json.loads(json.dumps(serialize_scenario(default_scenario)))
+    leaves = list(leaf_attributes(default_scenario.n_regions))
+    expected = {loc for loc in leaf_locations(doc)} - {("schema_version",)}
+    assert {loc for loc, _ in leaves} == expected
+    # Give every leaf its own value (booleans flip, being two-valued).
+    values = {}
+    for k, (loc, _) in enumerate(leaves):
+        old = doc
+        for key in loc:
+            old = old[key]
+        if isinstance(old, bool):
+            values[loc] = not old
+        elif isinstance(old, str):
+            values[loc] = f"region-{k}"
+        elif isinstance(old, int):
+            values[loc] = 200 + k
+        else:
+            values[loc] = 1e-3 * (k + 1)
+        set_leaf(doc, loc, values[loc])
+    sc = parse_scenario(doc)
+    for loc, get in leaves:
+        assert get(sc) == values[loc], loc
+    assert serialize_scenario(sc) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,21 @@ def _declared_entry_point():
     return module, attr
 
 
-def test_console_script_is_installed():
-    # Run the declared entry point the way pip's generated script does, and
-    # `python -m rice_game`, in fresh interpreters that import this checkout.
-    module, attr = _declared_entry_point()
+def _checkout_env():
+    """Environment for a fresh interpreter that imports this checkout."""
     package_root = str(Path(rice_game.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_console_script_is_installed():
+    # Run the declared entry point the way pip's generated script does, and
+    # `python -m rice_game`, in fresh interpreters that import this checkout.
+    module, attr = _declared_entry_point()
+    env = _checkout_env()
     commands = [
         [sys.executable, "-c",
          f"import sys; from {module} import {attr}; sys.exit({attr}())",
@@ -147,6 +153,20 @@ def test_validate_flags_bad_values(scenario_file, tmp_path, capsys):
     code = run(["validate", "--scenario", bad])
     assert code == 1
     assert "phi11" in capsys.readouterr().out
+
+
+def test_validate_rejects_wrong_json_type_without_traceback(scenario_file, tmp_path):
+    doc = json.loads(scenario_file.read_text())
+    doc["geo"]["phi11"] = "abc"
+    bad = tmp_path / "bad_type.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rice_game", "validate", "--scenario", str(bad)],
+        capture_output=True, text=True, env=_checkout_env(),
+    )
+    assert proc.returncode == 1
+    assert "invalid scenario file: geo.phi11 must be a number" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_solve_swm_result_is_internally_consistent(small_scenario):
     recomputed = weighted_welfare(
         traj, res.profile, small_scenario.weights, small_scenario
     )
-    assert res.welfare == pytest.approx(recomputed, rel=1e-10)
+    assert res.welfare == pytest.approx(recomputed, rel=1e-10, abs=0)
     assert res.regional_welfare.shape == (small_scenario.n_regions,)
     assert res.regional_welfare @ small_scenario.weights == pytest.approx(
         res.welfare, rel=1e-10
@@ -132,8 +132,8 @@ def test_solve_pareto_point_cluster_accounting(small_scenario):
     pt = solve_pareto_point(small_scenario, 0.4, FAST)
     assert pt.p == 0.4
     dev, devg = cluster_welfares(small_scenario, pt)
-    assert pt.welfare_developed == pytest.approx(dev, rel=1e-12)
-    assert pt.welfare_developing == pytest.approx(devg, rel=1e-12)
+    assert pt.welfare_developed == pytest.approx(dev, rel=1e-12, abs=0)
+    assert pt.welfare_developing == pytest.approx(devg, rel=1e-12, abs=0)
     traj = simulate(small_scenario.x0, pt.profile, small_scenario)
     assert pt.terminal_t_at == pytest.approx(float(traj.states[-2, 0]), abs=0)
 
@@ -148,7 +148,7 @@ def test_polish_pins_abatement_and_stays_within_resolution(small_scenario):
     # externality, so the polish is only a resolution-level tie-break here.
     combo_rough = scalarized(small_scenario, rough, 0.05)
     combo_fine = scalarized(small_scenario, fine, 0.05)
-    assert combo_fine == pytest.approx(combo_rough, rel=1e-4)
+    assert combo_fine == pytest.approx(combo_rough, rel=1e-4, abs=0)
 
 
 def test_polish_is_exact_when_abatement_saturates():

@@ -178,9 +178,9 @@ def test_utility_branches():
     welfare = regional_welfare(traj, sc, t0=2)
     for i in (0, 2):
         expect = labor[i] * ((cons[i] / labor[i]) ** (-0.25) - 1.0) / (-0.25) * disc
-        assert welfare[i] == pytest.approx(expect, rel=1e-13)
+        assert welfare[i] == pytest.approx(expect, rel=1e-13, abs=0)
     expect_log = labor[1] * math.log(cons[1] / labor[1]) * disc
-    assert welfare[1] == pytest.approx(expect_log, rel=1e-13)
+    assert welfare[1] == pytest.approx(expect_log, rel=1e-13, abs=0)
     # Floor binds for degenerate consumption.
     poor = dataclasses.replace(
         sc, exo=dataclasses.replace(sc.exo, tfp=sc.exo.tfp * 1e-12), exo_spec=None
@@ -231,7 +231,7 @@ def test_weighted_welfare_matches_oracle(small_scenario, rng):
         value = weighted_welfare(traj, profile, weights, small_scenario)
         s, mu = profile_to_lists(profile)
         expect = oracle_weighted_welfare(consts, s, mu, list(weights), FloatBackend())
-        assert value == pytest.approx(expect, rel=1e-12)
+        assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_simulate_with_offset_matches_oracle(small_scenario, rng):
@@ -244,7 +244,7 @@ def test_simulate_with_offset_matches_oracle(small_scenario, rng):
     value = regional_welfare(traj, small_scenario, t0=4)[1]
     w = [0.0, 1.0, 0.0]
     expect = oracle_weighted_welfare(consts, s, mu, w, FloatBackend(), t0=4)
-    assert value == pytest.approx(expect, rel=1e-12)
+    assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_simulate_prefix_property(small_scenario, rng):

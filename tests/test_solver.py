@@ -135,8 +135,8 @@ def test_gradient_fd_one_sided_at_bounds(small_scenario):
     point = np.array([0.0, 0.5])
     g, flagged = gradient_fd(f, point, step=1e-5, lower=lower, upper=upper)
     assert flagged[0] and not flagged[1]
-    assert g[0] == pytest.approx(0.6, rel=1e-3)
-    assert g[1] == pytest.approx(0.4, rel=1e-4)
+    assert g[0] == pytest.approx(0.6, rel=1e-3, abs=0)
+    assert g[1] == pytest.approx(0.4, rel=1e-4, abs=0)
     with pytest.raises(ModelDomainError):
         gradient_fd(f, point, step=1e-5, lower=np.array([0.0, 0.5]),
                     upper=np.array([0.0, 0.5]))
@@ -149,7 +149,7 @@ def test_gradient_fd_accepts_value_gradient_pairs():
         return float(-(x[0] ** 2)), np.array([-2.0 * x[0]])
 
     g, _ = gradient_fd(f, np.array([0.25]), step=1e-6)
-    assert g[0] == pytest.approx(-0.5, rel=1e-6)
+    assert g[0] == pytest.approx(-0.5, rel=1e-6, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_maximize_reaches_interior_optimum():
     lo, hi = np.zeros(3), np.ones(3)
     report = maximize(obj, lo, hi, np.full(3, 0.1), SolveOptions())
     np.testing.assert_allclose(report.x, [0.4, 0.6, 0.5], atol=1e-7)
-    assert report.objective == pytest.approx(-1.0, rel=1e-12)
+    assert report.objective == pytest.approx(-1.0, rel=1e-12, abs=0)
     assert report.termination in {
         "gradient",
         "objective-change",
@@ -199,7 +199,7 @@ def test_maximize_deterministic_and_multistart():
     np.testing.assert_array_equal(a.x, b.x)
     assert a.start_index == b.start_index
     assert len(a.start_objectives) == 4
-    assert a.objective == pytest.approx(max(a.start_objectives), rel=1e-12)
+    assert a.objective == pytest.approx(max(a.start_objectives), rel=1e-12, abs=0)
 
 
 def test_maximize_validation():
@@ -283,12 +283,12 @@ def test_window_problem_matches_oracle(small_scenario, rng):
 
     value = problem.value(z)
     f_call, grad = problem(z)
-    assert f_call == pytest.approx(value, rel=1e-13)
+    assert f_call == pytest.approx(value, rel=1e-13, abs=0)
     s, mu = pack(fixed)
     expect = oracle_weighted_welfare(
         consts, s, mu, list(sc.weights), FloatBackend(), t0=t0
     )
-    assert value == pytest.approx(expect, rel=1e-12)
+    assert value == pytest.approx(expect, rel=1e-12, abs=0)
     assert grad.shape == (steps * 2,)
 
 

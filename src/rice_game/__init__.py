@@ -43,7 +43,6 @@ from .solver import (
     SolveOptions,
     SolveReport,
     gradient_adjoint,
-    gradient_fd,
     maximize,
 )
 
@@ -83,6 +82,5 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "gradient_adjoint",
-    "gradient_fd",
     "maximize",
 ]

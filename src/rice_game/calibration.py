@@ -50,6 +50,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: Longest exogenous path a scenario file may ask for (5,000 years; the
+#: packaged file uses 181). The paths are generated step by step in Python
+#: while parsing, so a typo such as 1810000 would cost seconds and hundreds
+#: of MB before any check ran.
+_MAX_EXOGENOUS_LENGTH = 1000
+
 #: Canonical 12-region split; the first cluster below is developed.
 CANONICAL_REGIONS = (
     "US",
@@ -506,6 +512,10 @@ def parse_scenario(doc: dict) -> Scenario:
     if not rows:
         raise ScenarioFormatError("regions must be a non-empty list")
     exo = d["exo_spec"]
+    if exo["length"] > _MAX_EXOGENOUS_LENGTH:
+        raise ScenarioFormatError(
+            f"exogenous.length {exo['length']} exceeds {_MAX_EXOGENOUS_LENGTH} steps"
+        )
     for path, size in (
         ("exogenous.regions", len(exo["regions"])),
         ("initial_state.capital_trillion_usd", d["x0"]["capital"].size),

@@ -10,6 +10,7 @@ working directory). Exit codes: 0 success, 1 scenario validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    ScenarioFormatError,
     build_default_scenario,
     load_scenario,
     serialize_scenario,
@@ -52,6 +54,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MODEL = 2
 EXIT_USAGE = 64
+
+
+def _steps(text: str) -> str:
+    """Check --steps while parsing; the manifest records the text as given."""
+    try:
+        [int(s) for s in text.split(",") if s != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be comma-separated integers") from None
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,6 +133,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "--steps",
+        type=_steps,
         default="0,2,4,6,8,10",
         help="comma-separated step indices",
     )
@@ -144,8 +156,6 @@ def _load(args) -> tuple:
         digest = hashlib.sha256(doc.encode()).hexdigest()
     horizon = getattr(args, "horizon", None)
     if horizon is not None:
-        import dataclasses
-
         scenario = dataclasses.replace(scenario, horizon=int(horizon))
     problems = validate_scenario(scenario)
     if problems:
@@ -155,36 +165,22 @@ def _load(args) -> tuple:
     return scenario, label, digest
 
 
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("RICE_GAME_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _options_dict(args, extra=None) -> dict:
-    opts = {
-        "scenario": args.scenario or "packaged-default",
-        "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
-    }
-    for key in ("horizon", "t_rh", "t_sim", "grid", "episodes", "saving", "mu",
-                "policy", "steps", "verify_ne"):
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
-    if extra:
-        opts.update(extra)
-    return opts
-
-
-def _finish(args, command, label, digest, outdir, outputs) -> int:
+def _run(args) -> int:
+    """Load the scenario, run the subcommand, write summary.json and manifest.json."""
+    scenario, label, digest = _load(args)
+    outdir = Path(args.out or os.environ.get("RICE_GAME_OUT") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    summary, outputs = _COMMANDS[args.command](args, scenario, outdir)
+    write_json(summary, outdir / "summary.json")
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    options["scenario"] = label
     manifest = RunManifest(
-        subcommand=command,
+        subcommand=args.command,
         tool_version=__version__,
         scenario=label,
         scenario_sha256=digest,
-        options=_options_dict(args),
-        outputs=sorted(outputs),
+        options=options,
+        outputs=sorted(outputs + ["summary.json", "manifest.json"]),
     )
     write_manifest(manifest, outdir / "manifest.json")
     return EXIT_OK
@@ -201,9 +197,7 @@ def _solver_summary(report) -> dict:
     }
 
 
-def _cmd_simulate(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_simulate(args, scenario, outdir) -> tuple:
     profile = ControlProfile.constant(
         scenario.n_regions, scenario.horizon, args.saving, args.mu
     )
@@ -218,14 +212,10 @@ def _cmd_simulate(args) -> int:
         ),
         "weighted_welfare": float(welfare @ scenario.weights),
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "simulate", label, digest, outdir,
-                   ["trajectory.csv", "summary.json", "manifest.json"])
+    return summary, ["trajectory.csv"]
 
 
-def _cmd_swm(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_swm(args, scenario, outdir) -> tuple:
     result = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed))
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
@@ -238,14 +228,10 @@ def _cmd_swm(args) -> int:
         "terminal_year": scenario.year(result.trajectory.horizon),
         "solver": _solver_summary(result.report),
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "swm", label, digest, outdir,
-                   ["trajectory.csv", "summary.json", "manifest.json"])
+    return summary, ["trajectory.csv"]
 
 
-def _cmd_pareto(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_pareto(args, scenario, outdir) -> tuple:
     grid = np.linspace(0.0, 1.0, args.grid)
     result = pareto_frontier(
         scenario, grid, SolveOptions(multistart=2, seed=args.seed), threads=args.threads
@@ -264,14 +250,10 @@ def _cmd_pareto(args) -> int:
         "failures": [{"p": p, "error": msg} for p, msg in result.failures],
         "dominance_violations": [list(v) for v in result.dominance_violations],
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "pareto", label, digest, outdir,
-                   ["frontier.csv", "summary.json", "manifest.json"])
+    return summary, ["frontier.csv"]
 
 
-def _cmd_mpc(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_mpc(args, scenario, outdir) -> tuple:
     result = mpc_rice(scenario, args.t_sim, args.t_rh, SolveOptions(seed=args.seed))
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
@@ -284,14 +266,10 @@ def _cmd_mpc(args) -> int:
             float(v) for v in result.window_initial_objectives
         ],
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "mpc", label, digest, outdir,
-                   ["trajectory.csv", "summary.json", "manifest.json"])
+    return summary, ["trajectory.csv"]
 
 
-def _cmd_rba(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_rba(args, scenario, outdir) -> tuple:
     opts = SolveOptions(seed=args.seed)
     result = rba_dg(scenario, episodes=args.episodes, options=opts,
                     threads=args.threads)
@@ -311,7 +289,7 @@ def _cmd_rba(args) -> int:
             )
         ),
     }
-    outputs = ["trajectory.csv", "episodes.csv", "summary.json", "manifest.json"]
+    outputs = ["trajectory.csv", "episodes.csv"]
     if args.verify_ne:
         cert = verify_epsilon_ne(scenario, result.profile, opts, threads=args.threads)
         cert_doc = {
@@ -326,13 +304,10 @@ def _cmd_rba(args) -> int:
         write_json(cert_doc, outdir / "ne_certificate.json")
         summary["epsilon"] = cert.epsilon
         outputs.append("ne_certificate.json")
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "rba", label, digest, outdir, outputs)
+    return summary, outputs
 
 
-def _cmd_rhfa(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
+def _cmd_rhfa(args, scenario, outdir) -> tuple:
     result = rhfa_dg(scenario, args.t_sim, args.t_rh, SolveOptions(seed=args.seed),
                      threads=args.threads)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
@@ -342,19 +317,11 @@ def _cmd_rhfa(args) -> int:
         "t_sim": args.t_sim,
         "terminal_t_at_degc": float(result.trajectory.states[-2, 0]),
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "rhfa", label, digest, outdir,
-                   ["trajectory.csv", "summary.json", "manifest.json"])
+    return summary, ["trajectory.csv"]
 
 
-def _cmd_scc(args) -> int:
-    scenario, label, digest = _load(args)
-    outdir = _outdir(args)
-    try:
-        steps = [int(s) for s in args.steps.split(",") if s != ""]
-    except ValueError:
-        print("scc: --steps must be comma-separated integers", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_scc(args, scenario, outdir) -> tuple:
+    steps = [int(s) for s in args.steps.split(",") if s != ""]
     if args.policy == "swm":
         profile = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed)).profile
     else:
@@ -373,9 +340,7 @@ def _cmd_scc(args) -> int:
             {"year": y, "region": r, "value": float(v)} for y, r, v in rows
         ],
     }
-    write_json(summary, outdir / "summary.json")
-    return _finish(args, "scc", label, digest, outdir,
-                   ["scc.csv", "summary.json", "manifest.json"])
+    return summary, ["scc.csv"]
 
 
 def _cmd_validate(args) -> int:
@@ -400,26 +365,22 @@ _COMMANDS = {
     "rba": _cmd_rba,
     "rhfa": _cmd_rhfa,
     "scc": _cmd_scc,
-    "validate": _cmd_validate,
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        raise exc
+        if args.command == "validate":
+            return _cmd_validate(args)
+        return _run(args)
     except FileNotFoundError as exc:
         print(f"rice-game: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ScenarioFormatError as exc:
+        print(f"rice-game: invalid scenario file: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except RiceGameError as exc:
-        from .calibration import ScenarioFormatError
-
-        if isinstance(exc, ScenarioFormatError):
-            print(f"rice-game: invalid scenario file: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"rice-game: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -332,7 +332,7 @@ def mpc_rice(
     for t in range(t_sim + 1):
         problem = WindowProblem(scenario, w, x, t, steps_w)
         init = prev.ravel()
-        inits[t] = problem.value(init)
+        inits[t] = problem(init)[0]
         report = maximize(problem, problem.lower, problem.upper, init, opts)
         full = report.x.reshape(n, steps_w, 2)
         objs[t] = report.objective

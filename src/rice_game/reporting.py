@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,14 +59,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "tool_version": self.tool_version,
-            "scenario": self.scenario,
-            "scenario_sha256": self.scenario_sha256,
-            "options": self.options,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
 
 def write_json(obj, path) -> None:

@@ -4,8 +4,7 @@ The decision vector flattens a :class:`~rice_game.model.ControlProfile` in
 region-major, time-minor, [s, mu] order. Welfare is maximized by running a
 projected quasi-Newton method (the L-BFGS-B engine from scipy) on the
 negated, scaled objective. Gradients come from the model's hand-derived
-discrete adjoint sweep, which matches the rollout step by step; an
-independent finite-difference fallback is provided for verification.
+discrete adjoint sweep, which matches the rollout step by step.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .model import (
     RiceState,
     Scenario,
     _adjoint_arrays,
-    _forward,
-    _utilities,
 )
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "SolveReport",
     "maximize",
     "gradient_adjoint",
-    "gradient_fd",
     "WindowProblem",
 ]
 
@@ -229,56 +225,6 @@ def gradient_adjoint(
     return problem(profile.controls.ravel())[1]
 
 
-def gradient_fd(
-    objective,
-    point: np.ndarray,
-    step: float | np.ndarray = 1e-6,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference gradient oracle, central where feasible.
-
-    ``objective(x)`` may return a scalar or a (value, gradient) pair; only
-    the value is used. When a symmetric step leaves the [lower, upper]
-    box, a one-sided difference is used and flagged in the returned
-    boolean array.
-    """
-    point = np.asarray(point, dtype=float)
-    steps = np.broadcast_to(np.asarray(step, dtype=float), point.shape)
-    if np.any(steps <= 0.0):
-        raise ModelDomainError("finite-difference steps must be positive")
-
-    def value(x):
-        out = objective(x)
-        return float(out[0]) if isinstance(out, tuple) else float(out)
-
-    grad = np.empty_like(point)
-    one_sided = np.zeros(point.shape, dtype=bool)
-    for j in range(point.size):
-        h = steps[j]
-        lo_ok = lower is None or point[j] - h >= lower[j]
-        hi_ok = upper is None or point[j] + h <= upper[j]
-        xp = point.copy()
-        xm = point.copy()
-        if lo_ok and hi_ok:
-            xp[j] += h
-            xm[j] -= h
-            grad[j] = (value(xp) - value(xm)) / (2.0 * h)
-        elif hi_ok:
-            xp[j] += h
-            grad[j] = (value(xp) - value(point)) / h
-            one_sided[j] = True
-        elif lo_ok:
-            xm[j] -= h
-            grad[j] = (value(point) - value(xm)) / h
-            one_sided[j] = True
-        else:
-            raise ModelDomainError(
-                f"coordinate {j} admits no feasible finite-difference step"
-            )
-    return grad, one_sided
-
-
 # ---------------------------------------------------------------------------
 # Windowed welfare problems
 # ---------------------------------------------------------------------------
@@ -346,11 +292,3 @@ class WindowProblem:
         )
         grad = np.stack([gs, gmu], axis=-1).transpose(1, 0, 2)
         return f, grad[self.free_regions].ravel()
-
-    def value(self, z: np.ndarray) -> float:
-        full = self.embed(z)
-        s_tn = np.ascontiguousarray(full[:, :, 0].T)
-        mu_tn = np.ascontiguousarray(full[:, :, 1].T)
-        fw = _forward(self.scenario, self.x0_vec, s_tn, mu_tn, t0=self.t0)
-        util = _utilities(self.scenario, fw["C"], self.t0)
-        return float(util.sum(axis=0) @ self.weights)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_profile
+from finite_difference import gradient_fd
 from scalar_oracle import (
     FloatBackend,
     MpBackend,
@@ -27,7 +28,6 @@ from rice_game import (
     SolveOptions,
     build_default_scenario,
     gradient_adjoint,
-    gradient_fd,
     mpc_rice,
     pareto_frontier,
     rba_dg,

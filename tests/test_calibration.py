@@ -10,6 +10,7 @@ import pytest
 from conftest import GEO, make_scenario
 
 from rice_game.calibration import (
+    _MAX_EXOGENOUS_LENGTH,
     CANONICAL_DEVELOPED,
     CANONICAL_REGIONS,
     ExogenousGrowthSpec,
@@ -389,6 +390,7 @@ WRONG_TYPES = [
     (("horizon",), 120.0, "horizon must be an integer"),
     (("exogenous", "length"), "x", "exogenous.length must be an integer"),
     (("exogenous", "length"), 181.5, "exogenous.length must be an integer"),
+    (("exogenous", "length"), _MAX_EXOGENOUS_LENGTH + 1, r"exogenous.length \d+ exceeds"),
     (("exogenous", "f_ex_ramp_steps"), True, "f_ex_ramp_steps must be an integer"),
     (("exogenous", "regions", 3), [], r"exogenous.regions\[3\] must be an object"),
     (

@@ -1,5 +1,6 @@
 """End-to-end command line checks on a small scenario file."""
 
+import argparse
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ from conftest import make_scenario
 
 import rice_game
 from rice_game import __version__, save_scenario
-from rice_game.cli import main
+from rice_game.cli import _build_parser, main
 from rice_game.reporting import sha256_file, trajectory_header
 
 
@@ -386,9 +387,52 @@ def test_scc_table_matches_library(scenario_file, tmp_path):
 
 
 def test_scc_rejects_non_integer_steps(scenario_file, tmp_path, capsys):
-    code = run(
-        ["scc", "--scenario", scenario_file, "--out", tmp_path / "x",
-         "--policy", "baseline", "--steps", "0,two"]
-    )
-    assert code == 64
+    with pytest.raises(SystemExit) as exc:
+        run(["scc", "--scenario", scenario_file, "--out", tmp_path / "x",
+             "--policy", "baseline", "--steps", "0,two"])
+    assert exc.value.code == 64
     assert "comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# ---------------------------------------------------------------------------
+# manifest
+# ---------------------------------------------------------------------------
+
+RERUNS = [
+    ["simulate", "--saving", "0.3", "--mu", "0.2"],
+    ["swm", "--horizon", "5"],
+    ["pareto", "--grid", "3", "--horizon", "5"],
+    ["mpc", "--t-sim", "2", "--t-rh", "2"],
+    ["rba", "--episodes", "2", "--horizon", "5", "--verify-ne"],
+    ["rhfa", "--t-sim", "2", "--t-rh", "2"],
+    ["scc", "--horizon", "5", "--steps", "0,3"],
+]
+
+
+def argv_from_manifest(manifest):
+    argv = [manifest["subcommand"]]
+    for key, value in manifest["options"].items():
+        if value is None or value is False or value == "packaged-default":
+            continue
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", RERUNS, ids=[a[0] for a in RERUNS])
+def test_rerunning_manifest_reproduces_every_file(argv, scenario_file, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run([*argv, "--scenario", scenario_file, "--out", first]) == 0
+    manifest = read_json(first / "manifest.json")
+
+    parser = _build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    dests = {a.dest for a in subparsers.choices[argv[0]]._actions} - {"help", "out"}
+    assert set(manifest["options"]) == dests
+
+    assert run([*argv_from_manifest(manifest), "--out", second]) == 0
+    for name in manifest["outputs"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -30,6 +30,7 @@ from .calibration import (
 from .cooperative import mpc_rice, pareto_frontier, solve_swm
 from .model import (
     ControlProfile,
+    ModelDomainError,
     RiceGameError,
     regional_welfare,
     simulate,
@@ -322,6 +323,10 @@ def _cmd_rhfa(args, scenario, outdir) -> tuple:
 
 def _cmd_scc(args, scenario, outdir) -> tuple:
     steps = [int(s) for s in args.steps.split(",") if s != ""]
+    # Checked before the policy solve, which can take seconds, with the
+    # message social_cost_of_co2 would raise after it.
+    if any(not 0 <= t <= scenario.horizon for t in steps):
+        raise ModelDomainError("step index out of range")
     if args.policy == "swm":
         profile = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed)).profile
     else:

@@ -331,6 +331,7 @@ class Scenario:
     _theta2: np.ndarray = field(init=False, repr=False, compare=False)
     _keep5: np.ndarray = field(init=False, repr=False, compare=False)
     _theta1: np.ndarray = field(init=False, repr=False, compare=False)
+    _labor_pow: np.ndarray = field(init=False, repr=False, compare=False)
     _disc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -358,6 +359,7 @@ class Scenario:
         self._theta1 = (
             pb / (1000.0 * self._theta2) * (1.0 - dpb) ** (tgrid - 1) * self.exo.sigma
         )
+        self._labor_pow = self.exo.labor ** (1.0 - self._gamma)
         rho = np.array([r.rho for r in self.regions])
         self._disc = (1.0 + rho) ** (-STEP_YEARS * np.arange(length)[:, None])
         if self.exo.n_regions != n or self.x0.capital.size != n:
@@ -417,12 +419,10 @@ def _forward(
         if np.any(x0_vec[2:] <= 0.0):
             raise ModelDomainError("carbon stocks and capital must be positive")
 
-    exo = scenario.exo
     zmat = scenario._zmat
     phimat = scenario._phimat
     gamma = scenario._gamma
     a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
-    theta2 = scenario._theta2
     keep5 = scenario._keep5
     eta = scenario.geo.eta
     m1750 = scenario.geo.m_at_1750
@@ -430,12 +430,26 @@ def _forward(
     xi2 = scenario.geo.xi2
     log2 = math.log(2.0)
 
+    # Everything the state does not touch, as whole-window arrays; the loop
+    # below keeps only the state-dependent work. No product is reassociated
+    # (e.g. y = tfp * k**gamma * labor**(1 - gamma) is still multiplied left
+    # to right), so every value rounds as in a step-by-step evaluation.
+    win = slice(t0, t0 + steps)
+    exo = scenario.exo
+    tfp = exo.tfp[win]
+    labpow = scenario._labor_pow[win]
+    e_land = exo.e_land[win]
+    f_ex = exo.f_ex[win].tolist()
+    LAM = 1.0 - scenario._theta1[win] * mu_tn**scenario._theta2
+    sig_unabated = exo.sigma[win] * (1.0 - mu_tn)
+    saved5 = STEP_YEARS * s_tn
+    lam_bad = (LAM <= 0.0).any(axis=1)
+    first_lam_bad = int(np.argmax(lam_bad)) if lam_bad.any() else steps
+
     states = np.empty((steps + 1, 5 + n))
     states[0] = x0_vec
     Y = np.empty((steps, n))
     Q = np.empty((steps, n))
-    C = np.empty((steps, n))
-    LAM = np.empty((steps, n))
     OM = np.empty((steps, n))
     EREG = np.empty((steps, n))
     ETOT = np.empty(steps)
@@ -446,52 +460,44 @@ def _forward(
     k = x0_vec[5:].copy()
 
     for rel in range(steps):
-        ta = t0 + rel
-        tfp = exo.tfp[ta]
-        labor = exo.labor[ta]
-        sig = exo.sigma[ta]
-        s_t = s_tn[rel]
-        mu_t = mu_tn[rel]
-
-        y = tfp * k**gamma * labor ** (1.0 - gamma)
-        lam = 1.0 - scenario._theta1[ta] * mu_t**theta2
+        y = tfp[rel] * k**gamma * labpow[rel]
         om = 1.0 - a1 * temp[0] - a2 * temp[0] ** a3
-        bad = (lam <= 0.0) | (om <= 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ModelBreakdownError(
-                f"damage or abatement fraction <= 0 at step {ta}, region {i}"
-                f" (omega = {om[i]:.6g}, lambda = {lam[i]:.6g})",
-                step=ta,
-                region=i,
-            )
-        q = om * lam * y
-        c = (1.0 - s_t) * q
-        ereg = sig * (1.0 - mu_t) * y + exo.e_land[ta]
+        # ``not min > 0`` also lets a NaN through to the full mask test.
+        if rel == first_lam_bad or not om.min() > 0.0:
+            lam = LAM[rel]
+            bad = (lam <= 0.0) | (om <= 0.0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                ta = t0 + rel
+                raise ModelBreakdownError(
+                    f"damage or abatement fraction <= 0 at step {ta}, region {i}"
+                    f" (omega = {om[i]:.6g}, lambda = {lam[i]:.6g})",
+                    step=ta,
+                    region=i,
+                )
+        q = om * LAM[rel] * y
+        ereg = sig_unabated[rel] * y + e_land[rel]
         etot = float(ereg.sum())
-        forcing = eta * math.log(m[0] / m1750) / log2 + exo.f_ex[ta]
+        forcing = eta * math.log(m[0] / m1750) / log2 + f_ex[rel]
 
-        m_next = zmat @ m
-        m_next[0] += xi1 * etot
-        temp_next = phimat @ temp
-        temp_next[0] += xi2 * forcing
-        k_next = keep5 * k + STEP_YEARS * s_t * q
+        m = zmat @ m
+        m[0] += xi1 * etot
+        temp = phimat @ temp
+        temp[0] += xi2 * forcing
+        k = keep5 * k + saved5[rel] * q
 
         Y[rel] = y
         Q[rel] = q
-        C[rel] = c
-        LAM[rel] = lam
         OM[rel] = om
         EREG[rel] = ereg
         ETOT[rel] = etot
         F[rel] = forcing
-        temp, m, k = temp_next, m_next, k_next
         states[rel + 1, 0:2] = temp
         states[rel + 1, 2:5] = m
         states[rel + 1, 5:] = k
 
-    labor_win = exo.labor[t0 : t0 + steps]
-    cpc = C / labor_win
+    C = (1.0 - s_tn) * Q
+    cpc = C / exo.labor[win]
     floored = cpc < CONSUMPTION_FLOOR
     return {
         "states": states,
@@ -539,33 +545,38 @@ def _adjoint_arrays(
     weights: np.ndarray,
     t0: int = 0,
     check: bool = False,
+    regions=slice(None),
 ):
     """Weighted welfare and its exact discrete adjoint, time-major controls.
 
     ``weights`` is (n,) or a batch (m, n) of weight rows; every costate
     carries the batch axis of ``weights`` between the time and region axes.
     Returns ``(f, gs, gmu, lam_mat, dudc)``: the welfare (a float, or (m,)),
-    its gradients with respect to s and mu, shaped (steps, [m,] n), the
-    path ``lam_mat`` (steps, [m]) whose entry t is the costate of
-    M_AT(t+1), and the marginal utilities du_i/dC_i(t), (steps, n). The
-    backward sweep mirrors the rollout exactly: one adjoint per state
-    coordinate, zero marginal utility where the consumption floor bit.
-    ``check`` validates controls and the initial state as the rollout does.
+    its gradients with respect to the s and mu of the regions that the
+    index ``regions`` picks (all by default, none for an empty list), shaped
+    (steps, [m,] picked), the path ``lam_mat`` (steps, [m]) whose entry t is
+    the costate of M_AT(t+1), and the marginal utilities du_i/dC_i(t),
+    (steps, n). The backward sweep mirrors the rollout exactly: one adjoint
+    per state coordinate, zero marginal utility where the consumption floor
+    bit. ``check`` validates controls and the initial state as the rollout
+    does.
     """
     fw = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
     steps, n = s_tn.shape
     util = _utilities(scenario, fw["C"], t0)
     f = util.sum(axis=0) @ weights.T
-    if weights.ndim == 1:
+    batched = weights.ndim == 2
+    if not batched:
         f = float(f)
     dudc = _marginal_utilities(scenario, fw["C"], fw["floored"], t0)
 
     geo = scenario.geo
-    zmat = scenario._zmat
     a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
     theta2 = scenario._theta2
     gamma = scenario._gamma
     xi1 = geo.xi1
+    phi11, phi12, phi21, phi22 = geo.phi11, geo.phi12, geo.phi21, geo.phi22
+    (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
 
     states = fw["states"]
     Y, OM, LAM, Q = fw["Y"], fw["OM"], fw["LAM"], fw["Q"]
@@ -574,19 +585,21 @@ def _adjoint_arrays(
     unabated = 1.0 - mu_tn
 
     # Everything that does not depend on the costates, as whole-window
-    # arrays; ``batch`` inserts the weight-batch axis after time.
+    # arrays; ``batch`` inserts the weight-batch axis after time. No product
+    # in the loop is reassociated, so hoisting changes no rounding. For an
+    # (n,) weight vector the climate costates are Python floats.
     batch = (slice(None),) + (None,) * (weights.ndim - 1)
     w_mu = weights * dudc[batch]
     w_mu_kept = w_mu * (1.0 - s_tn[batch])
     om_prime = -(a1 + a2 * a3 * states[:steps, 0:1] ** (a3 - 1.0))
-    lam_prime = -(scenario._theta1[t0 : t0 + steps] * theta2 * mu_tn ** (theta2 - 1.0))
     dq_dk = gamma * Q / K
     dq_dtat = LAM * Y * om_prime
     k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
-    forcing_sens = geo.xi2 * geo.eta / (states[:steps, 2] * math.log(2.0))
+    kept_dq_dk = w_mu_kept * dq_dk[batch]
+    forcing_sens = (geo.xi2 * geo.eta / (states[:steps, 2] * math.log(2.0))).tolist()
 
     shape = weights.shape[:-1]
-    lam_tat = lam_tlo = lam_m0 = lam_m1 = lam_m2 = np.zeros(shape)
+    lam_tat = lam_tlo = lam_m0 = lam_m1 = lam_m2 = np.zeros(shape) if batched else 0.0
     lam_k = np.zeros(shape + (n,))
     lam_k_path = np.empty((steps,) + shape + (n,))
     lam_mat = np.empty((steps,) + shape)
@@ -594,26 +607,30 @@ def _adjoint_arrays(
     for t in range(steps - 1, -1, -1):
         lam_k_path[t] = lam_k
         lam_mat[t] = lam_m0
-        new_tat = (
-            (w_mu_kept[t] + 5.0 * lam_k * s_tn[t]) @ dq_dtat[t]
-            + geo.phi11 * lam_tat
-            + geo.phi21 * lam_tlo
-        )
-        new_tlo = geo.phi12 * lam_tat + geo.phi22 * lam_tlo
-        new_m0 = zmat[0, 0] * lam_m0 + zmat[1, 0] * lam_m1 + forcing_sens[t] * lam_tat
-        new_m1 = zmat[0, 1] * lam_m0 + zmat[1, 1] * lam_m1 + zmat[2, 1] * lam_m2
-        new_m2 = zmat[1, 2] * lam_m1 + zmat[2, 2] * lam_m2
+        dot = (w_mu_kept[t] + 5.0 * lam_k * s_tn[t]) @ dq_dtat[t]
+        new_tat = (dot if batched else float(dot)) + phi11 * lam_tat + phi21 * lam_tlo
+        new_tlo = phi12 * lam_tat + phi22 * lam_tlo
+        new_m0 = z00 * lam_m0 + z10 * lam_m1 + forcing_sens[t] * lam_tat
+        new_m1 = z01 * lam_m0 + z11 * lam_m1 + z21 * lam_m2
+        new_m2 = z12 * lam_m1 + z22 * lam_m2
+        emit = lam_m0 * xi1
+        if batched:
+            emit = emit[:, None]
         lam_k = (
-            w_mu_kept[t] * dq_dk[t]
+            kept_dq_dk[t]
             + lam_k * k_sens[t]
-            + (lam_m0 * xi1)[..., None] * sig[t] * unabated[t] * gamma * Y[t] / K[t]
+            + emit * sig[t] * unabated[t] * gamma * Y[t] / K[t]
         )
         lam_tat, lam_tlo = new_tat, new_tlo
         lam_m0, lam_m1, lam_m2 = new_m0, new_m1, new_m2
 
-    Q, OM, Y, sig, lam_prime = Q[batch], OM[batch], Y[batch], sig[batch], lam_prime[batch]
-    gs = (-w_mu + 5.0 * lam_k_path) * Q
-    gmu = (w_mu_kept + 5.0 * s_tn[batch] * lam_k_path) * OM * Y * lam_prime - (
+    lam_prime = -(scenario._theta1[t0 : t0 + steps] * theta2 * mu_tn ** (theta2 - 1.0))
+    Q, OM, Y, sig, lam_prime, s_r = (
+        a[:, regions][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
+    )
+    lam_k_path = lam_k_path[..., regions]
+    gs = (-w_mu[..., regions] + 5.0 * lam_k_path) * Q
+    gmu = (w_mu_kept[..., regions] + 5.0 * s_r * lam_k_path) * OM * Y * lam_prime - (
         lam_mat[..., None] * xi1 * sig * Y
     )
     return f, gs, gmu, lam_mat, dudc
@@ -743,6 +760,7 @@ def social_cost_of_co2(
         np.ascontiguousarray(profile.mu.T),
         np.eye(scenario.n_regions),
         check=True,
+        regions=[],
     )
     dudc = dudc[idx]
     if np.any(dudc == 0.0):

@@ -288,7 +288,12 @@ class WindowProblem:
         s_tn = np.ascontiguousarray(full[:, :, 0].T)
         mu_tn = np.ascontiguousarray(full[:, :, 1].T)
         f, gs, gmu, _, _ = _adjoint_arrays(
-            self.scenario, self.x0_vec, s_tn, mu_tn, self.weights, self.t0
+            self.scenario,
+            self.x0_vec,
+            s_tn,
+            mu_tn,
+            self.weights,
+            self.t0,
+            regions=self.free_regions,
         )
-        grad = np.stack([gs, gmu], axis=-1).transpose(1, 0, 2)
-        return f, grad[self.free_regions].ravel()
+        return f, np.stack([gs, gmu], axis=-1).transpose(1, 0, 2).ravel()

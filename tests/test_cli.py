@@ -395,6 +395,21 @@ def test_scc_rejects_non_integer_steps(scenario_file, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["--steps", "0,500"], ["--horizon", "5"]], ids=["steps", "horizon"]
+)
+def test_scc_checks_steps_before_solving(argv, scenario_file, tmp_path, capsys,
+                                         monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_swm called before the step check")
+
+    monkeypatch.setattr("rice_game.cli.solve_swm", no_solve)
+    code = run(["scc", "--scenario", scenario_file, "--out", tmp_path / "x",
+                "--policy", "swm", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == "rice-game: step index out of range\n"
+
+
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------

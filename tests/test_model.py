@@ -30,7 +30,7 @@ from rice_game.model import (
     step,
     weighted_welfare,
 )
-from rice_game.model import _adjoint_arrays
+from rice_game.model import _adjoint_arrays, _forward
 
 
 def profile_to_lists(profile):
@@ -341,6 +341,90 @@ def test_breakdown_reports_step_and_region():
     assert breakdown.value.region is not None
 
 
+def oracle_breakdown(scenario, s, mu):
+    """First step at which the oracle's rollout leaves the domain, by hand.
+
+    Returns ``(step, {region: (omega, lambda)})`` over the regions whose
+    damage or abatement fraction is <= 0 at that step, or None.
+    """
+    consts = scenario_constants(scenario)
+    for t in range(len(s)):
+        states, _ = oracle_trajectory(consts, s[:t], mu[:t])
+        t_at = states[-1][0]
+        bad = {}
+        for i, r in enumerate(scenario.regions):
+            sigma = consts["sigma"][t][i]
+            theta1 = r.pb / (1000.0 * r.theta2) * (1.0 - r.delta_pb) ** (t - 1) * sigma
+            lam = 1.0 - theta1 * mu[t][i] ** r.theta2
+            om = 1.0 - r.a1 * t_at - r.a2 * t_at**r.a3
+            if lam <= 0.0 or om <= 0.0:
+                bad[i] = (om, lam)
+        if bad:
+            return t, bad
+    return None
+
+
+# (backstop price overrides, damage a2 overrides, region whose mu jumps to 1
+# from a step on, expected step, expected region, failing regions by kind)
+BREAKDOWNS = {
+    "lambda-first": ({1: 20000.0}, {}, (1, 3), 3, 1, {1: "lambda"}),
+    "omega-first": ({}, {2: 0.05}, None, 4, 2, {2: "omega"}),
+    "both-omega-lower": (
+        {2: 20000.0}, {0: 0.05}, (2, 4), 4, 0, {0: "omega", 2: "lambda"}
+    ),
+    "both-lambda-lower": (
+        {0: 20000.0}, {2: 0.05}, (0, 4), 4, 0, {0: "lambda", 2: "omega"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BREAKDOWNS))
+def test_breakdown_pins_step_region_and_message(case):
+    pb, a2, jump, want_step, want_region, kinds = BREAKDOWNS[case]
+    sc = make_scenario()
+    regions = [
+        dataclasses.replace(r, pb=pb.get(i, r.pb), a2=a2.get(i, r.a2))
+        for i, r in enumerate(sc.regions)
+    ]
+    sc = dataclasses.replace(sc, regions=regions)
+    steps = sc.horizon + 1
+    s = [[0.25] * 3 for _ in range(steps)]
+    mu = [[0.1] * 3 for _ in range(steps)]
+    if jump is not None:
+        region, start = jump
+        for t in range(start, steps):
+            mu[t][region] = 1.0
+
+    step_at, bad = oracle_breakdown(sc, s, mu)
+    assert step_at == want_step
+    assert {i: "omega" if om <= 0.0 else "lambda" for i, (om, _) in bad.items()} == kinds
+    om, lam = bad[want_region]
+    message = (
+        f"damage or abatement fraction <= 0 at step {want_step}, region {want_region}"
+        f" (omega = {om:.6g}, lambda = {lam:.6g})"
+    )
+    profile = ControlProfile(np.stack([np.array(s).T, np.array(mu).T], axis=-1))
+    with pytest.raises(SimulationError) as exc_info:
+        simulate(sc.x0, profile, sc)
+    assert exc_info.value.step == want_step
+    assert exc_info.value.__cause__.region == want_region
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("t0", [0, 1, 7, 8])
+def test_windowed_rollout_reproduces_full_rollout(small_scenario, rng, t0):
+    sc = small_scenario
+    assert t0 <= sc.horizon
+    profile = random_profile(sc, sc.horizon + 1, rng)
+    s_tn = np.ascontiguousarray(profile.saving.T)
+    mu_tn = np.ascontiguousarray(profile.mu.T)
+    full = _forward(sc, sc.x0.to_vector(), s_tn, mu_tn)
+    window = _forward(sc, full["states"][t0], s_tn[t0:], mu_tn[t0:], t0=t0)
+    np.testing.assert_array_equal(window["states"], full["states"][t0:])
+    for key in ("Y", "Q", "C", "LAM", "OM", "EREG", "ETOT", "F"):
+        np.testing.assert_array_equal(window[key], full[key][t0:], err_msg=key)
+
+
 def test_consumption_floor_flagged():
     poor = make_scenario()
     exo = poor.exo
@@ -555,3 +639,22 @@ def test_batched_adjoint_rows_match_single_sweeps(small_scenario, rng):
         np.testing.assert_allclose(gmu[:, j], gmu1, rtol=1e-13, atol=0)
         np.testing.assert_allclose(lam_mat[:, j], lam1, rtol=1e-13, atol=0)
         np.testing.assert_array_equal(dudc, dudc1)
+
+
+def test_adjoint_forms_gradients_of_picked_regions_only(small_scenario, rng):
+    sc = small_scenario
+    steps = sc.horizon + 1
+    profile = random_profile(sc, steps, rng)
+    s_tn = np.ascontiguousarray(profile.saving.T)
+    mu_tn = np.ascontiguousarray(profile.mu.T)
+    x0 = sc.x0.to_vector()
+    for weights in (rng.uniform(0.0, 1.0, size=3), rng.uniform(0.0, 1.0, size=(4, 3))):
+        f, gs, gmu, lam_mat, dudc = _adjoint_arrays(sc, x0, s_tn, mu_tn, weights)
+        for regions in ([2], [0, 2], []):
+            out = _adjoint_arrays(sc, x0, s_tn, mu_tn, weights, regions=regions)
+            assert out[1].shape == out[2].shape == gs.shape[:-1] + (len(regions),)
+            np.testing.assert_array_equal(out[1], gs[..., regions])
+            np.testing.assert_array_equal(out[2], gmu[..., regions])
+            np.testing.assert_array_equal(out[3], lam_mat)
+            np.testing.assert_array_equal(out[4], dudc)
+            assert np.array_equal(out[0], f)

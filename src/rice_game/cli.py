@@ -87,8 +87,8 @@ def _build_parser() -> _Parser:
             "--threads",
             type=int,
             default=1,
-            help="worker processes for parallel solves (default 1; pareto"
-            " switches to parallel cold starts above 1)",
+            help="worker processes for rba's best responses and epsilon-NE check"
+            " and rhfa's windows (default 1); outputs do not depend on it",
         )
         if horizon:
             p.add_argument("--horizon", type=int, help="planning horizon override")
@@ -170,8 +170,18 @@ def _run(args) -> int:
     """Load the scenario, run the subcommand, write summary.json and manifest.json."""
     scenario, label, digest = _load(args)
     outdir = Path(args.out or os.environ.get("RICE_GAME_OUT") or ".")
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    summary, outputs = _COMMANDS[args.command](args, scenario, outdir)
+    try:
+        summary, outputs = _COMMANDS[args.command](args, scenario, outdir)
+    except BaseException:
+        # A failed run removes the directories it made while they are empty.
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     write_json(summary, outdir / "summary.json")
     options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     options["scenario"] = label
@@ -234,9 +244,7 @@ def _cmd_swm(args, scenario, outdir) -> tuple:
 
 def _cmd_pareto(args, scenario, outdir) -> tuple:
     grid = np.linspace(0.0, 1.0, args.grid)
-    result = pareto_frontier(
-        scenario, grid, SolveOptions(multistart=2, seed=args.seed), threads=args.threads
-    )
+    result = pareto_frontier(scenario, grid, SolveOptions(multistart=2, seed=args.seed))
     write_frontier_csv(result.points, outdir / "frontier.csv")
     summary = {
         "points": [

@@ -23,7 +23,7 @@ from .model import (
     simulate,
     step,
 )
-from .solver import SolveOptions, SolveReport, WindowProblem, _pool_map, maximize
+from .solver import SolveOptions, SolveReport, WindowProblem, maximize
 
 __all__ = [
     "SwmResult",
@@ -208,32 +208,23 @@ def solve_pareto_point(
     )
 
 
-def _frontier_worker(args):
-    scenario, p, options = args
-    try:
-        return p, solve_pareto_point(scenario, p, options), None
-    except Exception as exc:  # noqa: BLE001 - per-point failures are recorded
-        return p, None, f"{type(exc).__name__}: {exc}"
-
-
 def pareto_frontier(
     scenario: Scenario,
     p_grid: np.ndarray | None = None,
     options: SolveOptions | None = None,
-    threads: int = 1,
     audit_rel_tol: float | None = None,
 ) -> FrontierResult:
     """Trace the developed/developing frontier over a grid of p values.
 
-    Sequential mode chains warm starts left to right and then re-solves
-    right to left from each right neighbour, keeping the better
-    scalarized objective per point; a single forward chain leaves early
-    grid points systematically less converged than late ones, which shows
-    up as spurious dominance. With ``threads > 1`` the points solve in
-    parallel from cold starts (results may differ within solver
-    tolerance). Every pair of points is audited for dominance at
-    ``audit_rel_tol`` (default ``AUDIT_REL_TOL``, the measured resolution
-    floor of the solve-and-polish pipeline on this problem family).
+    Warm starts chain left to right; then every point is re-solved right
+    to left from its right neighbour, keeping the better scalarized
+    objective. A single forward chain leaves early grid points
+    systematically less converged than late ones, which shows up as
+    spurious dominance. A grid value that no pass solved is recorded once
+    in ``failures``, with its first error. Every pair of points is
+    audited for dominance at ``audit_rel_tol`` (default
+    ``AUDIT_REL_TOL``, the measured resolution floor of the
+    solve-and-polish pipeline on this problem family).
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
@@ -241,46 +232,36 @@ def pareto_frontier(
     opts = options or SolveOptions(multistart=2)
 
     points: list[ParetoPoint | None] = [None] * p_grid.size
-    failures = []
-    if threads > 1:
-        args = [(scenario, p, opts) for p in p_grid]
-        for idx, (p, point, err) in enumerate(_pool_map(_frontier_worker, args, threads)):
-            if err is not None:
-                failures.append((float(p), err))
-            else:
-                points[idx] = point
-    else:
-        init = None
-        for idx, p in enumerate(p_grid):
+    errors = {}
+    init = None
+    for idx, p in enumerate(p_grid):
+        try:
+            point = solve_pareto_point(scenario, p, opts, init=init)
+        except Exception as exc:  # noqa: BLE001 - recorded, scan continues
+            errors[idx] = f"{type(exc).__name__}: {exc}"
+            init = None
+            continue
+        points[idx] = point
+        init = point.profile.controls
+    init = None
+    for idx in range(p_grid.size - 1, -1, -1):
+        current = points[idx]
+        if init is not None:
             try:
-                point = solve_pareto_point(scenario, p, opts, init=init)
+                again = solve_pareto_point(scenario, p_grid[idx], opts, init=init)
             except Exception as exc:  # noqa: BLE001 - recorded, scan continues
-                failures.append((float(p), f"{type(exc).__name__}: {exc}"))
-                init = None
-                continue
-            points[idx] = point
-            init = point.profile.controls
-        init = None
-        for idx in range(p_grid.size - 1, -1, -1):
-            current = points[idx]
-            if init is not None:
-                try:
-                    again = solve_pareto_point(scenario, p_grid[idx], opts, init=init)
-                except Exception as exc:  # noqa: BLE001 - recorded, scan continues
-                    if current is None:
-                        failures.append(
-                            (float(p_grid[idx]), f"{type(exc).__name__}: {exc}")
-                        )
-                else:
-                    if (
-                        current is None
-                        or again.report.objective > current.report.objective
-                    ):
-                        points[idx] = again
-            if points[idx] is not None:
-                init = points[idx].profile.controls
-        rescued = {float(p_grid[i]) for i, pt in enumerate(points) if pt is not None}
-        failures = [f for f in failures if f[0] not in rescued]
+                errors.setdefault(idx, f"{type(exc).__name__}: {exc}")
+            else:
+                if (
+                    current is None
+                    or again.report.objective > current.report.objective
+                ):
+                    points[idx] = again
+        if points[idx] is not None:
+            init = points[idx].profile.controls
+    failures = [
+        (float(p_grid[i]), errors[i]) for i, pt in enumerate(points) if pt is None
+    ]
 
     solved = [pt for pt in points if pt is not None]
     tol = audit_rel_tol if audit_rel_tol is not None else AUDIT_REL_TOL

@@ -497,8 +497,7 @@ def _forward(
         states[rel + 1, 5:] = k
 
     C = (1.0 - s_tn) * Q
-    cpc = C / exo.labor[win]
-    floored = cpc < CONSUMPTION_FLOOR
+    cpc, floored = _per_capita(scenario, C, t0)
     return {
         "states": states,
         "Y": Y,
@@ -509,32 +508,27 @@ def _forward(
         "EREG": EREG,
         "ETOT": ETOT,
         "F": F,
+        "cpc": cpc,
         "floored": floored,
     }
 
 
-def _utilities(scenario: Scenario, consumption: np.ndarray, t0: int) -> np.ndarray:
-    """Per-step discounted utilities, shape (steps, n). Floor applied."""
-    steps = consumption.shape[0]
+def _per_capita(scenario: Scenario, consumption: np.ndarray, t0: int) -> tuple:
+    """Per-capita consumption raised to the floor, and where the floor bit."""
+    cpc = consumption / scenario.exo.labor[t0 : t0 + consumption.shape[0]]
+    return np.maximum(cpc, CONSUMPTION_FLOOR), cpc < CONSUMPTION_FLOOR
+
+
+def _utilities(scenario: Scenario, cpc: np.ndarray, t0: int) -> np.ndarray:
+    """Per-step discounted utilities of floored per-capita consumption, (steps, n)."""
+    steps = cpc.shape[0]
     labor = scenario.exo.labor[t0 : t0 + steps]
     alpha = scenario._alpha
-    cpc = np.maximum(consumption / labor, CONSUMPTION_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         crra = labor * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     logu = labor * np.log(cpc)
     base = np.where(alpha == 1.0, logu, crra)
     return base * scenario._disc[t0 : t0 + steps]
-
-
-def _marginal_utilities(
-    scenario: Scenario, consumption: np.ndarray, floored: np.ndarray, t0: int
-) -> np.ndarray:
-    """d(utility)/d(consumption), zero on floored entries. Shape (steps, n)."""
-    steps = consumption.shape[0]
-    labor = scenario.exo.labor[t0 : t0 + steps]
-    cpc = np.maximum(consumption / labor, CONSUMPTION_FLOOR)
-    dudc = cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps]
-    return np.where(floored, 0.0, dudc)
 
 
 def _adjoint_arrays(
@@ -563,12 +557,15 @@ def _adjoint_arrays(
     """
     fw = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
     steps, n = s_tn.shape
-    util = _utilities(scenario, fw["C"], t0)
-    f = util.sum(axis=0) @ weights.T
+    cpc = fw["cpc"]
+    f = _utilities(scenario, cpc, t0).sum(axis=0) @ weights.T
     batched = weights.ndim == 2
     if not batched:
         f = float(f)
-    dudc = _marginal_utilities(scenario, fw["C"], fw["floored"], t0)
+    # d(utility)/d(consumption), zero where the floor bit.
+    dudc = np.where(
+        fw["floored"], 0.0, cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps]
+    )
 
     geo = scenario.geo
     a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
@@ -710,7 +707,8 @@ def regional_welfare(traj: Trajectory, scenario: Scenario, t0: int = 0) -> np.nd
     consumption stored in the trajectory already carries the (1 - s_i)
     factor and the mu_i abatement argument.
     """
-    return _utilities(scenario, traj.consumption, t0).sum(axis=0)
+    cpc, _ = _per_capita(scenario, traj.consumption, t0)
+    return _utilities(scenario, cpc, t0).sum(axis=0)
 
 
 def weighted_welfare(

@@ -102,6 +102,35 @@ class RhfaResult:
     t_rh: int
 
 
+def _own_solve(
+    scenario: Scenario,
+    region: int,
+    x0: RiceState,
+    t0: int,
+    controls: np.ndarray,
+    options: SolveOptions,
+) -> SolveReport:
+    """Maximize ``region``'s own welfare over the window of ``controls``.
+
+    The window starts at absolute step ``t0`` from state ``x0``. Every
+    other region follows its rows of ``controls`` (n, steps, 2); the
+    solve warm-starts from ``region``'s own rows.
+    """
+    weights = np.zeros(scenario.n_regions)
+    weights[region] = 1.0
+    problem = WindowProblem(
+        scenario,
+        weights,
+        x0,
+        t0,
+        controls.shape[1],
+        free_regions=[region],
+        fixed=controls,
+    )
+    init = problem.extract(controls)
+    return maximize(problem, problem.lower, problem.upper, init, options)
+
+
 def best_response(
     scenario: Scenario,
     region: int,
@@ -113,44 +142,25 @@ def best_response(
     Warm-starts from the region's own slice of ``profile``; solver
     failures surface in the attached report rather than raising.
     """
-    n = scenario.n_regions
-    if not 0 <= region < n:
+    if not 0 <= region < scenario.n_regions:
         raise ModelDomainError("region index out of range")
-    opts = options or SolveOptions()
-    steps = profile.horizon + 1
-    weights = np.zeros(n)
-    weights[region] = 1.0
-    problem = WindowProblem(
-        scenario,
-        weights,
-        scenario.x0,
-        0,
-        steps,
-        free_regions=[region],
-        fixed=profile.controls,
+    report = _own_solve(
+        scenario, region, scenario.x0, 0, profile.controls, options or SolveOptions()
     )
-    init = problem.extract(profile.controls)
-    report = maximize(problem, problem.lower, problem.upper, init, opts)
     return BestResponseResult(
         region=region,
-        controls=report.x.reshape(steps, 2).copy(),
+        controls=report.x.reshape(profile.horizon + 1, 2).copy(),
         welfare=report.objective,
         report=report,
     )
 
 
-def _br_worker(args):
-    scenario, region, controls, options = args
-    result = best_response(scenario, region, ControlProfile(controls), options)
-    return result.controls, result.welfare, result.report.termination
-
-
 def _best_responses(
-    scenario: Scenario, controls: np.ndarray, options: SolveOptions, threads: int
+    scenario: Scenario, profile: ControlProfile, options: SolveOptions, threads: int
 ) -> list:
-    """Every region's (controls, welfare, termination) against ``controls``."""
-    args = [(scenario, i, controls, options) for i in range(scenario.n_regions)]
-    return _pool_map(_br_worker, args, threads)
+    """Every region's :class:`BestResponseResult` against ``profile``."""
+    args = [(scenario, i, profile, options) for i in range(scenario.n_regions)]
+    return _pool_map(best_response, args, threads)
 
 
 def rba_dg(
@@ -180,23 +190,23 @@ def rba_dg(
         from .cooperative import solve_swm
 
         initial_profile = solve_swm(scenario).profile
+    log = []
+
+    def record(controls, dist_inf, dist_2):
+        """Roll ``controls`` out and log them as the next episode."""
+        traj = simulate(scenario.x0, ControlProfile(controls), scenario)
+        welfare = regional_welfare(traj, scenario)
+        log.append(Episode(len(log), controls.copy(), welfare, dist_inf, dist_2))
+        return traj
+
     controls = initial_profile.controls.copy()
-    traj = simulate(scenario.x0, ControlProfile(controls), scenario)
-    log = [
-        Episode(
-            index=0,
-            profile=controls.copy(),
-            welfare=regional_welfare(traj, scenario),
-            distance_inf=float("nan"),
-            distance_2=float("nan"),
-        )
-    ]
+    traj = record(controls, float("nan"), float("nan"))
     converged = False
-    for k in range(1, episodes + 1):
+    for _ in range(episodes):
         if update == "jacobi":
-            results = _best_responses(scenario, controls, opts, threads)
-            new = np.array([r[0] for r in results])
-            terminations = [r[2] for r in results]
+            results = _best_responses(scenario, ControlProfile(controls), opts, threads)
+            new = np.array([r.controls for r in results])
+            terminations = [r.report.termination for r in results]
         else:
             new = controls.copy()
             terminations = []
@@ -207,22 +217,13 @@ def rba_dg(
         dist_inf = float(np.max(np.abs(new - controls)))
         dist_2 = float(np.linalg.norm((new - controls).ravel()))
         controls = new
-        traj = simulate(scenario.x0, ControlProfile(controls), scenario)
-        log.append(
-            Episode(
-                index=k,
-                profile=controls.copy(),
-                welfare=regional_welfare(traj, scenario),
-                distance_inf=dist_inf,
-                distance_2=dist_2,
-            )
-        )
+        traj = record(controls, dist_inf, dist_2)
         if dist_inf < stop_tol:
             converged = all(t in _CONVERGED_TERMINATIONS for t in terminations)
             break
     return RbaResult(
         profile=ControlProfile(controls),
-        trajectory=simulate(scenario.x0, ControlProfile(controls), scenario),
+        trajectory=traj,
         episodes=log,
         converged=converged,
     )
@@ -238,9 +239,9 @@ def verify_epsilon_ne(
     opts = options or SolveOptions()
     traj = simulate(scenario.x0, profile, scenario)
     welfare = regional_welfare(traj, scenario)
-    results = _best_responses(scenario, profile.controls, opts, threads)
-    br_welfare = np.array([r[1] for r in results])
-    terminations = [r[2] for r in results]
+    results = _best_responses(scenario, profile, opts, threads)
+    br_welfare = np.array([r.welfare for r in results])
+    terminations = [r.report.termination for r in results]
     # maximize() guarantees br_welfare >= welfare (init is the own slice).
     gains = (br_welfare - welfare) / np.abs(welfare)
     return NeCertificate(
@@ -251,23 +252,6 @@ def verify_epsilon_ne(
         terminations=terminations,
         converged=all(t in _CONVERGED_TERMINATIONS for t in terminations),
     )
-
-
-def _rhfa_worker(args):
-    scenario, region, x_vec, t0, t_rh, fixed, init, options = args
-    weights = np.zeros(scenario.n_regions)
-    weights[region] = 1.0
-    problem = WindowProblem(
-        scenario,
-        weights,
-        RiceState.from_vector(x_vec),
-        t0,
-        t_rh,
-        free_regions=[region],
-        fixed=fixed,
-    )
-    report = maximize(problem, problem.lower, problem.upper, init, options)
-    return report.x.reshape(t_rh, 2)
 
 
 def rhfa_dg(
@@ -314,11 +298,13 @@ def rhfa_dg(
         inits = np.concatenate(
             [prev_plans[:, 1:, :], prev_plans[:, -1:, :]], axis=1
         )
-        args = [
-            (scenario, i, x.to_vector(), t + 1, t_rh, fixed, inits[i].ravel(), opts)
-            for i in range(n)
-        ]
-        plans = np.array(_pool_map(_rhfa_worker, args, threads))
+        args = []
+        for i in range(n):
+            window = fixed.copy()
+            window[i] = inits[i]
+            args.append((scenario, i, x, t + 1, window, opts))
+        reports = _pool_map(_own_solve, args, threads)
+        plans = np.array([r.x.reshape(t_rh, 2) for r in reports])
         played[:, t + 1, :] = plans[:, 0, :]
         x, _ = step(t + 1, x, plans[:, 0, :], scenario)
         prev_plans = plans

@@ -83,11 +83,11 @@ class SolveReport:
 
 
 def _pool_map(fn, args, threads: int) -> list:
-    """``[fn(a) for a in args]``, spread over ``threads`` worker processes when > 1."""
+    """``[fn(*a) for a in args]``, spread over ``threads`` worker processes when > 1."""
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
+            return list(pool.map(fn, *zip(*args)))
+    return [fn(*a) for a in args]
 
 
 def _termination_reason(res) -> str:

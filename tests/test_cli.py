@@ -90,6 +90,18 @@ def test_model_error_exits_two(scenario_file, tmp_path, capsys):
     )
     assert code == 2
     assert "rice-game:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_removes_only_the_empty_dirs_it_made(scenario_file, tmp_path):
+    argv = ["scc", "--scenario", scenario_file, "--policy", "baseline",
+            "--steps", "0,500", "--out"]
+    assert run([*argv, tmp_path / "new" / "deeper"]) == 2
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert run([*argv, kept]) == 2
+    assert kept.is_dir()
 
 
 def _declared_entry_point():
@@ -284,6 +296,17 @@ def test_pareto_writes_frontier(scenario_file, tmp_path):
     assert summary["dominance_violations"] == []
 
 
+def test_pareto_output_does_not_depend_on_threads(scenario_file, tmp_path):
+    for threads in ("1", "2"):
+        code = run(["pareto", "--scenario", scenario_file, "--out", tmp_path / threads,
+                    "--grid", "3", "--horizon", "5", "--threads", threads])
+        assert code == 0
+    for name in ("frontier.csv", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (
+            tmp_path / "2" / name
+        ).read_bytes(), name
+
+
 def test_mpc_writes_window_objectives(scenario_file, tmp_path):
     out = tmp_path / "mpc"
     code = run(
@@ -408,6 +431,7 @@ def test_scc_checks_steps_before_solving(argv, scenario_file, tmp_path, capsys,
                 "--policy", "swm", *argv])
     assert code == 2
     assert capsys.readouterr().err == "rice-game: step index out of range\n"
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

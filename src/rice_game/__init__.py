@@ -30,7 +30,6 @@ from .model import (
     RiceGameError,
     RiceState,
     Scenario,
-    SimulationError,
     Trajectory,
     regional_welfare,
     simulate,
@@ -57,7 +56,6 @@ __all__ = [
     "RiceGameError",
     "RiceState",
     "Scenario",
-    "SimulationError",
     "Trajectory",
     "regional_welfare",
     "simulate",

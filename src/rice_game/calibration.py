@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -117,21 +118,27 @@ def generate_exogenous(spec: ExogenousGrowthSpec) -> ExogenousPaths:
     length = spec.length
     if length < 2:
         raise ModelDomainError("exogenous length must be at least 2")
+    # TFP grows by (1 + g) per step while g shrinks by (1 - decline) per
+    # step: two running products, multiplied in the order of the recursion.
+    growth = np.empty((length, n))
+    growth[0] = [r.tfp_growth0 for r in spec.regions]
+    growth[1:] = [1.0 - r.tfp_growth_decline for r in spec.regions]
+    growth = np.multiply.accumulate(growth, axis=0)
     tfp = np.empty((length, n))
+    tfp[0] = [r.tfp0 for r in spec.regions]
+    tfp[1:] = 1.0 + growth[:-1]
+    tfp = np.multiply.accumulate(tfp, axis=0)
     labor = np.empty((length, n))
     sigma = np.empty((length, n))
     e_land = np.empty((length, n))
+    tgrid = np.arange(length)
     for i, r in enumerate(spec.regions):
-        a = r.tfp0
-        g = r.tfp_growth0
+        # Population stays a scalar recursion: numpy's vector ``**`` can
+        # round differently from Python's on some CPUs.
         pop = r.pop0
         for t in range(length):
-            tfp[t, i] = a
             labor[t, i] = pop
-            a = a * (1.0 + g)
-            g = g * (1.0 - r.tfp_growth_decline)
             pop = pop * (r.pop_asymptote / pop) ** r.pop_convergence
-        tgrid = np.arange(length)
         sigma[:, i] = r.sigma0 * (1.0 - r.sigma_decline) ** tgrid
         e_land[:, i] = r.e_land0 * (1.0 - r.e_land_decline) ** tgrid
     ramp = max(spec.f_ex_ramp_steps, 1)
@@ -151,22 +158,18 @@ def calibrate_damage(loss_at_2c: float) -> tuple[float, float, float]:
     return 0.0, loss_at_2c / 4.0, 2.0
 
 
-def negishi_weights(scenario: Scenario, s_ref: float = 0.25) -> np.ndarray:
+def negishi_weights(scenario: Scenario) -> np.ndarray:
     """Welfare weights that equalize weighted marginal utilities.
 
-    Simulates the no-abatement baseline (mu = 0, s = ``s_ref``, clipped
-    into the scenario bounds) over the scenario horizon, time-averages
+    Simulates the no-abatement baseline (mu = 0, s = 0.25, clipped into
+    the scenario bounds) over the scenario horizon, time-averages
     each region's marginal utility of per-capita consumption and returns
     the normalized inverses.
     """
     s_lo, s_hi = scenario.s_bounds
     mu_lo, _ = scenario.mu_bounds
-    profile = ControlProfile.constant(
-        scenario.n_regions,
-        scenario.horizon,
-        min(max(s_ref, s_lo), s_hi),
-        mu_lo,
-    )
+    s = min(max(0.25, s_lo), s_hi)
+    profile = ControlProfile.constant(scenario.n_regions, scenario.horizon, s, mu_lo)
     traj = simulate(scenario.x0, profile, scenario)
     labor = scenario.exo.labor[: scenario.horizon + 1]
     cpc = traj.consumption / labor
@@ -454,9 +457,13 @@ def _read(value, kind, path: str):
         if kind is not float:
             return value
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise ScenarioFormatError(f"{path} is too large for a float") from None
+        # Python's json reads NaN, Infinity and overlong literals as floats.
+        if not math.isfinite(value):
+            raise ScenarioFormatError(f"{path} must be a finite number, not {value!r}")
+        return value
     container = dict if isinstance(kind, tuple) else list
     if not isinstance(value, container):
         raise _type_error(value, container, path)
@@ -473,8 +480,8 @@ def _read(value, kind, path: str):
     out = {}
     for key, attr, sub in kind:
         v = value[key]
-        # Plain JSON floats, the bulk of a file, need no check or conversion.
-        fast = sub is float and type(v) is float
+        # Plain finite JSON floats, the bulk of a file, need no conversion.
+        fast = sub is float and type(v) is float and math.isfinite(v)
         out[attr] = v if fast else _read(v, sub, prefix + key)
     return out
 
@@ -583,15 +590,12 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write("\n")
 
 
-def build_default_scenario(horizon: int | None = None) -> Scenario:
+def build_default_scenario() -> Scenario:
     """Load the packaged 12-region default scenario.
 
-    ``horizon`` overrides the file's default planning horizon (the
-    exogenous paths must still cover it).
+    Override its horizon with ``dataclasses.replace(scenario, horizon=h)``
+    (the exogenous paths must still cover it).
     """
     ref = resources.files("rice_game").joinpath("data/default_scenario.json")
     doc = json.loads(ref.read_text(encoding="utf-8"))
-    scenario = parse_scenario(doc)
-    if horizon is not None:
-        scenario = dataclasses.replace(scenario, horizon=int(horizon))
-    return scenario
+    return parse_scenario(doc)

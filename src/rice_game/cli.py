@@ -66,6 +66,18 @@ def _steps(text: str) -> str:
     return text
 
 
+def _at_least(low: int):
+    """argparse type for an integer flag that must be ``low`` or more."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with code 64."""
 
@@ -82,10 +94,11 @@ def _build_parser() -> _Parser:
     def common(p, horizon=False, t_rh=False, t_sim=False):
         p.add_argument("--scenario", help="scenario file (default: packaged scenario)")
         p.add_argument("--out", help="output directory (default: $RICE_GAME_OUT or .)")
-        p.add_argument("--seed", type=int, default=0, help="solver multistart seed")
+        p.add_argument("--seed", type=_at_least(0), default=0,
+                       help="solver multistart seed")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_at_least(1),
             default=1,
             help="worker processes for rba's best responses and epsilon-NE check"
             " and rhfa's windows (default 1); outputs do not depend on it",
@@ -107,14 +120,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pareto", help="trace the developed/developing frontier")
     common(p, horizon=True)
-    p.add_argument("--grid", type=int, default=21, help="number of p values")
+    p.add_argument("--grid", type=_at_least(1), default=21, help="number of p values")
 
     p = sub.add_parser("mpc", help="receding-horizon welfare maximization")
     common(p, t_rh=True, t_sim=True)
 
     p = sub.add_parser("rba", help="recursive best response toward open-loop Nash")
     common(p, horizon=True)
-    p.add_argument("--episodes", type=int, default=21, help="best-response rounds")
+    p.add_argument("--episodes", type=_at_least(1), default=21,
+                   help="best-response rounds")
     p.add_argument(
         "--verify-ne",
         action="store_true",

@@ -107,18 +107,15 @@ def default_initial_profile(scenario: Scenario, steps: int) -> np.ndarray:
 def solve_swm(
     scenario: Scenario,
     options: SolveOptions | None = None,
-    weights: np.ndarray | None = None,
     init: np.ndarray | None = None,
 ) -> SwmResult:
-    """Maximize weighted global welfare over the full horizon.
+    """Maximize global welfare under the scenario's (Negishi) weights.
 
-    Defaults to the scenario's Negishi weights and a 4-way multistart from
-    the standard cold start.
+    Defaults to a 4-way multistart from the standard cold start.
     """
     opts = options or SolveOptions(multistart=4)
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
     steps = scenario.horizon + 1
-    problem = WindowProblem(scenario, w, scenario.x0, 0, steps)
+    problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, steps)
     if init is None:
         init = default_initial_profile(scenario, steps)
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
@@ -179,12 +176,11 @@ def solve_pareto_point(
     p: float,
     options: SolveOptions | None = None,
     init: np.ndarray | None = None,
-    polish: bool = True,
 ) -> ParetoPoint:
     """Maximize p * W_developed + (1-p) * W_developing.
 
-    With ``polish`` (the default) the joint solve is followed by a
-    per-region refinement of the saving paths; see ``_polish_savings``.
+    The joint solve is followed by a per-region refinement of the saving
+    paths; see ``_polish_savings``.
     """
     opts = options or SolveOptions(multistart=2)
     steps = scenario.horizon + 1
@@ -192,10 +188,8 @@ def solve_pareto_point(
     if init is None:
         init = default_initial_profile(scenario, steps)
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
-    controls = report.x.reshape(scenario.n_regions, steps, 2).copy()
-    if polish:
-        controls = _polish_savings(scenario, controls, opts)
-    profile = ControlProfile(controls)
+    controls = report.x.reshape(scenario.n_regions, steps, 2)
+    profile = ControlProfile(_polish_savings(scenario, controls, opts))
     traj = simulate(scenario.x0, profile, scenario)
     welfare = regional_welfare(traj, scenario)
     return ParetoPoint(
@@ -212,7 +206,6 @@ def pareto_frontier(
     scenario: Scenario,
     p_grid: np.ndarray | None = None,
     options: SolveOptions | None = None,
-    audit_rel_tol: float | None = None,
 ) -> FrontierResult:
     """Trace the developed/developing frontier over a grid of p values.
 
@@ -222,9 +215,8 @@ def pareto_frontier(
     systematically less converged than late ones, which shows up as
     spurious dominance. A grid value that no pass solved is recorded once
     in ``failures``, with its first error. Every pair of points is
-    audited for dominance at ``audit_rel_tol`` (default
-    ``AUDIT_REL_TOL``, the measured resolution floor of the
-    solve-and-polish pipeline on this problem family).
+    audited for dominance at ``AUDIT_REL_TOL``, the measured resolution
+    floor of the solve-and-polish pipeline on this problem family.
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
@@ -264,7 +256,6 @@ def pareto_frontier(
     ]
 
     solved = [pt for pt in points if pt is not None]
-    tol = audit_rel_tol if audit_rel_tol is not None else AUDIT_REL_TOL
     violations = []
     for a in range(len(solved)):
         for b in range(len(solved)):
@@ -273,8 +264,9 @@ def pareto_frontier(
             pa, pb = solved[a], solved[b]
             gain_dev = pa.welfare_developed - pb.welfare_developed
             gain_devg = pa.welfare_developing - pb.welfare_developing
-            if gain_dev > tol * abs(pb.welfare_developed) and gain_devg > tol * abs(
-                pb.welfare_developing
+            if (
+                gain_dev > AUDIT_REL_TOL * abs(pb.welfare_developed)
+                and gain_devg > AUDIT_REL_TOL * abs(pb.welfare_developing)
             ):
                 violations.append((a, b))
     return FrontierResult(points=solved, failures=failures, dominance_violations=violations)
@@ -285,7 +277,6 @@ def mpc_rice(
     t_sim: int,
     t_rh: int,
     options: SolveOptions | None = None,
-    weights: np.ndarray | None = None,
 ) -> MpcResult:
     """Receding-horizon welfare maximization.
 
@@ -301,7 +292,6 @@ def mpc_rice(
             "exogenous paths do not cover t_sim + t_rh; extend the scenario"
         )
     opts = options or SolveOptions()
-    w = scenario.weights if weights is None else np.asarray(weights, dtype=float)
     n = scenario.n_regions
     steps_w = t_rh + 1
 
@@ -311,7 +301,7 @@ def mpc_rice(
     x = scenario.x0
     prev = default_initial_profile(scenario, steps_w)
     for t in range(t_sim + 1):
-        problem = WindowProblem(scenario, w, x, t, steps_w)
+        problem = WindowProblem(scenario, scenario.weights, x, t, steps_w)
         init = prev.ravel()
         inits[t] = problem(init)[0]
         report = maximize(problem, problem.lower, problem.upper, init, opts)

@@ -26,7 +26,6 @@ __all__ = [
     "RiceGameError",
     "ModelDomainError",
     "ModelBreakdownError",
-    "SimulationError",
     "GeoParams",
     "RegionParams",
     "ExogenousPaths",
@@ -75,14 +74,6 @@ class ModelBreakdownError(RiceGameError):
         super().__init__(message)
         self.step = step
         self.region = region
-
-
-class SimulationError(RiceGameError):
-    """A trajectory rollout aborted; ``step`` holds the first failing step."""
-
-    def __init__(self, message, step):
-        super().__init__(message)
-        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +376,9 @@ class Scenario:
 
 
 def _check_controls(scenario: Scenario, s_tn: np.ndarray, mu_tn: np.ndarray):
-    if np.any(s_tn < 0.0) or np.any(s_tn > 1.0) or np.any(mu_tn < 0.0) or np.any(
-        mu_tn > 1.0
-    ):
+    # Asked as "inside" so that a NaN, which fails every comparison, is out.
+    inside = (s_tn >= 0.0) & (s_tn <= 1.0) & (mu_tn >= 0.0) & (mu_tn <= 1.0)
+    if not inside.all():
         raise ModelDomainError("controls must lie in [0, 1]")
 
 
@@ -416,7 +407,7 @@ def _forward(
         )
     if check:
         _check_controls(scenario, s_tn, mu_tn)
-        if np.any(x0_vec[2:] <= 0.0):
+        if not np.all(x0_vec[2:] > 0.0):  # false for a NaN as well
             raise ModelDomainError("carbon stocks and capital must be positive")
 
     zmat = scenario._zmat
@@ -671,21 +662,18 @@ def simulate(
     """Roll out the full horizon of ``profile`` from ``x0``.
 
     ``t0`` is the absolute step of the profile's first control. Raises
-    :class:`SimulationError` (with the failing step attached) if the model
-    breaks down along the way.
+    :class:`ModelBreakdownError` (with the failing step and region
+    attached) if the model breaks down along the way.
     """
     if profile.n_regions != scenario.n_regions:
         raise ModelDomainError("profile region count does not match scenario")
-    try:
-        out = _forward(
-            scenario,
-            x0.to_vector(),
-            np.ascontiguousarray(profile.saving.T),
-            np.ascontiguousarray(profile.mu.T),
-            t0=t0,
-        )
-    except ModelBreakdownError as exc:
-        raise SimulationError(str(exc), step=exc.step) from exc
+    out = _forward(
+        scenario,
+        x0.to_vector(),
+        np.ascontiguousarray(profile.saving.T),
+        np.ascontiguousarray(profile.mu.T),
+        t0=t0,
+    )
     return Trajectory(
         states=out["states"],
         gross_output=out["Y"],

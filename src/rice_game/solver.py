@@ -40,26 +40,31 @@ __all__ = [
 #: like 1e50 makes the first trial step abort the whole solve instead).
 _BREAKDOWN_MARGIN = 1e6
 
+#: Stop tests of :func:`maximize`: the infinity norm of the projected
+#: gradient of the scaled objective, and the relative objective change
+#: between accepted iterates.
+_GRAD_TOL = 1e-6
+_OBJ_REL_TOL = 1e-10
+#: L-BFGS-B's correction pairs and function evaluations per line search.
+_LBFGS_MEMORY = 20
+_MAX_LINE_SEARCH = 40
+#: Half-width of a multistart's uniform jitter, as a fraction of the box.
+_PERTURB_SCALE = 0.1
+
 
 @dataclass
 class SolveOptions:
     """Knobs for :func:`maximize`.
 
-    ``grad_tol`` bounds the infinity norm of the projected gradient of the
-    scaled objective; ``obj_rel_tol`` bounds the relative objective change
-    between accepted iterates. ``multistart`` runs the given initial point
-    plus bound-respecting random perturbations of it (deterministic in
-    ``seed``); exact objective ties keep the lowest start index.
+    ``max_iter`` caps the quasi-Newton iterations of each start.
+    ``multistart`` runs the given initial point plus bound-respecting
+    random perturbations of it (deterministic in ``seed``); exact
+    objective ties keep the lowest start index.
     """
 
     max_iter: int = 2000
-    grad_tol: float = 1e-6
-    obj_rel_tol: float = 1e-10
     multistart: int = 1
     seed: int = 0
-    perturb_scale: float = 0.1
-    lbfgs_memory: int = 20
-    max_line_search: int = 40
 
 
 @dataclass
@@ -83,9 +88,10 @@ class SolveReport:
 
 
 def _pool_map(fn, args, threads: int) -> list:
-    """``[fn(*a) for a in args]``, spread over ``threads`` worker processes when > 1."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """``[fn(*a) for a in args]`` over ``min(threads, len(args))`` worker processes."""
+    workers = min(threads, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*args)))
     return [fn(*a) for a in args]
 
@@ -136,7 +142,7 @@ def maximize(
     starts = [init]
     span = upper - lower
     for _ in range(max(opts.multistart, 1) - 1):
-        jitter = opts.perturb_scale * rng.uniform(-1.0, 1.0, size=init.shape) * span
+        jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
         starts.append(np.clip(init + jitter, lower, upper))
 
     bounds = list(zip(lower, upper))
@@ -173,10 +179,10 @@ def maximize(
             callback=callback,
             options={
                 "maxiter": opts.max_iter,
-                "maxcor": opts.lbfgs_memory,
-                "maxls": opts.max_line_search,
-                "gtol": opts.grad_tol,
-                "ftol": opts.obj_rel_tol,
+                "maxcor": _LBFGS_MEMORY,
+                "maxls": _MAX_LINE_SEARCH,
+                "gtol": _GRAD_TOL,
+                "ftol": _OBJ_REL_TOL,
             },
         )
         f_run = -res.fun / scale
@@ -211,17 +217,14 @@ def gradient_adjoint(
     profile: ControlProfile,
     scenario: Scenario,
     weights: np.ndarray,
-    x0: RiceState | None = None,
-    t0: int = 0,
 ) -> np.ndarray:
-    """Exact gradient of weighted welfare, flattened in decision order."""
+    """Exact gradient of weighted welfare from ``scenario.x0``, in decision order."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (scenario.n_regions,):
         raise ModelDomainError("weights must have shape (n,)")
     if profile.n_regions != scenario.n_regions:
         raise ModelDomainError("profile region count does not match scenario")
-    x0 = scenario.x0 if x0 is None else x0
-    problem = WindowProblem(scenario, weights, x0, t0, profile.horizon + 1)
+    problem = WindowProblem(scenario, weights, scenario.x0, 0, profile.horizon + 1)
     return problem(profile.controls.ravel())[1]
 
 
@@ -267,7 +270,6 @@ class WindowProblem:
         self.fixed = fixed
         if t0 < 0 or t0 + steps > scenario.exo.length:
             raise ModelDomainError("window exceeds exogenous path coverage")
-        self.dim = self.free_regions.size * steps * 2
         lo = np.concatenate([scenario.control_lower()] * steps)
         hi = np.concatenate([scenario.control_upper()] * steps)
         self.lower = np.tile(lo, self.free_regions.size)

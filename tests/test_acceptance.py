@@ -109,7 +109,7 @@ def rhfa_runs(scenario, coop):
 
 def test_criterion_01_adjoint_matches_finite_differences():
     t_start = time.perf_counter()
-    sc = build_default_scenario(horizon=20)
+    sc = dataclasses.replace(build_default_scenario(), horizon=20)
     n, steps = sc.n_regions, sc.horizon + 1
     weights = sc.weights
     lower = np.tile(sc.control_lower(), n * steps)

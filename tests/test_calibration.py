@@ -64,8 +64,8 @@ def test_generate_exogenous_recursions():
     for i, r in enumerate(spec.regions):
         a, g, pop = r.tfp0, r.tfp_growth0, r.pop0
         for t in range(12):
-            assert exo.tfp[t, i] == pytest.approx(a, rel=1e-15, abs=0)
-            assert exo.labor[t, i] == pytest.approx(pop, rel=1e-15, abs=0)
+            assert exo.tfp[t, i] == a
+            assert exo.labor[t, i] == pop
             assert exo.sigma[t, i] == pytest.approx(
                 r.sigma0 * (1.0 - r.sigma_decline) ** t, rel=1e-12
             )
@@ -184,8 +184,8 @@ def test_negishi_weights_equal_for_clone_regions():
 
 def test_negishi_respects_savings_bounds():
     sc = make_scenario(s_bounds=(0.4, 0.6))
-    # s_ref = 0.25 falls below the lower bound and must be clipped, not
-    # rejected.
+    # The baseline saving of 0.25 falls below the lower bound and must be
+    # clipped, not rejected.
     w = negishi_weights(sc)
     assert np.all(w > 0.0)
 
@@ -379,6 +379,15 @@ WRONG_TYPES = [
     (("geo", "phi11"), None, "geo.phi11 must be a number, not null"),
     (("geo", "phi11"), True, "geo.phi11 must be a number, not a boolean"),
     (("geo", "phi11"), 10**400, "geo.phi11 is too large"),
+    (("geo", "phi11"), float("inf"), "geo.phi11 must be a finite number, not inf"),
+    (("regions", 0, "a1"), float("nan"), r"regions\[0\].a1 must be a finite number"),
+    (("regions", 0, "a3"), float("-inf"), r"regions\[0\].a3 must be a finite number"),
+    (("weights", 1), float("nan"), r"weights\[1\] must be a finite number, not nan"),
+    (
+        ("initial_state", "capital_trillion_usd", 2),
+        float("nan"),
+        r"initial_state.capital_trillion_usd\[2\] must be a finite number",
+    ),
     (("weights",), "abc", "weights must be a list"),
     (("weights", 1), "0.1", r"weights\[1\] must be a number"),
     (("regions",), {}, "regions must be a list"),
@@ -571,11 +580,11 @@ def test_default_scenario_weights_are_negishi(default_scenario):
     np.testing.assert_allclose(default_scenario.weights, w, rtol=0.0, atol=1e-15)
 
 
-def test_default_scenario_horizon_override():
-    sc = build_default_scenario(horizon=20)
+def test_default_scenario_horizon_override(default_scenario):
+    sc = dataclasses.replace(default_scenario, horizon=20)
     assert sc.horizon == 20
     assert validate_scenario(sc) == []
-    too_long = build_default_scenario(horizon=200)
+    too_long = dataclasses.replace(default_scenario, horizon=200)
     assert any("does not cover" in m for m in validate_scenario(too_long))
 
 

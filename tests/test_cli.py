@@ -434,6 +434,26 @@ def test_scc_checks_steps_before_solving(argv, scenario_file, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+BAD_INTEGERS = [
+    (["swm", "--seed", "-1"], "--seed: must be at least 0"),
+    (["pareto", "--grid", "-1"], "--grid: must be at least 1"),
+    (["rba", "--episodes", "0"], "--episodes: must be at least 1"),
+    (["simulate", "--threads", "0"], "--threads: must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,needle", BAD_INTEGERS, ids=[" ".join(a[1:]) for a, _ in BAD_INTEGERS]
+)
+def test_integer_flags_are_range_checked_while_parsing(argv, needle, scenario_file,
+                                                       tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--scenario", scenario_file, "--out", tmp_path / "x"])
+    assert exc.value.code == 64
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Cooperative solvers: welfare maximization, frontier tracing, receding horizon."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rice_game import (
     solve_swm,
     weighted_welfare,
 )
+from rice_game import cooperative
 from rice_game.cooperative import default_initial_profile, pareto_weights
 
 FAST = SolveOptions(multistart=1, max_iter=300)
@@ -98,7 +101,7 @@ def test_solve_swm_improves_on_cold_start(small_scenario):
 def test_solve_swm_honors_custom_weights(small_scenario):
     w = np.zeros(small_scenario.n_regions)
     w[1] = 1.0
-    res = solve_swm(small_scenario, FAST, weights=w)
+    res = solve_swm(dataclasses.replace(small_scenario, weights=w), FAST)
     traj = simulate(small_scenario.x0, res.profile, small_scenario)
     assert res.welfare == pytest.approx(
         weighted_welfare(traj, res.profile, w, small_scenario), rel=1e-10
@@ -138,9 +141,16 @@ def test_solve_pareto_point_cluster_accounting(small_scenario):
     assert pt.terminal_t_at == pytest.approx(float(traj.states[-2, 0]), abs=0)
 
 
-def test_polish_pins_abatement_and_stays_within_resolution(small_scenario):
-    rough = solve_pareto_point(small_scenario, 0.05, FAST, polish=False)
-    fine = solve_pareto_point(small_scenario, 0.05, FAST, polish=True)
+def unpolished_pareto_point(monkeypatch, scenario, p):
+    """``solve_pareto_point`` with the saving polish turned into a no-op."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cooperative, "_polish_savings", lambda sc, controls, opts: controls)
+        return solve_pareto_point(scenario, p, FAST)
+
+
+def test_polish_pins_abatement_and_stays_within_resolution(small_scenario, monkeypatch):
+    rough = unpolished_pareto_point(monkeypatch, small_scenario, 0.05)
+    fine = solve_pareto_point(small_scenario, 0.05, FAST)
     np.testing.assert_array_equal(
         rough.profile.controls[:, :, 1], fine.profile.controls[:, :, 1]
     )
@@ -151,10 +161,10 @@ def test_polish_pins_abatement_and_stays_within_resolution(small_scenario):
     assert combo_fine == pytest.approx(combo_rough, rel=1e-4, abs=0)
 
 
-def test_polish_is_exact_when_abatement_saturates():
+def test_polish_is_exact_when_abatement_saturates(monkeypatch):
     sc = make_scenario(mu_bounds=(1.0, 1.0))
-    rough = solve_pareto_point(sc, 0.05, FAST, polish=False)
-    fine = solve_pareto_point(sc, 0.05, FAST, polish=True)
+    rough = unpolished_pareto_point(monkeypatch, sc, 0.05)
+    fine = solve_pareto_point(sc, 0.05, FAST)
     combo_rough = scalarized(sc, rough, 0.05)
     combo_fine = scalarized(sc, fine, 0.05)
     assert combo_fine >= combo_rough - 1e-9 * abs(combo_rough)
@@ -193,13 +203,9 @@ def test_pareto_frontier_records_per_point_failures(small_scenario):
         assert "must lie in [0, 1]" in message
 
 
-def test_pareto_frontier_audit_tolerance_is_honored(small_scenario):
-    res = pareto_frontier(
-        small_scenario,
-        p_grid=np.array([0.2, 0.8]),
-        options=FAST,
-        audit_rel_tol=-10.0,
-    )
+def test_pareto_frontier_audit_tolerance_is_honored(small_scenario, monkeypatch):
+    monkeypatch.setattr(cooperative, "AUDIT_REL_TOL", -10.0)
+    res = pareto_frontier(small_scenario, p_grid=np.array([0.2, 0.8]), options=FAST)
     assert sorted(res.dominance_violations) == [(0, 1), (1, 0)]
 
 

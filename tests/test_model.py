@@ -23,7 +23,6 @@ from rice_game.model import (
     ModelBreakdownError,
     ModelDomainError,
     RiceState,
-    SimulationError,
     regional_welfare,
     simulate,
     social_cost_of_co2,
@@ -304,6 +303,16 @@ def test_control_bounds_validation(small_scenario):
     bad.controls[0, 0] = [0.25, 1.5]
     with pytest.raises(ModelDomainError):
         simulate(small_scenario.x0, bad, small_scenario)
+    for control in ([np.nan, 0.0], [0.25, np.nan]):
+        bad.controls[0, 0] = control
+        with pytest.raises(ModelDomainError):
+            simulate(small_scenario.x0, bad, small_scenario)
+    with pytest.raises(ModelDomainError):
+        simulate(
+            dataclasses.replace(small_scenario.x0, m_up=np.nan),
+            ControlProfile.constant(3, 2, 0.25, 0.0),
+            small_scenario,
+        )
     with pytest.raises(ModelDomainError):
         simulate(
             dataclasses.replace(small_scenario.x0, m_at=-1.0),
@@ -331,9 +340,10 @@ def test_breakdown_reports_step_and_region():
     regions = [dataclasses.replace(r, a2=0.2) for r in hot.regions]
     hot = dataclasses.replace(hot, regions=regions)
     profile = ControlProfile.constant(3, hot.horizon, 0.25, 0.0)
-    with pytest.raises(SimulationError) as exc_info:
+    with pytest.raises(ModelBreakdownError) as exc_info:
         simulate(hot.x0, profile, hot)
     assert exc_info.value.step >= 0
+    assert exc_info.value.region is not None
     x = RiceState(3.0, 0.1, 878.0, 471.0, 1741.0, np.array([10.0, 15.0, 20.0]))
     with pytest.raises(ModelBreakdownError) as breakdown:
         step(0, x, np.full((3, 2), 0.25), hot)
@@ -404,10 +414,10 @@ def test_breakdown_pins_step_region_and_message(case):
         f" (omega = {om:.6g}, lambda = {lam:.6g})"
     )
     profile = ControlProfile(np.stack([np.array(s).T, np.array(mu).T], axis=-1))
-    with pytest.raises(SimulationError) as exc_info:
+    with pytest.raises(ModelBreakdownError) as exc_info:
         simulate(sc.x0, profile, sc)
     assert exc_info.value.step == want_step
-    assert exc_info.value.__cause__.region == want_region
+    assert exc_info.value.region == want_region
     assert str(exc_info.value) == message
 
 

@@ -1,5 +1,7 @@
 """Optimizer engine, exact gradients, and window objectives."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from rice_game.model import (
     simulate,
     weighted_welfare,
 )
+from rice_game import solver
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
+    _pool_map,
     gradient_adjoint,
     maximize,
 )
@@ -121,8 +125,6 @@ def test_gradient_adjoint_validation(small_scenario):
         gradient_adjoint(profile, sc, np.ones(2))
     with pytest.raises(ModelDomainError):
         gradient_adjoint(ControlProfile.constant(4, sc.horizon, 0.25, 0.1), sc, sc.weights)
-    with pytest.raises(ModelDomainError):
-        gradient_adjoint(profile, sc, sc.weights, t0=sc.exo.length - sc.horizon)
 
 
 def test_gradient_fd_one_sided_at_bounds(small_scenario):
@@ -249,18 +251,51 @@ def test_maximize_survives_breakdown_regions():
 
 def test_maximize_multistart_escapes_poor_basin():
     # Piecewise objective with a flat shelf around the init and a better
-    # peak elsewhere; random restarts must find the peak.
+    # peak elsewhere; random restarts must find the peak. The shelf ends
+    # within the multistart's jitter of the box (a tenth of its width).
     def shelf(x):
         v = x[0]
         base = -((v - 0.9) ** 2)
-        if v < 0.2:
+        if v < 0.1:
             return -0.5, np.array([0.0])
         return float(base), np.array([-2.0 * (v - 0.9)])
 
-    opts = SolveOptions(multistart=8, seed=3, perturb_scale=0.5)
+    opts = SolveOptions(multistart=8, seed=3)
     report = maximize(shelf, np.zeros(1), np.ones(1), np.array([0.05]), opts)
     assert report.objective > -1e-6
     assert report.start_index > 0
+
+
+# ---------------------------------------------------------------------------
+# Worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "threads,tasks,pools", [(5000, 3, [3]), (2, 3, [2]), (1, 3, []), (5000, 1, [])]
+)
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, threads, tasks, pools):
+    started = []
+
+    class RecordingPool:
+        """Runs tasks in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    args = [(i, 1) for i in range(tasks)]
+    assert _pool_map(operator.add, args, threads) == list(range(1, tasks + 1))
+    assert started == pools
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +346,15 @@ def test_window_problem_validation(small_scenario):
     sc = small_scenario
     with pytest.raises(ModelDomainError):
         WindowProblem(sc, sc.weights, sc.x0, 0, 3, fixed=np.zeros((3, 5, 2)))
+    # The window must lie inside the exogenous paths: steps t0..t0+steps-1.
     with pytest.raises(ModelDomainError):
         WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 1, 2)
+    with pytest.raises(ModelDomainError):
+        WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - sc.horizon, sc.horizon + 1)
+    with pytest.raises(ModelDomainError):
+        WindowProblem(sc, sc.weights, sc.x0, -1, 2)
+    last = WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 2, 2)
+    assert last.steps == 2
 
 
 def test_window_problem_solve_stays_in_box(small_scenario, rng):

@@ -407,8 +407,10 @@ def _forward(
         )
     if check:
         _check_controls(scenario, s_tn, mu_tn)
-        if not np.all(x0_vec[2:] > 0.0):  # false for a NaN as well
-            raise ModelDomainError("carbon stocks and capital must be positive")
+        if not (np.isfinite(x0_vec).all() and (x0_vec[2:] > 0.0).all()):
+            raise ModelDomainError(
+                "start state must be finite, with positive carbon stocks and capital"
+            )
 
     zmat = scenario._zmat
     phimat = scenario._phimat

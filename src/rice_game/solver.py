@@ -133,7 +133,18 @@ def maximize(
         raise ModelDomainError("init must lie within the bounds")
     init = np.clip(init, lower, upper)
 
-    f0, _ = objective(init)
+    # Each start point is evaluated for the log (the first one for ``f0``)
+    # and again as L-BFGS-B's first call; answer repeats from memory.
+    last = {}
+
+    def evaluate(x):
+        if last and np.array_equal(x, last["x"]):
+            return last["fg"]
+        fg = objective(x)  # a call that raises stores nothing
+        last["x"], last["fg"] = x.copy(), fg
+        return fg
+
+    f0, _ = evaluate(init)
     if not np.isfinite(f0):
         raise ModelDomainError("objective at init is not finite")
     scale = 1.0 / max(abs(f0), 1e-12)
@@ -153,19 +164,16 @@ def maximize(
 
         def fun(x):
             try:
-                f, g = objective(x)
+                f, g = evaluate(x)
             except ModelBreakdownError:
                 f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
             last_f["val"] = f
             return -scale * f, -scale * np.asarray(g)
 
-        if idx == 0:
-            log = [f0]
-        else:
-            try:
-                log = [objective(x_start)[0]]
-            except ModelBreakdownError:
-                log = [-_BREAKDOWN_MARGIN / scale]
+        try:
+            log = [evaluate(x_start)[0]]
+        except ModelBreakdownError:
+            log = [-_BREAKDOWN_MARGIN / scale]
 
         def callback(xk):
             log.append(last_f["val"])

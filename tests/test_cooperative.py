@@ -191,8 +191,6 @@ def test_pareto_frontier_small_grid_is_clean(small_scenario):
 
 
 def test_pareto_frontier_records_per_point_failures(small_scenario):
-    # In the order [1.5, 0.5] the backward pass retries p = 1.5 from its
-    # solved right neighbour and raises again; it is still one failure.
     for grid in ([0.5, 1.5], [1.5, 0.5]):
         res = pareto_frontier(small_scenario, p_grid=np.array(grid), options=FAST)
         assert len(res.points) == 1
@@ -201,6 +199,43 @@ def test_pareto_frontier_records_per_point_failures(small_scenario):
         p_failed, message = res.failures[0]
         assert p_failed == 1.5
         assert "must lie in [0, 1]" in message
+
+
+def recorded_solves(monkeypatch, scenario, grid):
+    """Run the frontier, recording ``(p, cold start)`` for every point solve."""
+    calls = []
+    solve = cooperative.solve_pareto_point
+
+    def recording(scenario, p, options=None, init=None):
+        calls.append((float(p), init is None))
+        return solve(scenario, p, options, init=init)
+
+    monkeypatch.setattr(cooperative, "solve_pareto_point", recording)
+    return pareto_frontier(scenario, p_grid=np.array(grid), options=FAST), calls
+
+
+def test_pareto_frontier_chains_warm_starts_and_resolves_first_point(
+    small_scenario, monkeypatch
+):
+    grid = np.linspace(0.1, 0.9, 5)
+    _, calls = recorded_solves(monkeypatch, small_scenario, grid)
+    assert calls == [(grid[0], True)] + [(p, False) for p in grid[1:]] + [(grid[0], False)]
+
+
+def test_pareto_frontier_warm_starts_past_a_failure(small_scenario, monkeypatch):
+    res, calls = recorded_solves(monkeypatch, small_scenario, [0.3, 1.5, 0.7])
+    assert calls == [(0.3, True), (1.5, False), (0.7, False), (0.3, False)]
+    assert [p for p, _ in res.failures] == [1.5]
+
+
+def test_pareto_frontier_resolves_the_cold_endpoint(default_scenario):
+    # A cold solve at p = 0 stalls on the zero-weight developed cluster, and
+    # without its re-solve p = 0.05 dominates it in both clusters.
+    res = pareto_frontier(
+        default_scenario, p_grid=np.array([0.0, 0.05]), options=SolveOptions(multistart=1)
+    )
+    assert res.failures == []
+    assert res.dominance_violations == []
 
 
 def test_pareto_frontier_audit_tolerance_is_honored(small_scenario, monkeypatch):

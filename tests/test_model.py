@@ -307,18 +307,13 @@ def test_control_bounds_validation(small_scenario):
         bad.controls[0, 0] = control
         with pytest.raises(ModelDomainError):
             simulate(small_scenario.x0, bad, small_scenario)
-    with pytest.raises(ModelDomainError):
-        simulate(
-            dataclasses.replace(small_scenario.x0, m_up=np.nan),
-            ControlProfile.constant(3, 2, 0.25, 0.0),
-            small_scenario,
-        )
-    with pytest.raises(ModelDomainError):
-        simulate(
-            dataclasses.replace(small_scenario.x0, m_at=-1.0),
-            ControlProfile.constant(3, 2, 0.25, 0.0),
-            small_scenario,
-        )
+    for change in ({"m_up": np.nan}, {"m_at": -1.0}, {"t_at": np.nan}, {"t_lo": np.inf}):
+        with pytest.raises(ModelDomainError):
+            simulate(
+                dataclasses.replace(small_scenario.x0, **change),
+                ControlProfile.constant(3, 2, 0.25, 0.0),
+                small_scenario,
+            )
 
 
 def test_exogenous_coverage_checked(small_scenario):

@@ -236,17 +236,39 @@ def test_maximize_never_returns_below_init():
     assert np.all(report.x >= 0.0) and np.all(report.x <= 1.0)
 
 
-def test_maximize_survives_breakdown_regions():
+def breaks_above(limit, center):
     def partial(x):
-        if x[0] > 0.6:
+        if x[0] > limit:
             raise ModelBreakdownError("diverged", step=0, region=None)
-        d = x[0] - 0.55
+        d = x[0] - center
         return float(-(d * d)), np.array([-2.0 * d])
 
+    return partial
+
+
+def test_maximize_survives_breakdown_regions():
     report = maximize(
-        partial, np.zeros(1), np.ones(1), np.array([0.2]), SolveOptions()
+        breaks_above(0.6, 0.55), np.zeros(1), np.ones(1), np.array([0.2]), SolveOptions()
     )
     assert report.x[0] == pytest.approx(0.55, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "objective", [quadratic([0.4]), breaks_above(0.6, 0.55)], ids=["smooth", "breakdown"]
+)
+def test_maximize_evaluates_each_point_once(objective):
+    # The start point is evaluated for the ascent guarantee and is then
+    # L-BFGS-B's first call; the repeat is answered from memory.
+    calls = []
+
+    def counting(x):
+        calls.append(x.copy())
+        return objective(x)
+
+    report = maximize(
+        counting, np.zeros(1), np.ones(1), np.array([0.2]), SolveOptions(multistart=1)
+    )
+    assert len(calls) == report.n_evaluations
 
 
 def test_maximize_multistart_escapes_poor_basin():

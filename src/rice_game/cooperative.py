@@ -24,6 +24,7 @@ from .model import (
     simulate,
     step,
 )
+from .noncooperative import _own_solve, _shifted
 from .solver import SolveOptions, SolveReport, WindowProblem, maximize
 
 __all__ = [
@@ -105,6 +106,16 @@ def default_initial_profile(scenario: Scenario, steps: int) -> np.ndarray:
     return full
 
 
+def _start(scenario: Scenario, init: np.ndarray | None) -> np.ndarray:
+    """``init``, checked to be (n, T+1, 2) controls, or the standard cold start."""
+    shape = (scenario.n_regions, scenario.horizon + 1, 2)
+    if init is None:
+        return default_initial_profile(scenario, shape[1])
+    if np.shape(init) != shape:
+        raise ModelDomainError("init must have shape (n, horizon + 1, 2)")
+    return np.asarray(init, dtype=float)
+
+
 def solve_swm(
     scenario: Scenario,
     options: SolveOptions | None = None,
@@ -115,12 +126,10 @@ def solve_swm(
     Defaults to a 4-way multistart from the standard cold start.
     """
     opts = options or SolveOptions(multistart=4)
-    steps = scenario.horizon + 1
-    problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, steps)
-    if init is None:
-        init = default_initial_profile(scenario, steps)
+    init = _start(scenario, init)
+    problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, init)
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
-    profile = ControlProfile(report.x.reshape(scenario.n_regions, steps, 2).copy())
+    profile = ControlProfile(problem.embed(report.x))
     traj = simulate(scenario.x0, profile, scenario)
     return SwmResult(
         profile=profile,
@@ -145,31 +154,17 @@ def _polish_savings(
 
     Saving coordinates of a near-zero-weight region carry gradient entries
     scaled by that weight, so the joint solve stalls on them long before
-    its own tolerance; this pass finishes them one region at a time under
-    unit own weight, pinning every abatement coordinate through degenerate
-    bounds. A saving path touches other regions only through the owner's
-    unabated emissions, and where the stall actually occurs the remaining
-    cluster has already pushed the stalled cluster to full abatement, so
-    the refinement is exact there and a resolution-level tie-break
-    elsewhere.
+    its own tolerance; this pass finishes them one region at a time by an
+    own-welfare solve with that region's abatement pinned. A saving path
+    touches other regions only through the owner's unabated emissions, and
+    where the stall actually occurs the remaining cluster has already
+    pushed the stalled cluster to full abatement, so the refinement is
+    exact there and a resolution-level tie-break elsewhere.
     """
-    steps = controls.shape[1]
-    polished = controls.copy()
     sub = dataclasses.replace(options, multistart=1)
     for i in range(scenario.n_regions):
-        w = np.zeros(scenario.n_regions)
-        w[i] = 1.0
-        problem = WindowProblem(
-            scenario, w, scenario.x0, 0, steps, free_regions=[i], fixed=polished
-        )
-        z0 = problem.extract(polished)
-        lower = problem.lower.copy()
-        upper = problem.upper.copy()
-        lower[1::2] = z0[1::2]
-        upper[1::2] = z0[1::2]
-        report = maximize(problem, lower, upper, z0, sub)
-        polished[i] = report.x.reshape(steps, 2)
-    return polished
+        controls, _ = _own_solve(scenario, i, scenario.x0, 0, controls, sub, pin_mu=True)
+    return controls
 
 
 def solve_pareto_point(
@@ -184,13 +179,10 @@ def solve_pareto_point(
     paths; see ``_polish_savings``.
     """
     opts = options or SolveOptions(multistart=2)
-    steps = scenario.horizon + 1
-    problem = WindowProblem(scenario, pareto_weights(scenario, p), scenario.x0, 0, steps)
-    if init is None:
-        init = default_initial_profile(scenario, steps)
+    init = _start(scenario, init)
+    problem = WindowProblem(scenario, pareto_weights(scenario, p), scenario.x0, 0, init)
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
-    controls = report.x.reshape(scenario.n_regions, steps, 2)
-    profile = ControlProfile(_polish_savings(scenario, controls, opts))
+    profile = ControlProfile(_polish_savings(scenario, problem.embed(report.x), opts))
     traj = simulate(scenario.x0, profile, scenario)
     welfare = regional_welfare(traj, scenario)
     return ParetoPoint(
@@ -275,24 +267,20 @@ def mpc_rice(
             "exogenous paths do not cover t_sim + t_rh; extend the scenario"
         )
     opts = options or SolveOptions()
-    n = scenario.n_regions
-    steps_w = t_rh + 1
-
-    played = np.empty((n, t_sim + 1, 2))
+    played = np.empty((scenario.n_regions, t_sim + 1, 2))
     objs = np.empty(t_sim + 1)
     inits = np.empty(t_sim + 1)
     x = scenario.x0
-    prev = default_initial_profile(scenario, steps_w)
+    prev = default_initial_profile(scenario, t_rh + 1)
     for t in range(t_sim + 1):
-        problem = WindowProblem(scenario, scenario.weights, x, t, steps_w)
-        init = prev.ravel()
-        inits[t] = problem(init)[0]
-        report = maximize(problem, problem.lower, problem.upper, init, opts)
-        full = report.x.reshape(n, steps_w, 2)
+        problem = WindowProblem(scenario, scenario.weights, x, t, prev)
+        report = maximize(problem, problem.lower, problem.upper, prev.ravel(), opts)
+        full = problem.embed(report.x)
         objs[t] = report.objective
+        inits[t] = report.initial_objective
         played[:, t, :] = full[:, 0, :]
         x, _ = step(t, x, full[:, 0, :], scenario)
-        prev = np.concatenate([full[:, 1:, :], full[:, -1:, :]], axis=1)
+        prev = _shifted(full)
 
     profile = ControlProfile(played)
     traj = simulate(scenario.x0, profile, scenario)

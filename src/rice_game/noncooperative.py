@@ -109,26 +109,33 @@ def _own_solve(
     t0: int,
     controls: np.ndarray,
     options: SolveOptions,
-) -> SolveReport:
+    pin_mu: bool = False,
+) -> tuple[np.ndarray, SolveReport]:
     """Maximize ``region``'s own welfare over the window of ``controls``.
 
-    The window starts at absolute step ``t0`` from state ``x0``. Every
-    other region follows its rows of ``controls`` (n, steps, 2); the
-    solve warm-starts from ``region``'s own rows.
+    The window starts at absolute step ``t0`` from state ``x0``.
+    ``controls`` (n, steps, 2) holds every region's controls over the
+    window: the others follow their rows, and the solve warm-starts from
+    ``region``'s own rows. ``pin_mu`` holds ``region``'s abatement at its
+    rows' values through degenerate bounds, so only its saving moves.
+    Returns the full (n, steps, 2) controls with ``region``'s rows
+    solved, and the solver report.
     """
     weights = np.zeros(scenario.n_regions)
     weights[region] = 1.0
-    problem = WindowProblem(
-        scenario,
-        weights,
-        x0,
-        t0,
-        controls.shape[1],
-        free_regions=[region],
-        fixed=controls,
-    )
+    problem = WindowProblem(scenario, weights, x0, t0, controls, free_regions=[region])
     init = problem.extract(controls)
-    return maximize(problem, problem.lower, problem.upper, init, options)
+    lower, upper = problem.lower, problem.upper
+    if pin_mu:
+        lower, upper = lower.copy(), upper.copy()
+        lower[1::2] = upper[1::2] = init[1::2]
+    report = maximize(problem, lower, upper, init, options)
+    return problem.embed(report.x), report
+
+
+def _shifted(plan: np.ndarray) -> np.ndarray:
+    """Next window's warm start: ``plan`` advanced one step, last step repeated."""
+    return np.concatenate([plan[:, 1:], plan[:, -1:]], axis=1)
 
 
 def best_response(
@@ -144,12 +151,12 @@ def best_response(
     """
     if not 0 <= region < scenario.n_regions:
         raise ModelDomainError("region index out of range")
-    report = _own_solve(
+    full, report = _own_solve(
         scenario, region, scenario.x0, 0, profile.controls, options or SolveOptions()
     )
     return BestResponseResult(
         region=region,
-        controls=report.x.reshape(profile.horizon + 1, 2).copy(),
+        controls=full[region].copy(),
         welfare=report.objective,
         report=report,
     )
@@ -273,7 +280,7 @@ def rhfa_dg(
     """
     if t_sim < 1 or t_rh < 1:
         raise ModelDomainError("t_sim and t_rh must be at least 1")
-    if t_sim + t_rh + 1 > scenario.exo.length:
+    if t_sim + t_rh > scenario.exo.length:
         raise ModelDomainError(
             "exogenous paths do not cover t_sim + t_rh; extend the scenario"
         )
@@ -290,24 +297,18 @@ def rhfa_dg(
     played = np.empty((n, t_sim + 1, 2))
     played[:, 0, :] = initial_controls
     x, _ = step(0, scenario.x0, initial_controls, scenario)
-    prev_plans = np.repeat(initial_controls[:, None, :], t_rh, axis=1)
+    plans = np.repeat(initial_controls[:, None, :], t_rh, axis=1)
 
     for t in range(t_sim):
-        current = played[:, t, :]
-        fixed = np.repeat(current[:, None, :], t_rh, axis=1)
-        inits = np.concatenate(
-            [prev_plans[:, 1:, :], prev_plans[:, -1:, :]], axis=1
-        )
-        args = []
-        for i in range(n):
-            window = fixed.copy()
-            window[i] = inits[i]
-            args.append((scenario, i, x, t + 1, window, opts))
-        reports = _pool_map(_own_solve, args, threads)
-        plans = np.array([r.x.reshape(t_rh, 2) for r in reports])
+        # Region i's window: the others frozen at their just-played
+        # controls, its own rows warm-started from its shifted plan.
+        windows = np.array([np.repeat(played[:, t, None, :], t_rh, axis=1)] * n)
+        windows[range(n), range(n)] = _shifted(plans)
+        args = [(scenario, i, x, t + 1, windows[i], opts) for i in range(n)]
+        solved = _pool_map(_own_solve, args, threads)
+        plans = np.array([full[i] for i, (full, _) in enumerate(solved)])
         played[:, t + 1, :] = plans[:, 0, :]
         x, _ = step(t + 1, x, plans[:, 0, :], scenario)
-        prev_plans = plans
 
     profile = ControlProfile(played)
     return RhfaResult(

@@ -71,6 +71,8 @@ class SolveOptions:
 class SolveReport:
     """Outcome of one :func:`maximize` call.
 
+    ``initial_objective`` is the objective at the caller's initial point
+    (after clipping into the box), so callers need not evaluate it again.
     ``objective_log`` holds the unscaled objective at the initial point and
     every accepted iterate of the winning start; it is nondecreasing.
     ``termination`` is one of ``gradient``, ``objective-change``,
@@ -79,6 +81,7 @@ class SolveReport:
 
     x: np.ndarray
     objective: float
+    initial_objective: float
     iterations: int
     n_evaluations: int
     termination: str
@@ -199,6 +202,7 @@ def maximize(
             best = SolveReport(
                 x=res.x.copy(),
                 objective=f_run,
+                initial_objective=f0,
                 iterations=res.nit,
                 n_evaluations=res.nfev,
                 termination=_termination_reason(res),
@@ -230,9 +234,7 @@ def gradient_adjoint(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (scenario.n_regions,):
         raise ModelDomainError("weights must have shape (n,)")
-    if profile.n_regions != scenario.n_regions:
-        raise ModelDomainError("profile region count does not match scenario")
-    problem = WindowProblem(scenario, weights, scenario.x0, 0, profile.horizon + 1)
+    problem = WindowProblem(scenario, weights, scenario.x0, 0, profile.controls)
     return problem(profile.controls.ravel())[1]
 
 
@@ -244,11 +246,13 @@ def gradient_adjoint(
 class WindowProblem:
     """Weighted-welfare objective over a time window with frozen regions.
 
-    Decision variables are the controls of ``free_regions`` over the
-    ``steps`` steps starting at absolute step ``t0`` from state ``x0``;
-    all other regions follow ``fixed`` (a (n, steps, 2) array). The
-    objective value is the weighted welfare over the window and the
-    gradient is the exact adjoint restricted to the free coordinates.
+    ``controls`` is the window's (n, steps, 2) control array; its length
+    sets ``steps``. Decision variables are the controls of
+    ``free_regions`` (default: all) over the ``steps`` steps starting at
+    absolute step ``t0`` from state ``x0``; every other region follows its
+    rows of ``controls``. The objective value is the weighted welfare over
+    the window and the gradient is the exact adjoint restricted to the
+    free coordinates.
     """
 
     def __init__(
@@ -257,25 +261,21 @@ class WindowProblem:
         weights: np.ndarray,
         x0: RiceState,
         t0: int,
-        steps: int,
+        controls: np.ndarray,
         free_regions=None,
-        fixed: np.ndarray | None = None,
     ):
         n = scenario.n_regions
         self.scenario = scenario
         self.weights = np.asarray(weights, dtype=float)
         self.x0_vec = x0.to_vector()
         self.t0 = t0
-        self.steps = steps
+        self.controls = np.asarray(controls, dtype=float)
+        if self.controls.ndim != 3 or self.controls.shape[::2] != (n, 2):
+            raise ModelDomainError("controls must have shape (n, steps, 2)")
+        self.steps = steps = self.controls.shape[1]
         if free_regions is None:
             free_regions = np.arange(n)
         self.free_regions = np.asarray(free_regions, dtype=int)
-        if fixed is None:
-            fixed = np.zeros((n, steps, 2))
-        fixed = np.asarray(fixed, dtype=float)
-        if fixed.shape != (n, steps, 2):
-            raise ModelDomainError("fixed controls must have shape (n, steps, 2)")
-        self.fixed = fixed
         if t0 < 0 or t0 + steps > scenario.exo.length:
             raise ModelDomainError("window exceeds exogenous path coverage")
         lo = np.concatenate([scenario.control_lower()] * steps)
@@ -285,7 +285,7 @@ class WindowProblem:
 
     def embed(self, z: np.ndarray) -> np.ndarray:
         """Full (n, steps, 2) controls with z written into the free rows."""
-        full = self.fixed.copy()
+        full = self.controls.copy()
         full[self.free_regions] = z.reshape(self.free_regions.size, self.steps, 2)
         return full
 

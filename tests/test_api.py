@@ -1,6 +1,8 @@
-"""The public API: every exported name exists."""
+"""The public API: every exported name exists; every import is used."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,32 @@ def test_all_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _unused_imports(path: Path) -> list:
+    """Names ``path`` imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_import_is_used():
+    package = Path(importlib.import_module("rice_game").__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [u for path in modules for u in _unused_imports(path)] == []

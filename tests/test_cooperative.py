@@ -19,6 +19,7 @@ from rice_game import (
 )
 from rice_game import cooperative
 from rice_game.cooperative import default_initial_profile, pareto_weights
+from rice_game.solver import WindowProblem
 
 FAST = SolveOptions(multistart=1, max_iter=300)
 
@@ -112,6 +113,13 @@ def test_solve_swm_warm_restart_never_loses(small_scenario):
     first = solve_swm(small_scenario, FAST)
     second = solve_swm(small_scenario, FAST, init=first.profile.controls)
     assert second.welfare >= first.welfare - 1e-9 * abs(first.welfare)
+    # A start one step short or flattened is rejected, not solved as given.
+    controls = first.profile.controls
+    for bad in (controls[:, :-1], controls.ravel()):
+        with pytest.raises(ModelDomainError):
+            solve_swm(small_scenario, FAST, init=bad)
+        with pytest.raises(ModelDomainError):
+            solve_pareto_point(small_scenario, 0.5, FAST, init=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +269,9 @@ def test_mpc_rejects_bad_horizons(small_scenario):
 def test_mpc_windows_ascend_and_shapes(small_scenario):
     res = mpc_rice(small_scenario, t_sim=4, t_rh=3, options=FAST)
     n = small_scenario.n_regions
+    sc, cold = small_scenario, default_initial_profile(small_scenario, 4)
+    first = WindowProblem(sc, sc.weights, sc.x0, 0, cold)
+    assert res.window_initial_objectives[0] == first(cold.ravel())[0]
     assert res.profile.controls.shape == (n, 5, 2)
     assert res.trajectory.horizon == 4
     assert res.window_objectives.shape == (5,)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_profile
+from conftest import make_scenario, random_profile
 
 from rice_game import (
     ControlProfile,
@@ -196,7 +196,7 @@ def test_rhfa_rejects_bad_arguments(small_scenario):
     with pytest.raises(ModelDomainError):
         rhfa_dg(small_scenario, t_sim=3, t_rh=0)
     with pytest.raises(ModelDomainError):
-        rhfa_dg(small_scenario, t_sim=35, t_rh=5)
+        rhfa_dg(small_scenario, t_sim=36, t_rh=5)
     with pytest.raises(ModelDomainError):
         rhfa_dg(
             small_scenario,
@@ -204,6 +204,16 @@ def test_rhfa_rejects_bad_arguments(small_scenario):
             t_rh=2,
             initial_controls=np.zeros((small_scenario.n_regions, 3)),
         )
+
+
+def test_rhfa_last_window_may_end_at_the_last_exogenous_step():
+    sc = make_scenario(length=12)
+    first = np.column_stack([np.full(sc.n_regions, 0.25), np.full(sc.n_regions, 0.1)])
+    # The last window covers steps t_sim .. t_sim + t_rh - 1.
+    res = rhfa_dg(sc, t_sim=9, t_rh=3, options=FAST, initial_controls=first)
+    assert res.profile.controls.shape == (sc.n_regions, 10, 2)
+    with pytest.raises(ModelDomainError):
+        rhfa_dg(sc, t_sim=10, t_rh=3, options=FAST, initial_controls=first)
 
 
 def test_rhfa_plays_initial_controls_first(small_scenario):

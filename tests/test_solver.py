@@ -18,10 +18,12 @@ from rice_game.model import (
     ControlProfile,
     ModelBreakdownError,
     ModelDomainError,
+    regional_welfare,
     simulate,
     weighted_welfare,
 )
 from rice_game import solver
+from rice_game.noncooperative import _own_solve
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
@@ -47,7 +49,8 @@ def pack(controls):
 def test_decision_vector_round_trip(small_scenario, rng):
     sc = small_scenario
     profile = random_profile(sc, 5, rng)
-    problem = WindowProblem(sc, sc.weights, sc.x0, 0, 5)
+    problem = WindowProblem(sc, sc.weights, sc.x0, 0, profile.controls)
+    assert problem.steps == 5
     z = problem.extract(profile.controls)
     assert z.shape == (3 * 5 * 2,)
     # Region-major, then step, then [s, mu].
@@ -330,9 +333,7 @@ def test_window_problem_matches_oracle(small_scenario, rng):
     consts = scenario_constants(sc)
     steps, t0 = 4, 2
     fixed = random_profile(sc, steps, rng).controls
-    problem = WindowProblem(
-        sc, sc.weights, sc.x0, t0, steps, free_regions=[1], fixed=fixed
-    )
+    problem = WindowProblem(sc, sc.weights, sc.x0, t0, fixed, free_regions=[1])
     z = problem.extract(fixed)
     assert z.shape == (steps * 2,)
     full = problem.embed(z)
@@ -351,9 +352,7 @@ def test_window_problem_gradient_matches_fd(small_scenario, rng):
     sc = small_scenario
     steps = 4
     fixed = random_profile(sc, steps, rng, margin=0.05).controls
-    problem = WindowProblem(
-        sc, sc.weights, sc.x0, 1, steps, free_regions=[0, 2], fixed=fixed
-    )
+    problem = WindowProblem(sc, sc.weights, sc.x0, 1, fixed, free_regions=[0, 2])
     z = problem.extract(fixed)
     _, grad = problem(z)
     g_fd, _ = gradient_fd(
@@ -366,40 +365,52 @@ def test_window_problem_gradient_matches_fd(small_scenario, rng):
 
 def test_window_problem_validation(small_scenario):
     sc = small_scenario
-    with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, 0, 3, fixed=np.zeros((3, 5, 2)))
+
+    def window(steps):
+        return np.zeros((sc.n_regions, steps, 2))
+
+    for shape in ((2, 5, 2), (3, 5, 3), (3, 10), (30,)):
+        with pytest.raises(ModelDomainError):
+            WindowProblem(sc, sc.weights, sc.x0, 0, np.zeros(shape))
     # The window must lie inside the exogenous paths: steps t0..t0+steps-1.
     with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 1, 2)
+        WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 1, window(2))
     with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - sc.horizon, sc.horizon + 1)
+        WindowProblem(
+            sc, sc.weights, sc.x0, sc.exo.length - sc.horizon, window(sc.horizon + 1)
+        )
     with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, -1, 2)
-    last = WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 2, 2)
+        WindowProblem(sc, sc.weights, sc.x0, -1, window(2))
+    last = WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 2, window(2))
     assert last.steps == 2
 
 
 def test_window_problem_solve_stays_in_box(small_scenario, rng):
     sc = small_scenario
     steps = sc.horizon + 1
-    problem = WindowProblem(sc, sc.weights, sc.x0, 0, steps)
-    init = random_profile(sc, steps, rng).controls.ravel()
+    controls = random_profile(sc, steps, rng).controls
+    problem = WindowProblem(sc, sc.weights, sc.x0, 0, controls)
+    init = controls.ravel()
     report = maximize(problem, problem.lower, problem.upper, init, SolveOptions())
     assert np.all(report.x >= problem.lower - 1e-12)
     assert np.all(report.x <= problem.upper + 1e-12)
     f_init = problem(init)[0]
+    assert report.initial_objective == f_init
     assert report.objective >= f_init - 1e-9 * abs(f_init)
 
 
 def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
     sc = small_scenario
-    steps = 5
-    fixed = random_profile(sc, steps, rng).controls
-    problem = WindowProblem(
-        sc, sc.weights, sc.x0, 0, steps, free_regions=[2], fixed=fixed
-    )
-    report = maximize(
-        problem, problem.lower, problem.upper, problem.extract(fixed), SolveOptions()
-    )
-    full = problem.embed(report.x)
-    np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
+    fixed = random_profile(sc, 5, rng, margin=0.05).controls
+    before = regional_welfare(simulate(sc.x0, ControlProfile(fixed), sc), sc)[2]
+    for pin_mu in (False, True):
+        full, report = _own_solve(sc, 2, sc.x0, 0, fixed, SolveOptions(), pin_mu=pin_mu)
+        np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
+        if pin_mu:
+            np.testing.assert_array_equal(full[2, :, 1], fixed[2, :, 1])
+        assert not np.array_equal(full[2, :, 0], fixed[2, :, 0])
+        after = regional_welfare(simulate(sc.x0, ControlProfile(full), sc), sc)[2]
+        assert report.initial_objective == pytest.approx(before, rel=1e-12)
+        assert report.objective == pytest.approx(after, rel=1e-12)
+        assert report.objective >= report.initial_objective
+        assert after >= before

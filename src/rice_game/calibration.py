@@ -579,6 +579,8 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"scenario file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"scenario file is not UTF-8: {exc}") from exc
     return parse_scenario(doc)
 
 

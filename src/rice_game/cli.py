@@ -3,8 +3,8 @@
 Subcommands: simulate, swm, pareto, mpc, rba, rhfa, scc, validate. Each
 run writes its outputs plus a manifest.json into the output directory
 (--out, falling back to the RICE_GAME_OUT environment variable, then the
-working directory). Exit codes: 0 success, 1 scenario validation failure,
-2 model or solver error, 64 usage error.
+working directory). Exit codes: 0 success, 1 scenario validation or file
+failure, 2 model or solver error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _run(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"rice-game: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ScenarioFormatError as exc:

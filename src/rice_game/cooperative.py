@@ -258,7 +258,9 @@ def mpc_rice(
     At each step t the window [t, t + t_rh] is re-solved from the current
     state, warm-started from the previous window's solution shifted by one
     (last entry repeated); only the first controls are played. The played
-    window objective never falls below the shifted initializer's.
+    window objective never falls below the shifted initializer's. A played
+    step that breaks the model raises :class:`ModelBreakdownError`, with its
+    step and region; no truncated run is returned.
     """
     if t_sim < 0 or t_rh < 1:
         raise ModelDomainError("t_sim must be >= 0 and t_rh >= 1")

@@ -15,7 +15,7 @@ same inputs reproduce trajectories bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -375,11 +375,9 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _check_controls(scenario: Scenario, s_tn: np.ndarray, mu_tn: np.ndarray):
-    # Asked as "inside" so that a NaN, which fails every comparison, is out.
-    inside = (s_tn >= 0.0) & (s_tn <= 1.0) & (mu_tn >= 0.0) & (mu_tn <= 1.0)
-    if not inside.all():
-        raise ModelDomainError("controls must lie in [0, 1]")
+def _time_major(controls: np.ndarray) -> np.ndarray:
+    """The (steps, n) saving and abatement arrays of (n, steps, 2) controls, stacked."""
+    return np.ascontiguousarray(controls.transpose(2, 1, 0))
 
 
 def _forward(
@@ -393,8 +391,9 @@ def _forward(
     """Roll the dynamics forward. Controls are time-major (T+1, n).
 
     ``t0`` is the absolute step of the first control, used to index the
-    exogenous paths and discount factors. Returns a dict of arrays; states
-    has shape (T+2, 5+n).
+    exogenous paths and discount factors. Returns the :class:`Trajectory`
+    and the per-capita consumption raised to the floor, (T+1, n), that the
+    payoff and the adjoint read.
     """
     n = scenario.n_regions
     steps = s_tn.shape[0]
@@ -406,7 +405,10 @@ def _forward(
             f" [{t0}, {t0 + steps - 1}] (length {scenario.exo.length})"
         )
     if check:
-        _check_controls(scenario, s_tn, mu_tn)
+        # Asked as "inside" so that a NaN, which fails every comparison, is out.
+        inside = (s_tn >= 0.0) & (s_tn <= 1.0) & (mu_tn >= 0.0) & (mu_tn <= 1.0)
+        if not inside.all():
+            raise ModelDomainError("controls must lie in [0, 1]")
         if not (np.isfinite(x0_vec).all() and (x0_vec[2:] > 0.0).all()):
             raise ModelDomainError(
                 "start state must be finite, with positive carbon stocks and capital"
@@ -491,19 +493,7 @@ def _forward(
 
     C = (1.0 - s_tn) * Q
     cpc, floored = _per_capita(scenario, C, t0)
-    return {
-        "states": states,
-        "Y": Y,
-        "Q": Q,
-        "C": C,
-        "LAM": LAM,
-        "OM": OM,
-        "EREG": EREG,
-        "ETOT": ETOT,
-        "F": F,
-        "cpc": cpc,
-        "floored": floored,
-    }
+    return Trajectory(states, Y, Q, C, LAM, OM, EREG, ETOT, F, floored), cpc
 
 
 def _per_capita(scenario: Scenario, consumption: np.ndarray, t0: int) -> tuple:
@@ -548,16 +538,17 @@ def _adjoint_arrays(
     bit. ``check`` validates controls and the initial state as the rollout
     does.
     """
-    fw = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
+    traj, cpc = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
     steps, n = s_tn.shape
-    cpc = fw["cpc"]
     f = _utilities(scenario, cpc, t0).sum(axis=0) @ weights.T
     batched = weights.ndim == 2
     if not batched:
         f = float(f)
     # d(utility)/d(consumption), zero where the floor bit.
     dudc = np.where(
-        fw["floored"], 0.0, cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps]
+        traj.consumption_floored,
+        0.0,
+        cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps],
     )
 
     geo = scenario.geo
@@ -568,8 +559,8 @@ def _adjoint_arrays(
     phi11, phi12, phi21, phi22 = geo.phi11, geo.phi12, geo.phi21, geo.phi22
     (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
 
-    states = fw["states"]
-    Y, OM, LAM, Q = fw["Y"], fw["OM"], fw["LAM"], fw["Q"]
+    states, Y, Q = traj.states, traj.gross_output, traj.net_output
+    OM, LAM = traj.damage_fraction, traj.abatement_fraction
     K = states[:steps, 5:]
     sig = scenario.exo.sigma[t0 : t0 + steps]
     unabated = 1.0 - mu_tn
@@ -626,36 +617,26 @@ def _adjoint_arrays(
     return f, gs, gmu, lam_mat, dudc
 
 
-def step(
-    t: int, x: RiceState, u, scenario: Scenario
-) -> tuple[RiceState, dict]:
+def step(t: int, x: RiceState, u, scenario: Scenario) -> tuple[RiceState, dict]:
     """Advance one step from state x at absolute step t under controls u.
 
     ``u`` is an (n, 2) array of [s, mu] rows. Returns the next state and a
-    diagnostics dict with per-region Y, Q, C, Lambda, Omega, emissions and
-    the scalar total emissions and forcing.
+    diagnostics dict: row 0 of the one-step :class:`Trajectory`, keyed by
+    field name, with the per-region flows as (n,) arrays and the total
+    emissions and forcing as floats.
     """
     uarr = np.asarray(u, dtype=float)
     if uarr.shape != (scenario.n_regions, 2):
         raise ModelDomainError("controls must have shape (n, 2)")
-    out = _forward(
-        scenario,
-        x.to_vector(),
-        uarr[None, :, 0],
-        uarr[None, :, 1],
-        t0=t,
-    )
+    traj, _ = _forward(scenario, x.to_vector(), *_time_major(uarr[:, None]), t0=t)
     diag = {
-        "gross_output": out["Y"][0],
-        "net_output": out["Q"][0],
-        "consumption": out["C"][0],
-        "abatement_fraction": out["LAM"][0],
-        "damage_fraction": out["OM"][0],
-        "emissions": out["EREG"][0],
-        "total_emissions": float(out["ETOT"][0]),
-        "forcing": float(out["F"][0]),
+        f.name: getattr(traj, f.name)[0]
+        for f in fields(Trajectory)
+        if f.name not in ("states", "consumption_floored")
     }
-    return RiceState.from_vector(out["states"][1]), diag
+    diag["total_emissions"] = float(traj.total_emissions[0])
+    diag["forcing"] = float(traj.forcing[0])
+    return RiceState.from_vector(traj.states[1]), diag
 
 
 def simulate(
@@ -669,25 +650,7 @@ def simulate(
     """
     if profile.n_regions != scenario.n_regions:
         raise ModelDomainError("profile region count does not match scenario")
-    out = _forward(
-        scenario,
-        x0.to_vector(),
-        np.ascontiguousarray(profile.saving.T),
-        np.ascontiguousarray(profile.mu.T),
-        t0=t0,
-    )
-    return Trajectory(
-        states=out["states"],
-        gross_output=out["Y"],
-        net_output=out["Q"],
-        consumption=out["C"],
-        abatement_fraction=out["LAM"],
-        damage_fraction=out["OM"],
-        emissions=out["EREG"],
-        total_emissions=out["ETOT"],
-        forcing=out["F"],
-        consumption_floored=out["floored"],
-    )
+    return _forward(scenario, x0.to_vector(), *_time_major(profile.controls), t0=t0)[0]
 
 
 def regional_welfare(traj: Trajectory, scenario: Scenario, t0: int = 0) -> np.ndarray:
@@ -744,8 +707,7 @@ def social_cost_of_co2(
     _, _, _, lam_mat, dudc = _adjoint_arrays(
         scenario,
         x0.to_vector(),
-        np.ascontiguousarray(profile.saving.T),
-        np.ascontiguousarray(profile.mu.T),
+        *_time_major(profile.controls),
         np.eye(scenario.n_regions),
         check=True,
         regions=[],

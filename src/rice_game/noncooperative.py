@@ -276,7 +276,10 @@ def rhfa_dg(
     its own controls over [t+1, t+t_rh] against the others frozen at
     their just-played controls, keeps only the first planned control, and
     the game advances. Plans beyond the first step are discarded from the
-    game (they only seed the next round's solver).
+    game (they only seed the next round's solver). Plans solved against
+    frozen opponents can still break the model when played together; the
+    step that plays them raises :class:`ModelBreakdownError`, with its step
+    and region, as :func:`simulate` would, and no truncated play is returned.
     """
     if t_sim < 1 or t_rh < 1:
         raise ModelDomainError("t_sim and t_rh must be at least 1")

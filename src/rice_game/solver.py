@@ -23,6 +23,7 @@ from .model import (
     RiceState,
     Scenario,
     _adjoint_arrays,
+    _time_major,
 )
 
 __all__ = [
@@ -294,9 +295,7 @@ class WindowProblem:
         return np.asarray(full, dtype=float)[self.free_regions].ravel().copy()
 
     def __call__(self, z: np.ndarray):
-        full = self.embed(z)
-        s_tn = np.ascontiguousarray(full[:, :, 0].T)
-        mu_tn = np.ascontiguousarray(full[:, :, 1].T)
+        s_tn, mu_tn = _time_major(self.embed(z))
         f, gs, gmu, _, _ = _adjoint_arrays(
             self.scenario,
             self.x0_vec,

@@ -1,7 +1,9 @@
-"""The public API: every exported name exists; every import is used."""
+"""The public API: names resolve, every import is used, and the API does not grow."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,16 @@ def test_every_import_is_used():
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+def test_public_api_does_not_grow():
+    # A new public name or settable value must raise these ceilings here.
+    package = importlib.import_module("rice_game")
+    settable = len(dataclasses.fields(package.SolveOptions))
+    for name in package.__all__:
+        obj = getattr(package, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            settable += sum(p.default is not inspect.Parameter.empty for p in params)
+    assert len(package.__all__) <= 35
+    assert settable <= 27

@@ -318,6 +318,13 @@ def test_load_rejects_invalid_json(tmp_path):
         load_scenario(path)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "Z\xfcrich"}')
+    with pytest.raises(ScenarioFormatError, match="not UTF-8"):
+        load_scenario(path)
+
+
 def test_parse_rejects_wrong_version(default_scenario):
     doc = serialize_scenario(default_scenario)
     doc["schema_version"] = 2

@@ -182,6 +182,41 @@ def test_validate_rejects_wrong_json_type_without_traceback(scenario_file, tmp_p
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        ("scenario-is-a-directory", "validate"),
+        ("scenario-is-a-directory", "simulate"),
+        ("scenario-is-not-utf8", "validate"),
+        ("scenario-is-not-utf8", "simulate"),
+        ("out-is-a-file", "simulate"),
+        ("out-is-under-a-file", "simulate"),
+    ],
+)
+def test_file_errors_exit_one_without_traceback(case, command, scenario_file, tmp_path):
+    plain_file = tmp_path / "plain"
+    plain_file.write_text("")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "Z\xfcrich"}')
+    scenario, out = {
+        "scenario-is-a-directory": (tmp_path, tmp_path / "o"),
+        "scenario-is-not-utf8": (latin1, tmp_path / "o"),
+        "out-is-a-file": (scenario_file, plain_file),
+        "out-is-under-a-file": (scenario_file, plain_file / "sub"),
+    }[case]
+    argv = [command, "--scenario", str(scenario)]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rice_game", *argv],
+        capture_output=True, text=True, env=_checkout_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rice-game: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

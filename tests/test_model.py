@@ -263,18 +263,34 @@ def test_simulate_determinism(small_scenario, rng):
     np.testing.assert_array_equal(a.total_emissions, b.total_emissions)
 
 
-def test_step_consistent_with_simulate(small_scenario, rng):
-    profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
-    traj = simulate(small_scenario.x0, profile, small_scenario)
-    x = small_scenario.x0
-    for t in range(small_scenario.horizon + 1):
-        x, diag = step(t, x, profile.controls[:, t, :], small_scenario)
-        np.testing.assert_allclose(
-            x.to_vector(), traj.states[t + 1], rtol=1e-13, atol=1e-13
-        )
-        np.testing.assert_allclose(
-            diag["consumption"], traj.consumption[t], rtol=1e-13
-        )
+STEP_DIAGNOSTICS = [
+    "gross_output",
+    "net_output",
+    "consumption",
+    "abatement_fraction",
+    "damage_fraction",
+    "emissions",
+    "total_emissions",
+    "forcing",
+]
+
+
+def test_step_consistent_with_simulate(small_scenario, default_scenario, rng):
+    for sc in (small_scenario, default_scenario):
+        for _ in range(3):
+            profile = random_profile(sc, sc.horizon + 1, rng)
+            traj = simulate(sc.x0, profile, sc)
+            x = sc.x0
+            for t in range(sc.horizon + 1):
+                x, diag = step(t, x, profile.controls[:, t, :], sc)
+                np.testing.assert_array_equal(x.to_vector(), traj.states[t + 1])
+                assert list(diag) == STEP_DIAGNOSTICS
+                for name, value in diag.items():
+                    np.testing.assert_array_equal(
+                        value, getattr(traj, name)[t], err_msg=name
+                    )
+                assert type(diag["total_emissions"]) is float
+                assert type(diag["forcing"]) is float
 
 
 def test_trajectory_identities(small_scenario, rng):
@@ -423,11 +439,13 @@ def test_windowed_rollout_reproduces_full_rollout(small_scenario, rng, t0):
     profile = random_profile(sc, sc.horizon + 1, rng)
     s_tn = np.ascontiguousarray(profile.saving.T)
     mu_tn = np.ascontiguousarray(profile.mu.T)
-    full = _forward(sc, sc.x0.to_vector(), s_tn, mu_tn)
-    window = _forward(sc, full["states"][t0], s_tn[t0:], mu_tn[t0:], t0=t0)
-    np.testing.assert_array_equal(window["states"], full["states"][t0:])
-    for key in ("Y", "Q", "C", "LAM", "OM", "EREG", "ETOT", "F"):
-        np.testing.assert_array_equal(window[key], full[key][t0:], err_msg=key)
+    full, _ = _forward(sc, sc.x0.to_vector(), s_tn, mu_tn)
+    window, _ = _forward(sc, full.states[t0], s_tn[t0:], mu_tn[t0:], t0=t0)
+    np.testing.assert_array_equal(window.states, full.states[t0:])
+    for name in STEP_DIAGNOSTICS:
+        np.testing.assert_array_equal(
+            getattr(window, name), getattr(full, name)[t0:], err_msg=name
+        )
 
 
 def test_consumption_floor_flagged():

@@ -7,6 +7,7 @@ from conftest import make_scenario, random_profile
 
 from rice_game import (
     ControlProfile,
+    ModelBreakdownError,
     ModelDomainError,
     SolveOptions,
     best_response,
@@ -214,6 +215,16 @@ def test_rhfa_last_window_may_end_at_the_last_exogenous_step():
     assert res.profile.controls.shape == (sc.n_regions, 10, 2)
     with pytest.raises(ModelDomainError):
         rhfa_dg(sc, t_sim=10, t_rh=3, options=FAST, initial_controls=first)
+
+
+def test_rhfa_raises_when_joint_play_breaks_the_model():
+    # Each region's window solve is feasible against the others frozen, but
+    # the controls played together break the model; the breakdown is raised,
+    # not returned as a shorter play.
+    with pytest.raises(ModelBreakdownError) as exc_info:
+        rhfa_dg(make_scenario(), t_sim=35, t_rh=5)
+    assert exc_info.value.step == 21
+    assert exc_info.value.region == 2
 
 
 def test_rhfa_plays_initial_controls_first(small_scenario):

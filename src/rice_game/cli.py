@@ -127,8 +127,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rba", help="recursive best response toward open-loop Nash")
     common(p, horizon=True)
-    p.add_argument("--episodes", type=_at_least(1), default=21,
-                   help="best-response rounds")
+    p.add_argument("--episodes", type=_at_least(1), default=21, metavar="N",
+                   help="at most N best-response rounds")
     p.add_argument(
         "--verify-ne",
         action="store_true",
@@ -304,6 +304,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
         "episodes": len(result.episodes) - 1,
         "converged": result.converged,
         "distance_inf_last": float(result.episodes[-1].distance_inf),
+        "nash_residual_last": float(result.episodes[-1].nash_residual.max()),
         "terminal_t_at_degc": float(result.trajectory.states[-2, 0]),
         "welfare_per_region": dict(
             zip(
@@ -320,6 +321,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
             "welfare": [float(w) for w in cert.welfare],
             "best_response_welfare": [float(w) for w in cert.best_response_welfare],
             "relative_gain": [float(g) for g in cert.relative_gain],
+            "nash_residual": [float(r) for r in cert.nash_residual],
             "terminations": list(cert.terminations),
             "converged": cert.converged,
             "regions": list(scenario.region_names),

@@ -21,11 +21,20 @@ from .model import (
     RiceState,
     Scenario,
     Trajectory,
+    _adjoint_arrays,
+    _time_major,
     regional_welfare,
     simulate,
     step,
 )
-from .solver import SolveOptions, SolveReport, WindowProblem, _pool_map, maximize
+from .solver import (
+    _GRAD_TOL,
+    SolveOptions,
+    SolveReport,
+    WindowProblem,
+    _pool_map,
+    maximize,
+)
 
 __all__ = [
     "BestResponseResult",
@@ -42,6 +51,12 @@ __all__ = [
 #: Solver terminations after which a best response counts as converged.
 _CONVERGED_TERMINATIONS = ("gradient", "objective-change")
 
+#: :func:`rba_dg` stops after the first round whose largest Nash residual is
+#: at most ``_NASH_TOL`` and not below ``_RESIDUAL_STALL`` times the previous
+#: round's: play has stalled at what the inner solves resolve.
+_NASH_TOL = 10 * _GRAD_TOL
+_RESIDUAL_STALL = 0.5
+
 
 @dataclass
 class BestResponseResult:
@@ -55,13 +70,15 @@ class BestResponseResult:
 
 @dataclass
 class Episode:
-    """One Jacobi round: the updated profile and distances to the previous."""
+    """One round: the updated profile, its distances to the previous one, and
+    each region's first-order Nash residual (see :func:`_nash_residual`)."""
 
     index: int
     profile: np.ndarray
     welfare: np.ndarray
     distance_inf: float
     distance_2: float
+    nash_residual: np.ndarray
 
 
 @dataclass
@@ -79,16 +96,19 @@ class NeCertificate:
     """Unilateral-deviation audit of a candidate equilibrium.
 
     ``epsilon`` is the largest relative welfare gain any region can
-    secure by best-responding to the candidate. ``terminations`` holds each
-    region's best-response termination reason. ``converged`` is true only
-    when every best response stopped on its gradient or objective-change
-    test; otherwise a solve cut short may understate ``epsilon``.
+    secure by best-responding to the candidate. ``nash_residual`` is each
+    region's first-order Nash residual at the candidate. ``terminations``
+    holds each region's best-response termination reason. ``converged`` is
+    true only when every best response stopped on its gradient or
+    objective-change test; otherwise a solve cut short may understate
+    ``epsilon``.
     """
 
     welfare: np.ndarray
     best_response_welfare: np.ndarray
     relative_gain: np.ndarray
     epsilon: float
+    nash_residual: np.ndarray
     terminations: list
     converged: bool
 
@@ -131,6 +151,28 @@ def _own_solve(
         lower[1::2] = upper[1::2] = init[1::2]
     report = maximize(problem, lower, upper, init, options)
     return problem.embed(report.x), report
+
+
+def _nash_residual(scenario: Scenario, controls: np.ndarray) -> np.ndarray:
+    """Each region's first-order Nash residual at the (n, T+1, 2) ``controls``.
+
+    Entry i is ``max|u_i - P(u_i + g_i / |W_i|)|`` over region i's
+    controls u_i, where g_i is the gradient of its own welfare W_i with
+    respect to u_i and P projects onto the control box: the projected
+    gradient that :func:`maximize`'s stop test reads, with its 1/|f|
+    scaling. It is zero exactly where no region has a first-order
+    unilateral improvement. All n own-gradients come from one adjoint sweep
+    with one unit-weight row per region.
+    """
+    n = scenario.n_regions
+    welfare, gs, gmu, _, _ = _adjoint_arrays(
+        scenario, scenario.x0.to_vector(), *_time_major(controls), np.eye(n)
+    )
+    own = range(n)
+    grad = np.stack([gs[:, own, own], gmu[:, own, own]], axis=-1).transpose(1, 0, 2)
+    grad /= np.abs(welfare)[:, None, None]
+    lower, upper = scenario.control_lower(), scenario.control_upper()
+    return np.abs(np.clip(controls + grad, lower, upper) - controls).max(axis=(1, 2))
 
 
 def _shifted(plan: np.ndarray) -> np.ndarray:
@@ -176,19 +218,19 @@ def rba_dg(
     options: SolveOptions | None = None,
     initial_profile: ControlProfile | None = None,
     threads: int = 1,
-    stop_tol: float = 1e-6,
     update: str = "jacobi",
 ) -> RbaResult:
     """Recursive best-response toward an open-loop Nash equilibrium.
 
     Starts from ``initial_profile`` (defaults to the cooperative
-    social-welfare optimum) and plays up to ``episodes`` simultaneous
-    best-response rounds, stopping early when consecutive profiles are
-    within ``stop_tol`` in the infinity norm. ``update`` may be
-    ``"jacobi"`` (simultaneous, default) or ``"gauss-seidel"``
-    (sequential in region order). ``converged`` is true only after such an
-    early stop whose round had every best response end on its gradient or
-    objective-change test.
+    social-welfare optimum) and plays at most ``episodes`` best-response
+    rounds. ``update`` may be ``"jacobi"`` (simultaneous, default) or
+    ``"gauss-seidel"`` (sequential in region order). Play stops after the
+    first round whose largest Nash residual (:func:`_nash_residual`) is at
+    most ``_NASH_TOL`` and has not fallen below ``_RESIDUAL_STALL`` times
+    the previous round's, i.e. has stalled at the inner solves'
+    resolution. ``converged`` is true only after such a stop whose round
+    had every best response end on its gradient or objective-change test.
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
@@ -203,7 +245,10 @@ def rba_dg(
         """Roll ``controls`` out and log them as the next episode."""
         traj = simulate(scenario.x0, ControlProfile(controls), scenario)
         welfare = regional_welfare(traj, scenario)
-        log.append(Episode(len(log), controls.copy(), welfare, dist_inf, dist_2))
+        residual = _nash_residual(scenario, controls)
+        log.append(
+            Episode(len(log), controls.copy(), welfare, dist_inf, dist_2, residual)
+        )
         return traj
 
     controls = initial_profile.controls.copy()
@@ -225,7 +270,8 @@ def rba_dg(
         dist_2 = float(np.linalg.norm((new - controls).ravel()))
         controls = new
         traj = record(controls, dist_inf, dist_2)
-        if dist_inf < stop_tol:
+        residual = log[-1].nash_residual.max()
+        if _RESIDUAL_STALL * log[-2].nash_residual.max() <= residual <= _NASH_TOL:
             converged = all(t in _CONVERGED_TERMINATIONS for t in terminations)
             break
     return RbaResult(
@@ -256,6 +302,7 @@ def verify_epsilon_ne(
         best_response_welfare=br_welfare,
         relative_gain=gains,
         epsilon=float(gains.max()),
+        nash_residual=_nash_residual(scenario, profile.controls),
         terminations=terminations,
         converged=all(t in _CONVERGED_TERMINATIONS for t in terminations),
     )

@@ -143,10 +143,11 @@ def write_frontier_csv(points, path) -> None:
 
 
 def write_episodes_csv(episodes, region_names, path) -> None:
-    """One row per best-response episode with distances and welfares."""
+    """One row per best-response episode: distances, the largest Nash residual
+    over regions, and welfares."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["episode", "distance_inf", "distance_2"]
+        header = ["episode", "distance_inf", "distance_2", "nash_residual"]
         header += [f"welfare_{nm}" for nm in region_names]
         writer.writerow(header)
         for ep in episodes:
@@ -155,6 +156,7 @@ def write_episodes_csv(episodes, region_names, path) -> None:
                 row += ["", ""]
             else:
                 row += [fmt(ep.distance_inf), fmt(ep.distance_2)]
+            row.append(fmt(ep.nash_residual.max()))
             row += [fmt(w) for w in ep.welfare]
             writer.writerow(row)
 

@@ -38,6 +38,7 @@ from rice_game import (
     verify_epsilon_ne,
     weighted_welfare,
 )
+from rice_game.noncooperative import _NASH_TOL, _nash_residual
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -362,10 +363,21 @@ def test_criterion_06_rba_convergence(scenario, ne):
         f"{len(ne.episodes) - 1} episodes, last step {last:.2e}, first "
         f"sub-1e-3 at episode "
         f"{next((k for k, d in enumerate(distances, 1) if d < 1e-3), None)}, "
-        f"epsilon {cert.epsilon:.2e} (< 1e-3)",
+        f"Nash residual {ne.episodes[-1].nash_residual.max():.2e}, "
+        f"converged {ne.converged}, epsilon {cert.epsilon:.2e} (< 1e-3)",
     )
     assert within, f"no episode within 10 reached 1e-3: {distances[:10]}"
     assert cert.epsilon < 1e-3
+
+
+def test_nash_residual_separates_cooperation_from_equilibrium(scenario, coop, ne):
+    # The cooperative optimum leaves every region a unilateral gain; RBA
+    # stops where no region has a first-order one left.
+    coop_residual = _nash_residual(scenario, coop.profile.controls).max()
+    ne_residual = _nash_residual(scenario, ne.profile.controls).max()
+    assert coop_residual > 1e-3
+    assert ne_residual <= _NASH_TOL
+    assert ne.converged
 
 
 # ---------------------------------------------------------------------------

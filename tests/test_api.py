@@ -67,4 +67,4 @@ def test_public_api_does_not_grow():
             params = inspect.signature(obj).parameters.values()
             settable += sum(p.default is not inspect.Parameter.empty for p in params)
     assert len(package.__all__) <= 35
-    assert settable <= 27
+    assert settable <= 26

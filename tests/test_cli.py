@@ -366,7 +366,7 @@ def test_rba_with_certificate(scenario_file, tmp_path):
     assert code == 0
     rows = read_csv(out / "episodes.csv")
     sc = make_scenario()
-    assert rows[0] == ["episode", "distance_inf", "distance_2"] + [
+    assert rows[0] == ["episode", "distance_inf", "distance_2", "nash_residual"] + [
         f"welfare_{nm}" for nm in sc.region_names
     ]
     assert rows[1][0] == "0" and rows[1][1] == "" and rows[1][2] == ""
@@ -377,6 +377,7 @@ def test_rba_with_certificate(scenario_file, tmp_path):
         "welfare",
         "best_response_welfare",
         "relative_gain",
+        "nash_residual",
         "terminations",
         "converged",
         "regions",
@@ -386,8 +387,10 @@ def test_rba_with_certificate(scenario_file, tmp_path):
     assert cert["converged"] == all(
         t in ("gradient", "objective-change") for t in cert["terminations"]
     )
+    assert len(cert["nash_residual"]) == sc.n_regions
     summary = read_json(out / "summary.json")
     assert summary["epsilon"] == cert["epsilon"]
+    assert summary["nash_residual_last"] == float(rows[-1][3])
     manifest = read_json(out / "manifest.json")
     assert "ne_certificate.json" in manifest["outputs"]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_profile
+from finite_difference import gradient_fd
 
 from rice_game import (
     ControlProfile,
@@ -18,6 +19,7 @@ from rice_game import (
     verify_epsilon_ne,
 )
 from rice_game.cooperative import default_initial_profile
+from rice_game.noncooperative import _NASH_TOL, _RESIDUAL_STALL, _nash_residual
 
 FAST = SolveOptions(multistart=1, max_iter=300)
 
@@ -63,6 +65,36 @@ def test_best_response_rejects_bad_region(small_scenario, region):
 
 
 # ---------------------------------------------------------------------------
+# First-order Nash residual
+# ---------------------------------------------------------------------------
+
+
+def test_nash_residual_matches_finite_difference_own_gradients(small_scenario, rng):
+    sc = small_scenario
+    controls = random_profile(sc, sc.horizon + 1, rng, margin=0.05).controls
+    # Put some controls on their bounds: the last saving at its floor, where
+    # the step leaves the box and is clipped, and early abatement at zero.
+    controls[:, -1, 0] = sc.s_bounds[0]
+    controls[:, :3, 1] = sc.mu_bounds[0]
+    box_lo = np.tile(sc.control_lower(), sc.horizon + 1)
+    box_hi = np.tile(sc.control_upper(), sc.horizon + 1)
+    expected = []
+    for i in range(sc.n_regions):
+
+        def own_welfare(x, i=i):
+            trial = controls.copy()
+            trial[i] = x.reshape(-1, 2)
+            traj = simulate(sc.x0, ControlProfile(trial), sc)
+            return regional_welfare(traj, sc)[i]
+
+        x = controls[i].ravel()
+        g, _ = gradient_fd(own_welfare, x, step=1e-6, lower=box_lo, upper=box_hi)
+        moved = np.clip(x + g / abs(own_welfare(x)), box_lo, box_hi)
+        expected.append(np.abs(moved - x).max())
+    np.testing.assert_allclose(_nash_residual(sc, controls), expected, rtol=1e-5)
+
+
+# ---------------------------------------------------------------------------
 # Recursive best-response play
 # ---------------------------------------------------------------------------
 
@@ -73,7 +105,6 @@ def test_rba_episode_log_structure(small_scenario):
         episodes=2,
         options=FAST,
         initial_profile=cold_profile(small_scenario),
-        stop_tol=0.0,
     )
     assert len(res.episodes) == 3
     first = res.episodes[0]
@@ -82,6 +113,9 @@ def test_rba_episode_log_structure(small_scenario):
     np.testing.assert_array_equal(
         first.profile, cold_profile(small_scenario).controls
     )
+    for ep in res.episodes:
+        assert ep.nash_residual.shape == (small_scenario.n_regions,)
+        assert np.all(ep.nash_residual >= 0.0)
     for ep in res.episodes[1:]:
         assert ep.distance_inf >= 0.0
         assert ep.distance_2 >= ep.distance_inf
@@ -98,33 +132,61 @@ def test_rba_zero_episodes_returns_initial(small_scenario):
 
 
 def test_rba_converges_and_certifies_on_toy(small_scenario):
-    # Profile distances stall near the solver's reproducibility floor on
-    # flat coordinates, so the stop criterion lives at 1e-3; the
-    # certificate is the real equilibrium evidence and lands near 1e-12.
+    # The Nash residual stalls near the inner solves' resolution, where play
+    # stops; the certificate is the real equilibrium evidence and lands near
+    # 1e-11.
     res = rba_dg(
         small_scenario,
         episodes=10,
         options=FAST,
         initial_profile=cold_profile(small_scenario),
-        stop_tol=1e-3,
     )
     assert res.converged
     assert res.episodes[-1].distance_inf < 1e-3
+    assert res.episodes[-1].nash_residual.max() <= _NASH_TOL
     assert len(res.episodes) < 11
     cert = verify_epsilon_ne(small_scenario, res.profile, FAST)
     assert cert.epsilon < 1e-8
+    np.testing.assert_array_equal(cert.nash_residual, res.episodes[-1].nash_residual)
+
+
+def test_rba_stops_on_the_first_small_stalled_round(small_scenario):
+    init = cold_profile(small_scenario)
+    res = rba_dg(small_scenario, episodes=10, options=FAST, initial_profile=init)
+    residuals = [ep.nash_residual.max() for ep in res.episodes]
+
+    def stalled(k):
+        return _RESIDUAL_STALL * residuals[k - 1] <= residuals[k] <= _NASH_TOL
+
+    played = len(residuals) - 1
+    assert 1 < played < 10
+    assert stalled(played)
+    assert not any(stalled(k) for k in range(1, played))
+    # With fewer rounds allowed, the same play is cut at the cap.
+    capped = rba_dg(
+        small_scenario, episodes=played - 1, options=FAST, initial_profile=init
+    )
+    assert len(capped.episodes) == played
+    assert not capped.converged
+    for ep, full in zip(capped.episodes, res.episodes):
+        np.testing.assert_array_equal(ep.profile, full.profile)
+        np.testing.assert_array_equal(ep.nash_residual, full.nash_residual)
 
 
 @pytest.mark.parametrize("update", ["jacobi", "gauss-seidel"])
 def test_rba_not_converged_when_best_responses_stop_early(small_scenario, update):
-    # Every control lies in [0, 1], so a stop tolerance of 2 ends the first
-    # round; its best responses were cut off after one iteration.
+    # Started at an equilibrium, the first round's residual is already small
+    # and stalled, so play stops there; its best responses were cut off
+    # after one iteration.
+    equilibrium = rba_dg(
+        small_scenario, options=FAST, initial_profile=cold_profile(small_scenario)
+    )
+    assert equilibrium.converged
     res = rba_dg(
         small_scenario,
         episodes=3,
         options=SolveOptions(max_iter=1),
-        initial_profile=cold_profile(small_scenario),
-        stop_tol=2.0,
+        initial_profile=equilibrium.profile,
         update=update,
     )
     assert len(res.episodes) == 2
@@ -141,7 +203,6 @@ def test_rba_gauss_seidel_runs_and_is_deterministic(small_scenario):
         episodes=2,
         options=FAST,
         initial_profile=cold_profile(small_scenario),
-        stop_tol=0.0,
         update="gauss-seidel",
     )
     a = rba_dg(small_scenario, **kwargs)
@@ -262,7 +323,7 @@ def test_pooled_runs_match_serial(small_scenario):
     runs = {}
     for threads in (1, 2):
         rba = rba_dg(small_scenario, episodes=2, options=FAST, initial_profile=init,
-                     stop_tol=0.0, threads=threads)
+                     threads=threads)
         cert = verify_epsilon_ne(small_scenario, init, FAST, threads=threads)
         rhfa = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST,
                        initial_controls=first, threads=threads)

@@ -91,11 +91,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, horizon=False, t_rh=False, t_sim=False):
+    def common(p, seed=None, horizon=False, t_rh=False, t_sim=False):
+        """Add the shared flags; ``seed`` is the help of --seed, if it is taken."""
         p.add_argument("--scenario", help="scenario file (default: packaged scenario)")
         p.add_argument("--out", help="output directory (default: $RICE_GAME_OUT or .)")
-        p.add_argument("--seed", type=_at_least(0), default=0,
-                       help="solver multistart seed")
+        if seed:
+            p.add_argument("--seed", type=_at_least(0), default=0, help=seed)
         p.add_argument(
             "--threads",
             type=_at_least(1),
@@ -116,17 +117,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", type=float, default=0.0, help="emission control rate")
 
     p = sub.add_parser("swm", help="maximize weighted social welfare")
-    common(p, horizon=True)
+    common(p, seed="seed of the SWM 4-way multistart", horizon=True)
 
     p = sub.add_parser("pareto", help="trace the developed/developing frontier")
-    common(p, horizon=True)
+    common(p, seed="seed of each point's 2-way multistart", horizon=True)
     p.add_argument("--grid", type=_at_least(1), default=21, help="number of p values")
 
     p = sub.add_parser("mpc", help="receding-horizon welfare maximization")
     common(p, t_rh=True, t_sim=True)
 
     p = sub.add_parser("rba", help="recursive best response toward open-loop Nash")
-    common(p, horizon=True)
+    common(p, seed="seed of the start's SWM 4-way multistart", horizon=True)
     p.add_argument("--episodes", type=_at_least(1), default=21, metavar="N",
                    help="at most N best-response rounds")
     p.add_argument(
@@ -136,10 +137,10 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("rhfa", help="receding-horizon feedback play")
-    common(p, t_rh=True, t_sim=True)
+    common(p, seed="seed of the start's SWM 4-way multistart", t_rh=True, t_sim=True)
 
     p = sub.add_parser("scc", help="social cost of CO2 along a policy")
-    common(p, horizon=True)
+    common(p, seed="seed of --policy swm's SWM 4-way multistart", horizon=True)
     p.add_argument(
         "--policy",
         choices=["baseline", "swm"],
@@ -240,8 +241,13 @@ def _cmd_simulate(args, scenario, outdir) -> tuple:
     return summary, ["trajectory.csv"]
 
 
+def _swm(args, scenario):
+    """The cooperative optimum: SWM with a 4-way multistart seeded by --seed."""
+    return solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed))
+
+
 def _cmd_swm(args, scenario, outdir) -> tuple:
-    result = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed))
+    result = _swm(args, scenario)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     summary = {
@@ -277,7 +283,7 @@ def _cmd_pareto(args, scenario, outdir) -> tuple:
 
 
 def _cmd_mpc(args, scenario, outdir) -> tuple:
-    result = mpc_rice(scenario, args.t_sim, args.t_rh, SolveOptions(seed=args.seed))
+    result = mpc_rice(scenario, args.t_sim, args.t_rh)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     summary = {
@@ -293,8 +299,7 @@ def _cmd_mpc(args, scenario, outdir) -> tuple:
 
 
 def _cmd_rba(args, scenario, outdir) -> tuple:
-    opts = SolveOptions(seed=args.seed)
-    result = rba_dg(scenario, episodes=args.episodes, options=opts,
+    result = rba_dg(scenario, _swm(args, scenario).profile, episodes=args.episodes,
                     threads=args.threads)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
@@ -315,7 +320,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
     }
     outputs = ["trajectory.csv", "episodes.csv"]
     if args.verify_ne:
-        cert = verify_epsilon_ne(scenario, result.profile, opts, threads=args.threads)
+        cert = verify_epsilon_ne(scenario, result.profile, threads=args.threads)
         cert_doc = {
             "epsilon": cert.epsilon,
             "welfare": [float(w) for w in cert.welfare],
@@ -333,8 +338,8 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
 
 
 def _cmd_rhfa(args, scenario, outdir) -> tuple:
-    result = rhfa_dg(scenario, args.t_sim, args.t_rh, SolveOptions(seed=args.seed),
-                     threads=args.threads)
+    first = _swm(args, scenario).profile.controls[:, 0, :]
+    result = rhfa_dg(scenario, args.t_sim, args.t_rh, first, threads=args.threads)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     summary = {
@@ -352,7 +357,7 @@ def _cmd_scc(args, scenario, outdir) -> tuple:
     if any(not 0 <= t <= scenario.horizon for t in steps):
         raise ModelDomainError("step index out of range")
     if args.policy == "swm":
-        profile = solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed)).profile
+        profile = _swm(args, scenario).profile
     else:
         profile = ControlProfile.constant(scenario.n_regions, scenario.horizon, 0.25, 0.0)
     table = social_cost_of_co2(scenario, scenario.x0, profile, steps)

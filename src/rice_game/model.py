@@ -639,29 +639,26 @@ def step(t: int, x: RiceState, u, scenario: Scenario) -> tuple[RiceState, dict]:
     return RiceState.from_vector(traj.states[1]), diag
 
 
-def simulate(
-    x0: RiceState, profile: ControlProfile, scenario: Scenario, t0: int = 0
-) -> Trajectory:
-    """Roll out the full horizon of ``profile`` from ``x0``.
+def simulate(x0: RiceState, profile: ControlProfile, scenario: Scenario) -> Trajectory:
+    """Roll out the full horizon of ``profile`` from ``x0``, starting at step 0.
 
-    ``t0`` is the absolute step of the profile's first control. Raises
-    :class:`ModelBreakdownError` (with the failing step and region
+    Raises :class:`ModelBreakdownError` (with the failing step and region
     attached) if the model breaks down along the way.
     """
     if profile.n_regions != scenario.n_regions:
         raise ModelDomainError("profile region count does not match scenario")
-    return _forward(scenario, x0.to_vector(), *_time_major(profile.controls), t0=t0)[0]
+    return _forward(scenario, x0.to_vector(), *_time_major(profile.controls))[0]
 
 
-def regional_welfare(traj: Trajectory, scenario: Scenario, t0: int = 0) -> np.ndarray:
+def regional_welfare(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """Discounted welfare of every region along ``traj``, shape (n,).
 
-    ``t0`` is the absolute step of the trajectory's first control. The
-    consumption stored in the trajectory already carries the (1 - s_i)
-    factor and the mu_i abatement argument.
+    The trajectory's first control is at step 0, as :func:`simulate`
+    rolls it out. The consumption stored in the trajectory already carries
+    the (1 - s_i) factor and the mu_i abatement argument.
     """
-    cpc, _ = _per_capita(scenario, traj.consumption, t0)
-    return _utilities(scenario, cpc, t0).sum(axis=0)
+    cpc, _ = _per_capita(scenario, traj.consumption, 0)
+    return _utilities(scenario, cpc, 0).sum(axis=0)
 
 
 def weighted_welfare(
@@ -669,7 +666,6 @@ def weighted_welfare(
     profile: ControlProfile,
     weights: np.ndarray,
     scenario: Scenario,
-    t0: int = 0,
 ) -> float:
     """Weighted sum of regional welfares along ``traj``, the rollout of ``profile``."""
     if traj.horizon != profile.horizon or traj.n_regions != profile.n_regions:
@@ -677,7 +673,7 @@ def weighted_welfare(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (scenario.n_regions,):
         raise ModelDomainError("weights must have shape (n,)")
-    return float(regional_welfare(traj, scenario, t0) @ weights)
+    return float(regional_welfare(traj, scenario) @ weights)
 
 
 def social_cost_of_co2(

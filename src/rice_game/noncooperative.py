@@ -1,12 +1,13 @@
 """Non-cooperative play: best responses, open-loop Nash, feedback horizon play.
 
-The recursive best-response algorithm starts from a cooperative profile
-and repeats simultaneous (Jacobi) rounds in which every region maximizes
-its own welfare against the others' previous-round controls. A candidate
-profile earns an epsilon-Nash certificate when no region can improve its
-welfare by more than epsilon (relative) through unilateral deviation. The
-receding-horizon feedback variant re-plans a short window every step
-against opponents frozen at their current controls.
+The recursive best-response algorithm starts from the caller's profile
+(the paper's is the cooperative optimum) and repeats simultaneous (Jacobi)
+rounds in which every region maximizes its own welfare against the
+others' previous-round controls. A candidate profile earns an
+epsilon-Nash certificate when no region can improve its welfare by more
+than epsilon (relative) through unilateral deviation. The
+receding-horizon feedback variant plays the caller's first controls, then
+re-plans a short window every step against opponents frozen at theirs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import (
     Trajectory,
     _adjoint_arrays,
     _time_major,
-    regional_welfare,
     simulate,
     step,
 )
@@ -153,16 +153,17 @@ def _own_solve(
     return problem.embed(report.x), report
 
 
-def _nash_residual(scenario: Scenario, controls: np.ndarray) -> np.ndarray:
-    """Each region's first-order Nash residual at the (n, T+1, 2) ``controls``.
+def _nash_residual(scenario: Scenario, controls: np.ndarray) -> tuple:
+    """Regional welfare and first-order Nash residual at (n, T+1, 2) ``controls``.
 
-    Entry i is ``max|u_i - P(u_i + g_i / |W_i|)|`` over region i's
-    controls u_i, where g_i is the gradient of its own welfare W_i with
-    respect to u_i and P projects onto the control box: the projected
-    gradient that :func:`maximize`'s stop test reads, with its 1/|f|
-    scaling. It is zero exactly where no region has a first-order
-    unilateral improvement. All n own-gradients come from one adjoint sweep
-    with one unit-weight row per region.
+    Returns two (n,) arrays: each region's welfare W_i (the same bits as
+    ``regional_welfare`` of the rollout) and its residual, ``max|u_i -
+    P(u_i + g_i / |W_i|)|`` over region i's controls u_i, where g_i is the
+    gradient of W_i with respect to u_i and P projects onto the control
+    box: the projected gradient that :func:`maximize`'s stop test reads,
+    with its 1/|f| scaling. A residual is zero exactly where its region has
+    no first-order unilateral improvement. Both come from one adjoint
+    sweep with one unit-weight row per region.
     """
     n = scenario.n_regions
     welfare, gs, gmu, _, _ = _adjoint_arrays(
@@ -172,7 +173,8 @@ def _nash_residual(scenario: Scenario, controls: np.ndarray) -> np.ndarray:
     grad = np.stack([gs[:, own, own], gmu[:, own, own]], axis=-1).transpose(1, 0, 2)
     grad /= np.abs(welfare)[:, None, None]
     lower, upper = scenario.control_lower(), scenario.control_upper()
-    return np.abs(np.clip(controls + grad, lower, upper) - controls).max(axis=(1, 2))
+    moved = np.clip(controls + grad, lower, upper) - controls
+    return welfare, np.abs(moved).max(axis=(1, 2))
 
 
 def _shifted(plan: np.ndarray) -> np.ndarray:
@@ -214,45 +216,39 @@ def _best_responses(
 
 def rba_dg(
     scenario: Scenario,
+    initial_profile: ControlProfile,
     episodes: int = 21,
     options: SolveOptions | None = None,
-    initial_profile: ControlProfile | None = None,
     threads: int = 1,
     update: str = "jacobi",
 ) -> RbaResult:
     """Recursive best-response toward an open-loop Nash equilibrium.
 
-    Starts from ``initial_profile`` (defaults to the cooperative
-    social-welfare optimum) and plays at most ``episodes`` best-response
-    rounds. ``update`` may be ``"jacobi"`` (simultaneous, default) or
-    ``"gauss-seidel"`` (sequential in region order). Play stops after the
-    first round whose largest Nash residual (:func:`_nash_residual`) is at
-    most ``_NASH_TOL`` and has not fallen below ``_RESIDUAL_STALL`` times
-    the previous round's, i.e. has stalled at the inner solves'
-    resolution. ``converged`` is true only after such a stop whose round
-    had every best response end on its gradient or objective-change test.
+    Starts from ``initial_profile`` (the paper starts from the cooperative
+    optimum, ``solve_swm(scenario).profile``) and plays at most
+    ``episodes`` best-response rounds. ``update`` may be ``"jacobi"``
+    (simultaneous, default) or ``"gauss-seidel"`` (sequential in region
+    order). Play stops after the first round whose largest Nash residual
+    (:func:`_nash_residual`) is at most ``_NASH_TOL`` and has not fallen
+    below ``_RESIDUAL_STALL`` times the previous round's, i.e. has stalled
+    at the inner solves' resolution. ``converged`` is true only after such
+    a stop whose round had every best response end on its gradient or
+    objective-change test.
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
     opts = options or SolveOptions()
-    if initial_profile is None:
-        from .cooperative import solve_swm
-
-        initial_profile = solve_swm(scenario).profile
     log = []
 
     def record(controls, dist_inf, dist_2):
-        """Roll ``controls`` out and log them as the next episode."""
-        traj = simulate(scenario.x0, ControlProfile(controls), scenario)
-        welfare = regional_welfare(traj, scenario)
-        residual = _nash_residual(scenario, controls)
+        """Log ``controls`` as the next episode."""
+        welfare, residual = _nash_residual(scenario, controls)
         log.append(
             Episode(len(log), controls.copy(), welfare, dist_inf, dist_2, residual)
         )
-        return traj
 
     controls = initial_profile.controls.copy()
-    traj = record(controls, float("nan"), float("nan"))
+    record(controls, float("nan"), float("nan"))
     converged = False
     for _ in range(episodes):
         if update == "jacobi":
@@ -269,14 +265,15 @@ def rba_dg(
         dist_inf = float(np.max(np.abs(new - controls)))
         dist_2 = float(np.linalg.norm((new - controls).ravel()))
         controls = new
-        traj = record(controls, dist_inf, dist_2)
+        record(controls, dist_inf, dist_2)
         residual = log[-1].nash_residual.max()
         if _RESIDUAL_STALL * log[-2].nash_residual.max() <= residual <= _NASH_TOL:
             converged = all(t in _CONVERGED_TERMINATIONS for t in terminations)
             break
+    profile = ControlProfile(controls)
     return RbaResult(
-        profile=ControlProfile(controls),
-        trajectory=traj,
+        profile=profile,
+        trajectory=simulate(scenario.x0, profile, scenario),
         episodes=log,
         converged=converged,
     )
@@ -290,9 +287,10 @@ def verify_epsilon_ne(
 ) -> NeCertificate:
     """Measure the largest relative unilateral improvement on ``profile``."""
     opts = options or SolveOptions()
-    traj = simulate(scenario.x0, profile, scenario)
-    welfare = regional_welfare(traj, scenario)
     results = _best_responses(scenario, profile, opts, threads)
+    # Each best response starts from the candidate, so its initial
+    # objective is that region's welfare at the candidate.
+    welfare = np.array([r.report.initial_objective for r in results])
     br_welfare = np.array([r.welfare for r in results])
     terminations = [r.report.termination for r in results]
     # maximize() guarantees br_welfare >= welfare (init is the own slice).
@@ -302,7 +300,7 @@ def verify_epsilon_ne(
         best_response_welfare=br_welfare,
         relative_gain=gains,
         epsilon=float(gains.max()),
-        nash_residual=_nash_residual(scenario, profile.controls),
+        nash_residual=_nash_residual(scenario, profile.controls)[1],
         terminations=terminations,
         converged=all(t in _CONVERGED_TERMINATIONS for t in terminations),
     )
@@ -312,21 +310,22 @@ def rhfa_dg(
     scenario: Scenario,
     t_sim: int,
     t_rh: int,
+    initial_controls: np.ndarray,
     options: SolveOptions | None = None,
-    initial_controls: np.ndarray | None = None,
     threads: int = 1,
 ) -> RhfaResult:
     """Receding-horizon feedback play of the dynamic game.
 
-    Step 0 plays ``initial_controls`` (defaults to the cooperative
-    optimum's first controls). After playing step t, every region plans
-    its own controls over [t+1, t+t_rh] against the others frozen at
-    their just-played controls, keeps only the first planned control, and
-    the game advances. Plans beyond the first step are discarded from the
-    game (they only seed the next round's solver). Plans solved against
-    frozen opponents can still break the model when played together; the
-    step that plays them raises :class:`ModelBreakdownError`, with its step
-    and region, as :func:`simulate` would, and no truncated play is returned.
+    Step 0 plays the (n, 2) ``initial_controls`` (the paper's are
+    ``solve_swm(scenario).profile.controls[:, 0, :]``). After playing step
+    t, every region plans its own controls over [t+1, t+t_rh] against the
+    others frozen at their just-played controls, keeps only the first
+    planned control, and the game advances. Plans beyond the first step
+    are discarded from the game (they only seed the next round's solver).
+    Plans solved against frozen opponents can still break the model when
+    played together; the step that plays them raises
+    :class:`ModelBreakdownError`, with its step and region, as
+    :func:`simulate` would, and no truncated play is returned.
     """
     if t_sim < 1 or t_rh < 1:
         raise ModelDomainError("t_sim and t_rh must be at least 1")
@@ -336,10 +335,6 @@ def rhfa_dg(
         )
     opts = options or SolveOptions()
     n = scenario.n_regions
-    if initial_controls is None:
-        from .cooperative import solve_swm
-
-        initial_controls = solve_swm(scenario).profile.controls[:, 0, :]
     initial_controls = np.asarray(initial_controls, dtype=float)
     if initial_controls.shape != (n, 2):
         raise ModelDomainError("initial controls must have shape (n, 2)")

@@ -373,8 +373,8 @@ def test_criterion_06_rba_convergence(scenario, ne):
 def test_nash_residual_separates_cooperation_from_equilibrium(scenario, coop, ne):
     # The cooperative optimum leaves every region a unilateral gain; RBA
     # stops where no region has a first-order one left.
-    coop_residual = _nash_residual(scenario, coop.profile.controls).max()
-    ne_residual = _nash_residual(scenario, ne.profile.controls).max()
+    coop_residual = _nash_residual(scenario, coop.profile.controls)[1].max()
+    ne_residual = _nash_residual(scenario, ne.profile.controls)[1].max()
     assert coop_residual > 1e-3
     assert ne_residual <= _NASH_TOL
     assert ne.converged

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -15,9 +16,9 @@ import pytest
 from conftest import make_scenario
 
 import rice_game
-from rice_game import __version__, save_scenario
+from rice_game import SolveOptions, __version__, save_scenario, solve_swm
 from rice_game.cli import _build_parser, main
-from rice_game.reporting import sha256_file, trajectory_header
+from rice_game.reporting import fmt, sha256_file, trajectory_header
 
 
 @pytest.fixture()
@@ -393,6 +394,31 @@ def test_rba_with_certificate(scenario_file, tmp_path):
     assert summary["nash_residual_last"] == float(rows[-1][3])
     manifest = read_json(out / "manifest.json")
     assert "ne_certificate.json" in manifest["outputs"]
+
+
+def test_rba_seed_seeds_the_cooperative_start(scenario_file, tmp_path):
+    # At horizon 10 the multistarts of seeds 0 and 3 win from different
+    # starts, so the two optima differ.
+    out = tmp_path / "rba"
+    code = run(["rba", "--scenario", scenario_file, "--out", out, "--horizon", "10",
+                "--episodes", "1", "--seed", "3"])
+    assert code == 0
+    sc = dataclasses.replace(make_scenario(), horizon=10)
+    row = read_csv(out / "episodes.csv")[1][4:]
+    start = solve_swm(sc, SolveOptions(multistart=4, seed=3)).regional_welfare
+    assert row == [fmt(w) for w in start]
+    assert row != [fmt(w) for w in solve_swm(sc).regional_welfare]
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["mpc", "--t-sim", "2", "--t-rh", "2"]],
+                         ids=["simulate", "mpc"])
+def test_seed_is_a_usage_error_where_nothing_is_seeded(argv, scenario_file, tmp_path,
+                                                       capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", "0", "--scenario", scenario_file, "--out", tmp_path / "x"])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_rhfa_runs(scenario_file, tmp_path):

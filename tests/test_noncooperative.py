@@ -18,7 +18,7 @@ from rice_game import (
     simulate,
     verify_epsilon_ne,
 )
-from rice_game.cooperative import default_initial_profile
+from rice_game.cooperative import default_initial_profile, solve_swm
 from rice_game.noncooperative import _NASH_TOL, _RESIDUAL_STALL, _nash_residual
 
 FAST = SolveOptions(multistart=1, max_iter=300)
@@ -91,7 +91,11 @@ def test_nash_residual_matches_finite_difference_own_gradients(small_scenario, r
         g, _ = gradient_fd(own_welfare, x, step=1e-6, lower=box_lo, upper=box_hi)
         moved = np.clip(x + g / abs(own_welfare(x)), box_lo, box_hi)
         expected.append(np.abs(moved - x).max())
-    np.testing.assert_allclose(_nash_residual(sc, controls), expected, rtol=1e-5)
+    welfare, residual = _nash_residual(sc, controls)
+    np.testing.assert_allclose(residual, expected, rtol=1e-5)
+    # The sweep's welfare is the rollout's, bit for bit.
+    traj = simulate(sc.x0, ControlProfile(controls), sc)
+    np.testing.assert_array_equal(welfare, regional_welfare(traj, sc))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,11 @@ def test_rba_converges_and_certifies_on_toy(small_scenario):
     cert = verify_epsilon_ne(small_scenario, res.profile, FAST)
     assert cert.epsilon < 1e-8
     np.testing.assert_array_equal(cert.nash_residual, res.episodes[-1].nash_residual)
+    # The episode log and the certificate read the same welfare, bit for bit,
+    # as a rollout of the result.
+    welfare = regional_welfare(res.trajectory, small_scenario)
+    np.testing.assert_array_equal(res.episodes[-1].welfare, welfare)
+    np.testing.assert_array_equal(cert.welfare, welfare)
 
 
 def test_rba_stops_on_the_first_small_stalled_round(small_scenario):
@@ -195,7 +204,7 @@ def test_rba_not_converged_when_best_responses_stop_early(small_scenario, update
 
 def test_rba_rejects_unknown_update_rule(small_scenario):
     with pytest.raises(ModelDomainError):
-        rba_dg(small_scenario, episodes=1, update="newton")
+        rba_dg(small_scenario, cold_profile(small_scenario), update="newton")
 
 
 def test_rba_gauss_seidel_runs_and_is_deterministic(small_scenario):
@@ -221,6 +230,8 @@ def test_certificate_fields_are_consistent(small_scenario):
     cert = verify_epsilon_ne(small_scenario, profile, FAST)
     n = small_scenario.n_regions
     assert cert.welfare.shape == (n,)
+    traj = simulate(small_scenario.x0, profile, small_scenario)
+    np.testing.assert_array_equal(cert.welfare, regional_welfare(traj, small_scenario))
     assert cert.best_response_welfare.shape == (n,)
     expected = (cert.best_response_welfare - cert.welfare) / np.abs(cert.welfare)
     np.testing.assert_allclose(cert.relative_gain, expected, rtol=0, atol=0)
@@ -253,12 +264,14 @@ def test_certificate_flags_non_equilibrium(small_scenario):
 
 
 def test_rhfa_rejects_bad_arguments(small_scenario):
+    n = small_scenario.n_regions
+    first = np.column_stack([np.full(n, 0.25), np.full(n, 0.1)])
     with pytest.raises(ModelDomainError):
-        rhfa_dg(small_scenario, t_sim=0, t_rh=3)
+        rhfa_dg(small_scenario, t_sim=0, t_rh=3, initial_controls=first)
     with pytest.raises(ModelDomainError):
-        rhfa_dg(small_scenario, t_sim=3, t_rh=0)
+        rhfa_dg(small_scenario, t_sim=3, t_rh=0, initial_controls=first)
     with pytest.raises(ModelDomainError):
-        rhfa_dg(small_scenario, t_sim=36, t_rh=5)
+        rhfa_dg(small_scenario, t_sim=36, t_rh=5, initial_controls=first)
     with pytest.raises(ModelDomainError):
         rhfa_dg(
             small_scenario,
@@ -282,8 +295,10 @@ def test_rhfa_raises_when_joint_play_breaks_the_model():
     # Each region's window solve is feasible against the others frozen, but
     # the controls played together break the model; the breakdown is raised,
     # not returned as a shorter play.
+    sc = make_scenario()
+    first = solve_swm(sc).profile.controls[:, 0, :]
     with pytest.raises(ModelBreakdownError) as exc_info:
-        rhfa_dg(make_scenario(), t_sim=35, t_rh=5)
+        rhfa_dg(sc, t_sim=35, t_rh=5, initial_controls=first)
     assert exc_info.value.step == 21
     assert exc_info.value.region == 2
 

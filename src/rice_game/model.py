@@ -322,7 +322,7 @@ class Scenario:
     _theta2: np.ndarray = field(init=False, repr=False, compare=False)
     _keep5: np.ndarray = field(init=False, repr=False, compare=False)
     _theta1: np.ndarray = field(init=False, repr=False, compare=False)
-    _labor_pow: np.ndarray = field(init=False, repr=False, compare=False)
+    _productivity: np.ndarray = field(init=False, repr=False, compare=False)
     _disc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -350,7 +350,8 @@ class Scenario:
         self._theta1 = (
             pb / (1000.0 * self._theta2) * (1.0 - dpb) ** (tgrid - 1) * self.exo.sigma
         )
-        self._labor_pow = self.exo.labor ** (1.0 - self._gamma)
+        # Gross output per unit of K**gamma: tfp * labor**(1 - gamma).
+        self._productivity = self.exo.tfp * self.exo.labor ** (1.0 - self._gamma)
         rho = np.array([r.rho for r in self.regions])
         self._disc = (1.0 + rho) ** (-STEP_YEARS * np.arange(length)[:, None])
         if self.exo.n_regions != n or self.x0.capital.size != n:
@@ -414,86 +415,82 @@ def _forward(
                 "start state must be finite, with positive carbon stocks and capital"
             )
 
-    zmat = scenario._zmat
-    phimat = scenario._phimat
-    gamma = scenario._gamma
+    gamma, keep5 = scenario._gamma, scenario._keep5
     a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
-    keep5 = scenario._keep5
-    eta = scenario.geo.eta
-    m1750 = scenario.geo.m_at_1750
-    xi1 = scenario.geo.xi1
-    xi2 = scenario.geo.xi2
+    geo = scenario.geo
+    eta, m1750, xi1, xi2 = geo.eta, geo.m_at_1750, geo.xi1, geo.xi2
     log2 = math.log(2.0)
+    (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
+    (p00, p01), (p10, p11) = scenario._phimat.tolist()
 
-    # Everything the state does not touch, as whole-window arrays; the loop
-    # below keeps only the state-dependent work. No product is reassociated
-    # (e.g. y = tfp * k**gamma * labor**(1 - gamma) is still multiplied left
-    # to right), so every value rounds as in a step-by-step evaluation.
+    # Everything the state does not touch, as whole-window arrays. With
+    # y = A * K**gamma, the loop keeps only the state-dependent work: K**gamma,
+    # Omega(T_AT), one dot for total emissions and the capital update. The
+    # five climate states are Python floats.
     win = slice(t0, t0 + steps)
     exo = scenario.exo
-    tfp = exo.tfp[win]
-    labpow = scenario._labor_pow[win]
+    A = scenario._productivity[win]
     e_land = exo.e_land[win]
+    land = e_land.sum(axis=1).tolist()
     f_ex = exo.f_ex[win].tolist()
     LAM = 1.0 - scenario._theta1[win] * mu_tn**scenario._theta2
-    sig_unabated = exo.sigma[win] * (1.0 - mu_tn)
-    saved5 = STEP_YEARS * s_tn
-    lam_bad = (LAM <= 0.0).any(axis=1)
-    first_lam_bad = int(np.argmax(lam_bad)) if lam_bad.any() else steps
+    EA = exo.sigma[win] * (1.0 - mu_tn) * A
+    D = STEP_YEARS * s_tn * LAM * A
 
     states = np.empty((steps + 1, 5 + n))
     states[0] = x0_vec
-    Y = np.empty((steps, n))
-    Q = np.empty((steps, n))
+    KG = np.empty((steps, n))
     OM = np.empty((steps, n))
-    EREG = np.empty((steps, n))
-    ETOT = np.empty(steps)
-    F = np.empty(steps)
+    rows = []
+    t_at, t_lo, m_at, m_up, m_lo = x0_vec[:5].tolist()
+    one, tmp = np.ones(n), np.empty(n)
 
-    temp = x0_vec[0:2].copy()
-    m = x0_vec[2:5].copy()
-    k = x0_vec[5:].copy()
+    # Past a breakdown the rollout runs on with meaningless values (K**gamma
+    # of a negative capital is NaN) until the domain test after the loop.
+    with np.errstate(all="ignore"):
+        for kg, om, ea, d, k, k_next, f_rel, land_rel in zip(
+            KG, OM, EA, D, states[:-1, 5:], states[1:, 5:], f_ex, land
+        ):
+            np.power(k, gamma, out=kg)
+            np.multiply(a1, t_at, out=om)
+            np.subtract(one, om, out=om)
+            np.power(t_at, a3, out=tmp)
+            tmp *= a2
+            om -= tmp
+            etot = float(ea @ kg) + land_rel
+            forcing = eta * math.log(m_at / m1750) / log2 + f_rel
+            np.multiply(om, kg, out=tmp)
+            tmp *= d
+            np.multiply(keep5, k, out=k_next)
+            k_next += tmp
+            m_at, m_up, m_lo = (
+                z00 * m_at + z01 * m_up + xi1 * etot,
+                z10 * m_at + z11 * m_up + z12 * m_lo,
+                z21 * m_up + z22 * m_lo,
+            )
+            t_at, t_lo = p00 * t_at + p01 * t_lo + xi2 * forcing, p10 * t_at + p11 * t_lo
+            rows.append((etot, forcing, t_at, t_lo, m_at, m_up, m_lo))
 
-    for rel in range(steps):
-        y = tfp[rel] * k**gamma * labpow[rel]
-        om = 1.0 - a1 * temp[0] - a2 * temp[0] ** a3
-        # ``not min > 0`` also lets a NaN through to the full mask test.
-        if rel == first_lam_bad or not om.min() > 0.0:
-            lam = LAM[rel]
-            bad = (lam <= 0.0) | (om <= 0.0)
-            if bad.any():
-                i = int(np.argmax(bad))
-                ta = t0 + rel
-                raise ModelBreakdownError(
-                    f"damage or abatement fraction <= 0 at step {ta}, region {i}"
-                    f" (omega = {om[i]:.6g}, lambda = {lam[i]:.6g})",
-                    step=ta,
-                    region=i,
-                )
-        q = om * LAM[rel] * y
-        ereg = sig_unabated[rel] * y + e_land[rel]
-        etot = float(ereg.sum())
-        forcing = eta * math.log(m[0] / m1750) / log2 + f_ex[rel]
-
-        m = zmat @ m
-        m[0] += xi1 * etot
-        temp = phimat @ temp
-        temp[0] += xi2 * forcing
-        k = keep5 * k + saved5[rel] * q
-
-        Y[rel] = y
-        Q[rel] = q
-        OM[rel] = om
-        EREG[rel] = ereg
-        ETOT[rel] = etot
-        F[rel] = forcing
-        states[rel + 1, 0:2] = temp
-        states[rel + 1, 2:5] = m
-        states[rel + 1, 5:] = k
-
+    bad = (OM <= 0.0) | (LAM <= 0.0)
+    if bad.any():
+        rel = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[rel]))
+        ta = t0 + rel
+        raise ModelBreakdownError(
+            f"damage or abatement fraction <= 0 at step {ta}, region {i}"
+            f" (omega = {OM[rel, i]:.6g}, lambda = {LAM[rel, i]:.6g})",
+            step=ta,
+            region=i,
+        )
+    rows = np.array(rows).reshape(steps, 7)
+    states[1:, :5] = rows[:, 2:]
+    Y = A * KG
+    Q = OM * LAM * Y
+    EREG = EA * KG + e_land
     C = (1.0 - s_tn) * Q
     cpc, floored = _per_capita(scenario, C, t0)
-    return Trajectory(states, Y, Q, C, LAM, OM, EREG, ETOT, F, floored), cpc
+    traj = Trajectory(states, Y, Q, C, LAM, OM, EREG, rows[:, 0], rows[:, 1], floored)
+    return traj, cpc
 
 
 def _per_capita(scenario: Scenario, consumption: np.ndarray, t0: int) -> tuple:
@@ -553,9 +550,7 @@ def _adjoint_arrays(
 
     geo = scenario.geo
     a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
-    theta2 = scenario._theta2
-    gamma = scenario._gamma
-    xi1 = geo.xi1
+    theta2, gamma, xi1 = scenario._theta2, scenario._gamma, geo.xi1
     phi11, phi12, phi21, phi22 = geo.phi11, geo.phi12, geo.phi21, geo.phi22
     (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
 
@@ -563,47 +558,52 @@ def _adjoint_arrays(
     OM, LAM = traj.damage_fraction, traj.abatement_fraction
     K = states[:steps, 5:]
     sig = scenario.exo.sigma[t0 : t0 + steps]
-    unabated = 1.0 - mu_tn
 
     # Everything that does not depend on the costates, as whole-window
-    # arrays; ``batch`` inserts the weight-batch axis after time. No product
-    # in the loop is reassociated, so hoisting changes no rounding. For an
-    # (n,) weight vector the climate costates are Python floats.
+    # arrays; ``batch`` inserts the weight-batch axis after time. The
+    # consumption part of the T_AT costate term is one row sum; the loop
+    # keeps the capital part, one dot per step. For an (n,) weight vector
+    # the climate costates are Python floats.
     batch = (slice(None),) + (None,) * (weights.ndim - 1)
     w_mu = weights * dudc[batch]
     w_mu_kept = w_mu * (1.0 - s_tn[batch])
     om_prime = -(a1 + a2 * a3 * states[:steps, 0:1] ** (a3 - 1.0))
     dq_dk = gamma * Q / K
     dq_dtat = LAM * Y * om_prime
+    saved_dq_dtat = 5.0 * s_tn * dq_dtat
+    kept_dq_dtat = (w_mu_kept * dq_dtat[batch]).sum(axis=-1)
     k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
     kept_dq_dk = w_mu_kept * dq_dk[batch]
+    emit_dk = xi1 * sig * (1.0 - mu_tn) * gamma * Y / K
     forcing_sens = (geo.xi2 * geo.eta / (states[:steps, 2] * math.log(2.0))).tolist()
 
+    # Entry t of lam_k_path and lam_mat is the costate of K(t+1) and of
+    # M_AT(t+1). The sweep stops at t = 1: no output reads the costates of
+    # the start state.
     shape = weights.shape[:-1]
     lam_tat = lam_tlo = lam_m0 = lam_m1 = lam_m2 = np.zeros(shape) if batched else 0.0
-    lam_k = np.zeros(shape + (n,))
     lam_k_path = np.empty((steps,) + shape + (n,))
+    lam_k_path[-1] = 0.0
     lam_mat = np.empty((steps,) + shape)
-
-    for t in range(steps - 1, -1, -1):
-        lam_k_path[t] = lam_k
+    tmp = np.empty(shape + (n,))
+    cast = np.asarray if batched else float
+    for t in range(steps - 1, 0, -1):
+        lam_k = lam_k_path[t]
         lam_mat[t] = lam_m0
-        dot = (w_mu_kept[t] + 5.0 * lam_k * s_tn[t]) @ dq_dtat[t]
-        new_tat = (dot if batched else float(dot)) + phi11 * lam_tat + phi21 * lam_tlo
+        output_term = cast(lam_k @ saved_dq_dtat[t] + kept_dq_dtat[t])
+        new_tat = output_term + phi11 * lam_tat + phi21 * lam_tlo
         new_tlo = phi12 * lam_tat + phi22 * lam_tlo
         new_m0 = z00 * lam_m0 + z10 * lam_m1 + forcing_sens[t] * lam_tat
         new_m1 = z01 * lam_m0 + z11 * lam_m1 + z21 * lam_m2
         new_m2 = z12 * lam_m1 + z22 * lam_m2
-        emit = lam_m0 * xi1
-        if batched:
-            emit = emit[:, None]
-        lam_k = (
-            kept_dq_dk[t]
-            + lam_k * k_sens[t]
-            + emit * sig[t] * unabated[t] * gamma * Y[t] / K[t]
-        )
+        lam_k_prev = lam_k_path[t - 1]
+        np.multiply(lam_k, k_sens[t], out=lam_k_prev)
+        lam_k_prev += kept_dq_dk[t]
+        np.multiply(emit_dk[t], lam_m0[:, None] if batched else lam_m0, out=tmp)
+        lam_k_prev += tmp
         lam_tat, lam_tlo = new_tat, new_tlo
         lam_m0, lam_m1, lam_m2 = new_m0, new_m1, new_m2
+    lam_mat[0] = lam_m0
 
     lam_prime = -(scenario._theta1[t0 : t0 + steps] * theta2 * mu_tn ** (theta2 - 1.0))
     Q, OM, Y, sig, lam_prime, s_r = (

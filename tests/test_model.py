@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,41 @@ def test_simulate_with_offset_matches_oracle(small_scenario, rng):
     assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("kind", ["random", "constant"])
+def test_packaged_scenario_matches_oracle_at_full_horizon(default_scenario, rng, kind):
+    # The 12-region, T=120 rollout that the benchmark and the CLI run.
+    sc = default_scenario
+    steps = sc.horizon + 1
+    if kind == "random":
+        profile = random_profile(sc, steps, rng)
+    else:
+        profile = ControlProfile.constant(sc.n_regions, sc.horizon, 0.25, 0.1)
+    consts = scenario_constants(sc)
+    s, mu = profile_to_lists(profile)
+    states, diag = oracle_trajectory(consts, s, mu)
+    traj = simulate(sc.x0, profile, sc)
+    np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12, atol=0)
+    flows = {
+        "gross_output": "Y",
+        "net_output": "Q",
+        "consumption": "C",
+        "abatement_fraction": "LAM",
+        "damage_fraction": "OM",
+        "emissions": "EREG",
+        "total_emissions": "ETOT",
+        "forcing": "F",
+    }
+    for name, key in flows.items():
+        np.testing.assert_allclose(
+            getattr(traj, name), np.array(diag[key]), rtol=1e-12, atol=0, err_msg=name
+        )
+    cpc = np.array(diag["C"]) / sc.exo.labor[:steps]
+    np.testing.assert_array_equal(traj.consumption_floored, cpc < consts["floor"])
+    value = weighted_welfare(traj, profile, sc.weights, sc)
+    expect = oracle_weighted_welfare(consts, s, mu, list(sc.weights), FloatBackend())
+    assert value == pytest.approx(expect, rel=1e-12, abs=0)
+
+
 def test_simulate_prefix_property(small_scenario, rng):
     full = random_profile(small_scenario, small_scenario.horizon + 1, rng)
     short = ControlProfile(full.controls[:, :5, :].copy())
@@ -326,6 +362,42 @@ def test_trajectory_identities(small_scenario, rng):
     assert traj.horizon == small_scenario.horizon
     assert traj.n_regions == small_scenario.n_regions
     assert traj.state(0).t_at == small_scenario.x0.t_at
+
+
+@pytest.mark.parametrize("kind", ["random", "constant"])
+def test_stored_flows_drive_stored_states(default_scenario, rng, kind):
+    # On the packaged scenario at T=120, the flows that trajectory.csv
+    # prints must reproduce the states it prints, step by step.
+    sc = default_scenario
+    if kind == "random":
+        profile = random_profile(sc, sc.horizon + 1, rng)
+    else:
+        profile = ControlProfile.constant(sc.n_regions, sc.horizon, 0.25, 0.1)
+    traj = simulate(sc.x0, profile, sc)
+    geo = sc.geo
+    now, after = traj.states[:-1], traj.states[1:]
+    keep5 = np.array([(1.0 - r.delta_k) ** 5 for r in sc.regions])
+    s = profile.saving.T
+    identities = {
+        "capital": (after[:, 5:], keep5 * now[:, 5:] + 5.0 * s * traj.net_output),
+        "m_at": (
+            after[:, 2],
+            geo.zeta11 * now[:, 2]
+            + geo.zeta12 * now[:, 3]
+            + geo.xi1 * traj.total_emissions,
+        ),
+        "t_at": (
+            after[:, 0],
+            geo.phi11 * now[:, 0] + geo.phi12 * now[:, 1] + geo.xi2 * traj.forcing,
+        ),
+        "total_emissions": (traj.total_emissions, traj.emissions.sum(axis=1)),
+        "net_output": (
+            traj.net_output,
+            traj.damage_fraction * traj.abatement_fraction * traj.gross_output,
+        ),
+    }
+    for name, (stored, implied) in identities.items():
+        np.testing.assert_allclose(stored, implied, rtol=1e-13, atol=0, err_msg=name)
 
 
 def test_control_bounds_validation(small_scenario):
@@ -446,6 +518,33 @@ def test_breakdown_pins_step_region_and_message(case):
         simulate(sc.x0, profile, sc)
     assert exc_info.value.step == want_step
     assert exc_info.value.region == want_region
+    assert str(exc_info.value) == message
+
+
+def test_late_breakdown_on_packaged_scenario(default_scenario):
+    # Doubling every a2 drives Omega of region 6 below 0 at step 59 of the
+    # 121 under constant controls. A rollout that tests the domain after its
+    # loop runs past that step on capital that damage has made negative;
+    # none of that may surface as a numpy warning ahead of the error.
+    sc = default_scenario
+    regions = [dataclasses.replace(r, a2=2.0 * r.a2) for r in sc.regions]
+    hot = dataclasses.replace(sc, regions=regions)
+    steps = hot.horizon + 1
+    s = [[0.25] * hot.n_regions for _ in range(steps)]
+    mu = [[0.0] * hot.n_regions for _ in range(steps)]
+    step_at, bad = oracle_breakdown(hot, s, mu)
+    assert (step_at, list(bad)) == (59, [6])
+    om, lam = bad[6]
+    message = (
+        "damage or abatement fraction <= 0 at step 59, region 6"
+        f" (omega = {om:.6g}, lambda = {lam:.6g})"
+    )
+    profile = ControlProfile.constant(hot.n_regions, hot.horizon, 0.25, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ModelBreakdownError) as exc_info:
+            simulate(hot.x0, profile, hot)
+    assert (exc_info.value.step, exc_info.value.region) == (59, 6)
     assert str(exc_info.value) == message
 
 

@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
             type=_at_least(1),
             default=1,
             help="worker processes for rba's best responses and epsilon-NE check"
-            " and rhfa's windows (default 1); outputs do not depend on it",
+            " (default 1); rhfa does not read it; outputs do not depend on it",
         )
         if horizon:
             p.add_argument("--horizon", type=int, help="planning horizon override")

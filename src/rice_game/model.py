@@ -377,8 +377,18 @@ class Scenario:
 
 
 def _time_major(controls: np.ndarray) -> np.ndarray:
-    """The (steps, n) saving and abatement arrays of (n, steps, 2) controls, stacked."""
-    return np.ascontiguousarray(controls.transpose(2, 1, 0))
+    """The time-major saving and abatement arrays of controls, stacked.
+
+    (n, steps, 2) controls give two (steps, n) arrays, and a member stack
+    (B, n, steps, 2) gives two (steps, B, n) arrays; one contiguous copy.
+    """
+    return np.ascontiguousarray(controls.transpose(-1, -2, *range(controls.ndim - 2)))
+
+
+def _window(table: np.ndarray, t0: int, steps: int, members: bool) -> np.ndarray:
+    """Rows ``t0 .. t0+steps-1`` of a (length, n) table, with a member axis if asked."""
+    rows = table[t0 : t0 + steps]
+    return rows[:, None] if members else rows
 
 
 def _forward(
@@ -395,10 +405,18 @@ def _forward(
     exogenous paths and discount factors. Returns the :class:`Trajectory`
     and the per-capita consumption raised to the floor, (T+1, n), that the
     payoff and the adjoint read.
+
+    Controls of shape (T+1, B, n) roll out B members from the one start
+    ``x0_vec`` at the one ``t0``: every array returned gains a member axis
+    after time (``states`` is (T+2, B, 5+n)). The members' climate states
+    are (B, 1) arrays where an unbatched rollout carries Python floats, and
+    member k's numbers are the same bits whatever the other members are.
     """
     n = scenario.n_regions
     steps = s_tn.shape[0]
-    if s_tn.shape != (steps, n) or mu_tn.shape != (steps, n):
+    members = s_tn.ndim == 3
+    lead = s_tn.shape[1:-1]
+    if s_tn.ndim not in (2, 3) or s_tn.shape[-1] != n or mu_tn.shape != s_tn.shape:
         raise ModelDomainError("controls must have shape (T+1, n)")
     if t0 < 0 or t0 + steps > scenario.exo.length:
         raise ModelDomainError(
@@ -427,29 +445,45 @@ def _forward(
     # y = A * K**gamma, the loop keeps only the state-dependent work: K**gamma,
     # Omega(T_AT), one dot for total emissions and the capital update. The
     # five climate states are Python floats.
-    win = slice(t0, t0 + steps)
     exo = scenario.exo
-    A = scenario._productivity[win]
-    e_land = exo.e_land[win]
-    land = e_land.sum(axis=1).tolist()
-    f_ex = exo.f_ex[win].tolist()
-    LAM = 1.0 - scenario._theta1[win] * mu_tn**scenario._theta2
-    EA = exo.sigma[win] * (1.0 - mu_tn) * A
+    A = _window(scenario._productivity, t0, steps, members)
+    land = exo.e_land[t0 : t0 + steps].sum(axis=1).tolist()
+    f_ex = exo.f_ex[t0 : t0 + steps].tolist()
+    LAM = 1.0 - _window(scenario._theta1, t0, steps, members) * mu_tn**scenario._theta2
+    EA = _window(exo.sigma, t0, steps, members) * (1.0 - mu_tn) * A
     D = STEP_YEARS * s_tn * LAM * A
 
-    states = np.empty((steps + 1, 5 + n))
+    states = np.empty((steps + 1,) + lead + (5 + n,))
     states[0] = x0_vec
-    KG = np.empty((steps, n))
-    OM = np.empty((steps, n))
+    KG = np.empty((steps,) + lead + (n,))
+    OM = np.empty_like(KG)
     rows = []
-    t_at, t_lo, m_at, m_up, m_lo = x0_vec[:5].tolist()
-    one, tmp = np.ones(n), np.empty(n)
+    if members:
+        climate = np.repeat(x0_vec[:5, None, None], lead[0], axis=1)
+
+        # math.log member by member: numpy's log differs from it in the
+        # last bit for some arguments.
+        def log(v):
+            return np.array([math.log(x) for x in v.ravel().tolist()])[:, None]
+
+        def dot(a, b):
+            return np.vecdot(a, b)[:, None]
+
+    else:
+        climate = x0_vec[:5].tolist()
+        log = math.log
+
+        def dot(a, b):
+            return float(a @ b)
+
+    t_at, t_lo, m_at, m_up, m_lo = climate
+    one, tmp = np.ones(n), np.empty(lead + (n,))
 
     # Past a breakdown the rollout runs on with meaningless values (K**gamma
     # of a negative capital is NaN) until the domain test after the loop.
     with np.errstate(all="ignore"):
         for kg, om, ea, d, k, k_next, f_rel, land_rel in zip(
-            KG, OM, EA, D, states[:-1, 5:], states[1:, 5:], f_ex, land
+            KG, OM, EA, D, states[:-1, ..., 5:], states[1:, ..., 5:], f_ex, land
         ):
             np.power(k, gamma, out=kg)
             np.multiply(a1, t_at, out=om)
@@ -457,8 +491,8 @@ def _forward(
             np.power(t_at, a3, out=tmp)
             tmp *= a2
             om -= tmp
-            etot = float(ea @ kg) + land_rel
-            forcing = eta * math.log(m_at / m1750) / log2 + f_rel
+            etot = dot(ea, kg) + land_rel
+            forcing = eta * log(m_at / m1750) / log2 + f_rel
             np.multiply(om, kg, out=tmp)
             tmp *= d
             np.multiply(keep5, k, out=k_next)
@@ -473,42 +507,43 @@ def _forward(
 
     bad = (OM <= 0.0) | (LAM <= 0.0)
     if bad.any():
-        rel = int(np.argmax(bad.any(axis=1)))
-        i = int(np.argmax(bad[rel]))
-        ta = t0 + rel
+        # The first step, then the first member, then the first region.
+        where = tuple(np.argwhere(bad)[0])
+        ta, i = t0 + int(where[0]), int(where[-1])
         raise ModelBreakdownError(
             f"damage or abatement fraction <= 0 at step {ta}, region {i}"
-            f" (omega = {OM[rel, i]:.6g}, lambda = {LAM[rel, i]:.6g})",
+            f" (omega = {OM[where]:.6g}, lambda = {LAM[where]:.6g})",
             step=ta,
             region=i,
         )
-    rows = np.array(rows).reshape(steps, 7)
-    states[1:, :5] = rows[:, 2:]
+    rows = np.array(rows).reshape((steps, 7) + lead).swapaxes(1, -1)
+    states[1:, ..., :5] = rows[..., 2:]
     Y = A * KG
     Q = OM * LAM * Y
-    EREG = EA * KG + e_land
+    EREG = EA * KG + _window(exo.e_land, t0, steps, members)
     C = (1.0 - s_tn) * Q
     cpc, floored = _per_capita(scenario, C, t0)
-    traj = Trajectory(states, Y, Q, C, LAM, OM, EREG, rows[:, 0], rows[:, 1], floored)
+    traj = Trajectory(states, Y, Q, C, LAM, OM, EREG, rows[..., 0], rows[..., 1], floored)
     return traj, cpc
 
 
 def _per_capita(scenario: Scenario, consumption: np.ndarray, t0: int) -> tuple:
     """Per-capita consumption raised to the floor, and where the floor bit."""
-    cpc = consumption / scenario.exo.labor[t0 : t0 + consumption.shape[0]]
+    steps, members = consumption.shape[0], consumption.ndim == 3
+    cpc = consumption / _window(scenario.exo.labor, t0, steps, members)
     return np.maximum(cpc, CONSUMPTION_FLOOR), cpc < CONSUMPTION_FLOOR
 
 
 def _utilities(scenario: Scenario, cpc: np.ndarray, t0: int) -> np.ndarray:
-    """Per-step discounted utilities of floored per-capita consumption, (steps, n)."""
-    steps = cpc.shape[0]
-    labor = scenario.exo.labor[t0 : t0 + steps]
+    """Per-step discounted utilities of floored per-capita consumption, (steps, [B,] n)."""
+    steps, members = cpc.shape[0], cpc.ndim == 3
+    labor = _window(scenario.exo.labor, t0, steps, members)
     alpha = scenario._alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         crra = labor * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     logu = labor * np.log(cpc)
     base = np.where(alpha == 1.0, logu, crra)
-    return base * scenario._disc[t0 : t0 + steps]
+    return base * _window(scenario._disc, t0, steps, members)
 
 
 def _adjoint_arrays(
@@ -534,10 +569,18 @@ def _adjoint_arrays(
     per state coordinate, zero marginal utility where the consumption floor
     bit. ``check`` validates controls and the initial state as the rollout
     does.
+
+    Member controls (steps, B, n) take one weight row per member, (B, n),
+    and sweep B members at once, as :func:`_forward` rolls them out: the
+    batch axis is then the member axis, ``dudc`` gains it too, and member
+    k's numbers are the same bits whatever the other members are.
     """
     traj, cpc = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
-    steps, n = s_tn.shape
-    f = _utilities(scenario, cpc, t0).sum(axis=0) @ weights.T
+    steps, n = s_tn.shape[0], s_tn.shape[-1]
+    members = s_tn.ndim == 3
+    dot = np.vecdot if members else np.matmul
+    welfare = _utilities(scenario, cpc, t0).sum(axis=0)
+    f = np.vecdot(welfare, weights) if members else welfare @ weights.T
     batched = weights.ndim == 2
     if not batched:
         f = float(f)
@@ -545,7 +588,7 @@ def _adjoint_arrays(
     dudc = np.where(
         traj.consumption_floored,
         0.0,
-        cpc ** (-scenario._alpha) * scenario._disc[t0 : t0 + steps],
+        cpc ** (-scenario._alpha) * _window(scenario._disc, t0, steps, members),
     )
 
     geo = scenario.geo
@@ -556,18 +599,18 @@ def _adjoint_arrays(
 
     states, Y, Q = traj.states, traj.gross_output, traj.net_output
     OM, LAM = traj.damage_fraction, traj.abatement_fraction
-    K = states[:steps, 5:]
-    sig = scenario.exo.sigma[t0 : t0 + steps]
+    K = states[:steps, ..., 5:]
+    sig = _window(scenario.exo.sigma, t0, steps, members)
 
     # Everything that does not depend on the costates, as whole-window
-    # arrays; ``batch`` inserts the weight-batch axis after time. The
-    # consumption part of the T_AT costate term is one row sum; the loop
-    # keeps the capital part, one dot per step. For an (n,) weight vector
-    # the climate costates are Python floats.
-    batch = (slice(None),) + (None,) * (weights.ndim - 1)
+    # arrays; ``batch`` inserts the weight-batch axis after time, where the
+    # rollout has no member axis. The consumption part of the T_AT costate
+    # term is one row sum; the loop keeps the capital part, one dot per
+    # step. For an (n,) weight vector the climate costates are Python floats.
+    batch = (slice(None),) + (None,) * (weights.ndim + 1 - s_tn.ndim)
     w_mu = weights * dudc[batch]
     w_mu_kept = w_mu * (1.0 - s_tn[batch])
-    om_prime = -(a1 + a2 * a3 * states[:steps, 0:1] ** (a3 - 1.0))
+    om_prime = -(a1 + a2 * a3 * states[:steps, ..., 0:1] ** (a3 - 1.0))
     dq_dk = gamma * Q / K
     dq_dtat = LAM * Y * om_prime
     saved_dq_dtat = 5.0 * s_tn * dq_dtat
@@ -575,7 +618,9 @@ def _adjoint_arrays(
     k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
     kept_dq_dk = w_mu_kept * dq_dk[batch]
     emit_dk = xi1 * sig * (1.0 - mu_tn) * gamma * Y / K
-    forcing_sens = (geo.xi2 * geo.eta / (states[:steps, 2] * math.log(2.0))).tolist()
+    forcing_sens = geo.xi2 * geo.eta / (states[:steps, ..., 2] * math.log(2.0))
+    if not members:
+        forcing_sens = forcing_sens.tolist()
 
     # Entry t of lam_k_path and lam_mat is the costate of K(t+1) and of
     # M_AT(t+1). The sweep stops at t = 1: no output reads the costates of
@@ -590,7 +635,7 @@ def _adjoint_arrays(
     for t in range(steps - 1, 0, -1):
         lam_k = lam_k_path[t]
         lam_mat[t] = lam_m0
-        output_term = cast(lam_k @ saved_dq_dtat[t] + kept_dq_dtat[t])
+        output_term = cast(dot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t])
         new_tat = output_term + phi11 * lam_tat + phi21 * lam_tlo
         new_tlo = phi12 * lam_tat + phi22 * lam_tlo
         new_m0 = z00 * lam_m0 + z10 * lam_m1 + forcing_sens[t] * lam_tat
@@ -605,9 +650,10 @@ def _adjoint_arrays(
         lam_m0, lam_m1, lam_m2 = new_m0, new_m1, new_m2
     lam_mat[0] = lam_m0
 
-    lam_prime = -(scenario._theta1[t0 : t0 + steps] * theta2 * mu_tn ** (theta2 - 1.0))
+    theta1 = _window(scenario._theta1, t0, steps, members)
+    lam_prime = -(theta1 * theta2 * mu_tn ** (theta2 - 1.0))
     Q, OM, Y, sig, lam_prime, s_r = (
-        a[:, regions][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
+        a[..., regions][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
     )
     lam_k_path = lam_k_path[..., regions]
     gs = (-w_mu[..., regions] + 5.0 * lam_k_path) * Q

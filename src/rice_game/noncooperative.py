@@ -32,6 +32,7 @@ from .solver import (
     SolveOptions,
     SolveReport,
     WindowProblem,
+    _lockstep,
     _pool_map,
     maximize,
 )
@@ -122,6 +123,34 @@ class RhfaResult:
     t_rh: int
 
 
+def _own_problem(
+    scenario: Scenario,
+    region: int,
+    x0: RiceState,
+    t0: int,
+    controls: np.ndarray,
+    pin_mu: bool = False,
+) -> tuple:
+    """``region``'s own-welfare window problem, its bounds and its start.
+
+    The window starts at absolute step ``t0`` from state ``x0``.
+    ``controls`` (n, steps, 2) holds every region's controls over the
+    window: the others follow their rows, and the start is ``region``'s
+    own rows. ``pin_mu`` holds ``region``'s abatement at its rows' values
+    through degenerate bounds, so only its saving moves. Returns
+    ``(problem, lower, upper, init)``, the arguments of :func:`maximize`.
+    """
+    weights = np.zeros(scenario.n_regions)
+    weights[region] = 1.0
+    problem = WindowProblem(scenario, weights, x0, t0, controls, free_regions=[region])
+    init = problem.extract(controls)
+    lower, upper = problem.lower, problem.upper
+    if pin_mu:
+        lower, upper = lower.copy(), upper.copy()
+        lower[1::2] = upper[1::2] = init[1::2]
+    return problem, lower, upper, init
+
+
 def _own_solve(
     scenario: Scenario,
     region: int,
@@ -133,22 +162,11 @@ def _own_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Maximize ``region``'s own welfare over the window of ``controls``.
 
-    The window starts at absolute step ``t0`` from state ``x0``.
-    ``controls`` (n, steps, 2) holds every region's controls over the
-    window: the others follow their rows, and the solve warm-starts from
-    ``region``'s own rows. ``pin_mu`` holds ``region``'s abatement at its
-    rows' values through degenerate bounds, so only its saving moves.
-    Returns the full (n, steps, 2) controls with ``region``'s rows
-    solved, and the solver report.
+    The problem is :func:`_own_problem`'s, warm-started from ``region``'s
+    own rows. Returns the full (n, steps, 2) controls with ``region``'s
+    rows solved, and the solver report.
     """
-    weights = np.zeros(scenario.n_regions)
-    weights[region] = 1.0
-    problem = WindowProblem(scenario, weights, x0, t0, controls, free_regions=[region])
-    init = problem.extract(controls)
-    lower, upper = problem.lower, problem.upper
-    if pin_mu:
-        lower, upper = lower.copy(), upper.copy()
-        lower[1::2] = upper[1::2] = init[1::2]
+    problem, lower, upper, init = _own_problem(scenario, region, x0, t0, controls, pin_mu)
     report = maximize(problem, lower, upper, init, options)
     return problem.embed(report.x), report
 
@@ -326,6 +344,12 @@ def rhfa_dg(
     played together; the step that plays them raises
     :class:`ModelBreakdownError`, with its step and region, as
     :func:`simulate` would, and no truncated play is returned.
+
+    Each step's n window solves run in lockstep (``solver._lockstep``):
+    one L-BFGS-B per region, every round of their evaluations one
+    member-batched rollout and adjoint sweep. The results do not depend on
+    thread scheduling. ``threads`` is kept for callers that pass it and is
+    not read.
     """
     if t_sim < 1 or t_rh < 1:
         raise ModelDomainError("t_sim and t_rh must be at least 1")
@@ -349,9 +373,9 @@ def rhfa_dg(
         # controls, its own rows warm-started from its shifted plan.
         windows = np.array([np.repeat(played[:, t, None, :], t_rh, axis=1)] * n)
         windows[range(n), range(n)] = _shifted(plans)
-        args = [(scenario, i, x, t + 1, windows[i], opts) for i in range(n)]
-        solved = _pool_map(_own_solve, args, threads)
-        plans = np.array([full[i] for i, (full, _) in enumerate(solved)])
+        setups = [_own_problem(scenario, i, x, t + 1, windows[i]) for i in range(n)]
+        reports = _lockstep(*zip(*setups), opts)
+        plans = np.array([report.x.reshape(t_rh, 2) for report in reports])
         played[:, t + 1, :] = plans[:, 0, :]
         x, _ = step(t + 1, x, plans[:, 0, :], scenario)
 

@@ -10,6 +10,8 @@ discrete adjoint sweep, which matches the rollout step by step.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -306,3 +308,167 @@ class WindowProblem:
             regions=self.free_regions,
         )
         return f, np.stack([gs, gmu], axis=-1).transpose(1, 0, 2).ravel()
+
+
+# ---------------------------------------------------------------------------
+# Lockstep solves
+# ---------------------------------------------------------------------------
+
+
+def _member_values(problems, points) -> list:
+    """``[problem(z) for problem, z in zip(problems, points)]`` in one sweep.
+
+    The window problems share their scenario, start state and ``t0``; each
+    keeps its own controls, weight row and free regions. One member-batched
+    rollout and adjoint sweep answers them all, and member k's value and
+    gradient are the same bits in a batch of any size, a batch of one
+    included.
+    """
+    first = problems[0]
+    full = np.array([p.embed(z) for p, z in zip(problems, points)])
+    weights = np.array([p.weights for p in problems])
+    f, gs, gmu, _, _ = _adjoint_arrays(
+        first.scenario, first.x0_vec, *_time_major(full), weights, first.t0
+    )
+    grads = np.stack([gs, gmu], axis=-1)
+    return [
+        (float(f[k]), grads[:, k, p.free_regions].transpose(1, 0, 2).ravel())
+        for k, p in enumerate(problems)
+    ]
+
+
+def _round_values(problems, points) -> list:
+    """:func:`_member_values`, or, if the batch breaks the model, each member
+    evaluated alone: its value, or the breakdown that it raises."""
+    try:
+        return _member_values(problems, points)
+    except ModelBreakdownError:
+        pass
+    values = []
+    for problem, z in zip(problems, points):
+        try:
+            values.append(_member_values([problem], [z])[0])
+        except ModelBreakdownError as exc:
+            values.append(exc)
+    return values
+
+
+class _Aborted(Exception):
+    """Stops a lockstep member after another member's solve failed."""
+
+
+def _lockstep_cpus() -> tuple:
+    """The calling thread's CPUs, and the one CPU that a lockstep runs on.
+
+    Only one of a lockstep's threads runs at a time, and every evaluation
+    hands over from one thread to another. On one CPU a handover is a
+    context switch; a thread woken on an idle CPU waits for that CPU to
+    wake instead, which on a 2-vCPU VM left perfbench's ``rhfa`` job idle
+    for a third of its wall time or more. Concurrent processes spread over
+    the allowed CPUs by process id. Both are None where the platform cannot
+    pin threads.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None, None
+    caller = os.sched_getaffinity(0)
+    return caller, {sorted(caller)[os.getpid() % len(caller)]}
+
+
+def _pin(cpus) -> None:
+    """Pin the calling thread to ``cpus``, where the platform allows it."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass  # the lockstep runs unpinned, only slower
+
+
+def _lockstep(problems, lowers, uppers, inits, options) -> list:
+    """``[maximize(p, lo, hi, x, options) for ...]``, evaluated in rounds.
+
+    Each window problem runs the unchanged :func:`maximize` in its own
+    thread. Its objective posts the point and waits on its own lock. Once
+    every member still solving has posted, the calling thread answers them
+    all with one :func:`_round_values` call, in member order. A round waits
+    for every live member, so each member's iterates depend only on its
+    inputs, never on thread scheduling: its report is that of
+    :func:`maximize` with each evaluation a batch of one. A batch that
+    breaks the model is evaluated again one member at a time, so only the
+    members that broke it get ``maximize``'s penalty. Any other exception
+    is raised once every thread has ended. The calling thread and the
+    members share one CPU (:func:`_lockstep_cpus`); the caller's CPUs are
+    restored on return.
+    """
+    count = len(problems)
+    if not count:
+        return []
+    posted, answers = [None] * count, [None] * count
+    reports, errors = [None] * count, [None] * count
+    turns = [threading.Lock() for _ in problems]
+    for turn in turns:
+        turn.acquire()
+    complete, guard = threading.Lock(), threading.Lock()
+    complete.acquire()
+    waiting = [count]  # members yet to post or end in this round
+    caller, cpu = _lockstep_cpus()
+
+    def arrive():
+        with guard:
+            waiting[0] -= 1
+            if not waiting[0]:
+                complete.release()
+
+    def member(k):
+        _pin(cpu)
+
+        def objective(z):
+            posted[k] = z
+            arrive()
+            turns[k].acquire()
+            if isinstance(answers[k], Exception):
+                raise answers[k]
+            return answers[k]
+
+        try:
+            reports[k] = maximize(objective, lowers[k], uppers[k], inits[k], options)
+        except Exception as exc:
+            errors[k] = exc
+        finally:
+            arrive()
+
+    threads = [threading.Thread(target=member, args=(k,), daemon=True) for k in range(count)]
+    failure = None
+    _pin(cpu)
+    try:
+        for thread in threads:
+            thread.start()
+        while True:
+            complete.acquire()
+            failure = failure or next((e for e in errors if e is not None), None)
+            live = [k for k in range(count) if posted[k] is not None]
+            if not live:
+                break
+            # Every live member now waits on its turn and every other one
+            # has ended, so no thread touches the count until the turns are
+            # given.
+            waiting[0] = len(live)
+            points = [posted[k] for k in live]
+            for k in live:
+                posted[k] = None
+            if failure is None:
+                try:
+                    values = _round_values([problems[k] for k in live], points)
+                except BaseException as exc:  # raised below, once every member has ended
+                    failure = exc
+            if failure is not None:
+                values = [_Aborted() for _ in live]
+            for k, value in zip(live, values):
+                answers[k] = value
+                turns[k].release()
+        for thread in threads:
+            thread.join()
+    finally:
+        _pin(caller)
+    if failure is not None:
+        raise failure
+    return reports

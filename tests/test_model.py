@@ -797,3 +797,44 @@ def test_adjoint_forms_gradients_of_picked_regions_only(small_scenario, rng):
             np.testing.assert_array_equal(out[3], lam_mat)
             np.testing.assert_array_equal(out[4], dudc)
             assert np.array_equal(out[0], f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    members=st.integers(min_value=1, max_value=6),
+    packaged=st.booleans(),
+)
+def test_member_sweeps_match_single_members(default_scenario, seed, members, packaged):
+    # Each member of a member-batched rollout and sweep is the same bits as
+    # that member swept alone (lockstep solves fall back on this after a
+    # breakdown), and agrees with the unbatched engine.
+    sc = default_scenario if packaged else make_scenario()
+    rng = np.random.default_rng(seed)
+    n = sc.n_regions
+    steps = int(rng.integers(1, sc.horizon + 2))
+    t0 = int(rng.integers(0, sc.horizon + 2 - steps))
+    lo, hi = sc.control_lower(), sc.control_upper()
+    span = hi - lo
+    controls = rng.uniform(lo + 0.05 * span, hi - 0.05 * span, size=(members, n, steps, 2))
+    weights = rng.uniform(-1.0, 1.0, size=(members, n))
+    x0 = simulate(sc.x0, ControlProfile(controls[0, :, :1]), sc).states[1]
+    batch = _adjoint_arrays(sc, x0, *_time_major(controls), weights, t0)
+    traj, _ = _forward(sc, x0, *_time_major(controls), t0)
+    assert batch[0].shape == (members,)
+    assert batch[1].shape == batch[2].shape == batch[4].shape == (steps, members, n)
+    assert batch[3].shape == (steps, members)
+    assert traj.states.shape == (steps + 1, members, 5 + n)
+
+    def member(out, k):
+        return [a[k] if a.ndim == 1 else a[:, k] for a in out]
+
+    for k in range(members):
+        alone = _adjoint_arrays(sc, x0, *_time_major(controls[k : k + 1]), weights[k : k + 1], t0)
+        for got, want in zip(member(batch, k), member(alone, 0), strict=True):
+            np.testing.assert_array_equal(got, want)
+        single = _adjoint_arrays(sc, x0, *_time_major(controls[k]), weights[k], t0)
+        for got, want in zip(member(batch, k), single, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        single_traj, _ = _forward(sc, x0, *_time_major(controls[k]), t0)
+        np.testing.assert_allclose(traj.states[:, k], single_traj.states, rtol=1e-13, atol=0)

@@ -1,6 +1,10 @@
 """Optimizer engine, exact gradients, and window objectives."""
 
+import dataclasses
 import operator
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from rice_game.noncooperative import _own_solve
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
+    _lockstep,
+    _member_values,
     _pool_map,
     gradient_adjoint,
     maximize,
@@ -414,3 +420,159 @@ def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
         assert report.objective == pytest.approx(after, rel=1e-12)
         assert report.objective >= report.initial_objective
         assert after >= before
+
+
+# ---------------------------------------------------------------------------
+# Lockstep solves
+# ---------------------------------------------------------------------------
+
+
+def window_problems(scenario, rng, t0=1, steps=4, weights=None, cls=WindowProblem):
+    """One single-region window problem per region, from random controls.
+
+    Row i of ``weights`` (default: the identity) weighs region i's problem.
+    """
+    n = scenario.n_regions
+    weights = np.eye(n) if weights is None else weights
+    controls = random_profile(scenario, steps, rng, margin=0.1).controls
+    x0 = simulate(scenario.x0, ControlProfile(controls[:, :t0]), scenario).state(t0)
+    return [cls(scenario, weights[i], x0, t0, controls, free_regions=[i]) for i in range(n)]
+
+
+def lockstep(problems, options=SolveOptions()):
+    inits = [p.extract(p.controls) for p in problems]
+    return _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems],
+                     inits, options)
+
+
+def serial(problems, options=SolveOptions()):
+    """``maximize`` on each problem in turn, every evaluation a batch of one."""
+    return [
+        maximize(lambda z, p=p: _member_values([p], [z])[0], p.lower, p.upper,
+                 p.extract(p.controls), options)
+        for p in problems
+    ]
+
+
+def assert_same_reports(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.objective_log.tobytes() == b.objective_log.tobytes()
+        assert (a.objective, a.initial_objective, a.iterations, a.n_evaluations,
+                a.termination) == (b.objective, b.initial_objective, b.iterations,
+                                   b.n_evaluations, b.termination)
+
+
+def test_member_values_match_window_problem_calls(default_scenario, rng):
+    problems = window_problems(default_scenario, rng, t0=3, steps=5)
+    points = [p.extract(p.controls) + 0.01 for p in problems]
+    for (f, g), p, z in zip(_member_values(problems, points), problems, points, strict=True):
+        want_f, want_g = p(z)
+        assert f == pytest.approx(want_f, rel=1e-13, abs=0)
+        np.testing.assert_allclose(g, want_g, rtol=1e-13, atol=0)
+
+
+def test_lockstep_reports_equal_serial_solves(default_scenario, rng):
+    problems = window_problems(default_scenario, rng, t0=3, steps=5)
+    reports = lockstep(problems)
+    assert_same_reports(reports, serial(problems))
+    assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
+
+
+def test_lockstep_does_not_depend_on_thread_switching(rng):
+    problems = window_problems(make_scenario(n=6), rng, steps=3)
+    want = lockstep(problems)
+    got = []
+    runner = threading.Thread(target=lambda: got.extend(lockstep(problems)), daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert_same_reports(got, want)
+
+
+def test_lockstep_penalizes_only_the_member_that_breaks(rng):
+    # Region 0's backstop makes lambda <= 0 near mu = 1, and its problem
+    # minimizes its welfare, so its line searches try abatement that breaks
+    # the model. Its siblings must not notice.
+    sc = make_scenario()
+    regions = list(sc.regions)
+    regions[0] = dataclasses.replace(regions[0], pb=8000.0)
+    sc = dataclasses.replace(sc, regions=regions)
+    weights = np.diag([-1.0, 1.0, 1.0])
+    problems = window_problems(sc, rng, weights=weights)
+    broke = []
+
+    def counted(z, p=problems[0]):
+        try:
+            return _member_values([p], [z])[0]
+        except ModelBreakdownError:
+            broke.append(z)
+            raise
+
+    p0 = problems[0]
+    maximize(counted, p0.lower, p0.upper, p0.extract(p0.controls), SolveOptions())
+    assert broke
+    reports = lockstep(problems)
+    assert_same_reports(reports, serial(problems))
+    assert_same_reports(reports[1:], lockstep(problems[1:]))
+
+
+class ProbedProblem(WindowProblem):
+    """Records the live thread count and the CPUs it may run on whenever it
+    is embedded, and raises on its embedding number ``fail_at``, if set."""
+
+    fail_at = None
+
+    def embed(self, z):
+        self.alive = max(getattr(self, "alive", 0), threading.active_count())
+        if hasattr(os, "sched_getaffinity"):
+            self.cpus = getattr(self, "cpus", []) + [os.sched_getaffinity(0)]
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("evaluation failed")
+        return super().embed(z)
+
+
+def test_lockstep_runs_one_thread_per_member(rng):
+    before = threading.active_count()
+    problems = window_problems(make_scenario(n=5), rng, cls=ProbedProblem)
+    lockstep(problems)
+    assert max(p.alive for p in problems) <= before + len(problems)
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be pinned")
+def test_lockstep_runs_on_one_cpu_and_restores_the_callers(rng):
+    caller = os.sched_getaffinity(0)
+    problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
+    lockstep(problems)
+    # The calling thread answers every round, pinned to one CPU.
+    assert len({frozenset(cpus) for p in problems for cpus in p.cpus}) == 1
+    assert len(problems[0].cpus[0]) == 1
+    assert os.sched_getaffinity(0) == caller
+    with pytest.raises(RuntimeError):
+        problems[1].fail_at = problems[1].calls + 2
+        lockstep(problems)
+    assert os.sched_getaffinity(0) == caller
+
+
+def test_lockstep_raises_only_after_every_thread_ended(rng):
+    before = threading.active_count()
+    problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
+    problems[2].fail_at = 3
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        lockstep(problems)
+    assert threading.active_count() == before
+    # An error of a member's own solve, before any evaluation.
+    problems = window_problems(make_scenario(n=4), rng)
+    inits = [p.extract(p.controls) for p in problems]
+    inits[1] = inits[1] + 2.0
+    with pytest.raises(ModelDomainError, match="init must lie within the bounds"):
+        _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems],
+                  inits, SolveOptions())
+    assert threading.active_count() == before

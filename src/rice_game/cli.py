@@ -101,8 +101,8 @@ def _build_parser() -> _Parser:
             "--threads",
             type=_at_least(1),
             default=1,
-            help="worker processes for rba's best responses and epsilon-NE check"
-            " (default 1); rhfa does not read it; outputs do not depend on it",
+            help="accepted and recorded in the manifest (default 1); no subcommand"
+            " reads it, so outputs do not depend on it",
         )
         if horizon:
             p.add_argument("--horizon", type=int, help="planning horizon override")
@@ -299,8 +299,7 @@ def _cmd_mpc(args, scenario, outdir) -> tuple:
 
 
 def _cmd_rba(args, scenario, outdir) -> tuple:
-    result = rba_dg(scenario, _swm(args, scenario).profile, episodes=args.episodes,
-                    threads=args.threads)
+    result = rba_dg(scenario, _swm(args, scenario).profile, episodes=args.episodes)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     write_episodes_csv(result.episodes, scenario.region_names,
@@ -320,7 +319,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
     }
     outputs = ["trajectory.csv", "episodes.csv"]
     if args.verify_ne:
-        cert = verify_epsilon_ne(scenario, result.profile, threads=args.threads)
+        cert = verify_epsilon_ne(scenario, result.profile)
         cert_doc = {
             "epsilon": cert.epsilon,
             "welfare": [float(w) for w in cert.welfare],
@@ -339,7 +338,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
 
 def _cmd_rhfa(args, scenario, outdir) -> tuple:
     first = _swm(args, scenario).profile.controls[:, 0, :]
-    result = rhfa_dg(scenario, args.t_sim, args.t_rh, first, threads=args.threads)
+    result = rhfa_dg(scenario, args.t_sim, args.t_rh, first)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     summary = {

@@ -408,9 +408,11 @@ def _forward(
 
     Controls of shape (T+1, B, n) roll out B members from the one start
     ``x0_vec`` at the one ``t0``: every array returned gains a member axis
-    after time (``states`` is (T+2, B, 5+n)). The members' climate states
-    are (B, 1) arrays where an unbatched rollout carries Python floats, and
-    member k's numbers are the same bits whatever the other members are.
+    after time (``states`` is (T+2, B, 5+n)). Each member carries its five
+    climate states as Python floats, as an unbatched rollout does, and
+    advances them through the same one-member climate step; the regional
+    work is whole (B, n) arrays. Member k's numbers are the same bits
+    whatever the other members are.
     """
     n = scenario.n_regions
     steps = s_tn.shape[0]
@@ -441,10 +443,25 @@ def _forward(
     (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
     (p00, p01), (p10, p11) = scenario._phimat.tolist()
 
+    def advance(row, etot, f_rel):
+        """One member's step: its row (etot, forcing, T_AT, T_LO, M_AT, M_UP,
+        M_LO) after ``row``, given its total emissions and exogenous forcing."""
+        _, _, t_at, t_lo, m_at, m_up, m_lo = row
+        forcing = eta * math.log(m_at / m1750) / log2 + f_rel
+        return (
+            etot,
+            forcing,
+            p00 * t_at + p01 * t_lo + xi2 * forcing,
+            p10 * t_at + p11 * t_lo,
+            z00 * m_at + z01 * m_up + xi1 * etot,
+            z10 * m_at + z11 * m_up + z12 * m_lo,
+            z21 * m_up + z22 * m_lo,
+        )
+
     # Everything the state does not touch, as whole-window arrays. With
     # y = A * K**gamma, the loop keeps only the state-dependent work: K**gamma,
-    # Omega(T_AT), one dot for total emissions and the capital update. The
-    # five climate states are Python floats.
+    # Omega(T_AT), one dot per member for total emissions, the capital update
+    # and each member's climate step.
     exo = scenario.exo
     A = _window(scenario._productivity, t0, steps, members)
     land = exo.e_land[t0 : t0 + steps].sum(axis=1).tolist()
@@ -457,26 +474,10 @@ def _forward(
     states[0] = x0_vec
     KG = np.empty((steps,) + lead + (n,))
     OM = np.empty_like(KG)
-    rows = []
+    row = (0.0, 0.0, *x0_vec[:5].tolist())
     if members:
-        climate = np.repeat(x0_vec[:5, None, None], lead[0], axis=1)
-
-        # math.log member by member: numpy's log differs from it in the
-        # last bit for some arguments.
-        def log(v):
-            return np.array([math.log(x) for x in v.ravel().tolist()])[:, None]
-
-        def dot(a, b):
-            return np.vecdot(a, b)[:, None]
-
-    else:
-        climate = x0_vec[:5].tolist()
-        log = math.log
-
-        def dot(a, b):
-            return float(a @ b)
-
-    t_at, t_lo, m_at, m_up, m_lo = climate
+        row = [row] * lead[0]
+    rows = []
     one, tmp = np.ones(n), np.empty(lead + (n,))
 
     # Past a breakdown the rollout runs on with meaningless values (K**gamma
@@ -485,25 +486,23 @@ def _forward(
         for kg, om, ea, d, k, k_next, f_rel, land_rel in zip(
             KG, OM, EA, D, states[:-1, ..., 5:], states[1:, ..., 5:], f_ex, land
         ):
+            t_at = np.array([r[2] for r in row])[:, None] if members else row[2]
             np.power(k, gamma, out=kg)
             np.multiply(a1, t_at, out=om)
             np.subtract(one, om, out=om)
             np.power(t_at, a3, out=tmp)
             tmp *= a2
             om -= tmp
-            etot = dot(ea, kg) + land_rel
-            forcing = eta * log(m_at / m1750) / log2 + f_rel
+            if members:
+                etot = np.vecdot(ea, kg).tolist()
+                row = [advance(r, e + land_rel, f_rel) for r, e in zip(row, etot)]
+            else:
+                row = advance(row, float(ea @ kg) + land_rel, f_rel)
             np.multiply(om, kg, out=tmp)
             tmp *= d
             np.multiply(keep5, k, out=k_next)
             k_next += tmp
-            m_at, m_up, m_lo = (
-                z00 * m_at + z01 * m_up + xi1 * etot,
-                z10 * m_at + z11 * m_up + z12 * m_lo,
-                z21 * m_up + z22 * m_lo,
-            )
-            t_at, t_lo = p00 * t_at + p01 * t_lo + xi2 * forcing, p10 * t_at + p11 * t_lo
-            rows.append((etot, forcing, t_at, t_lo, m_at, m_up, m_lo))
+            rows.append(row)
 
     bad = (OM <= 0.0) | (LAM <= 0.0)
     if bad.any():
@@ -516,7 +515,7 @@ def _forward(
             step=ta,
             region=i,
         )
-    rows = np.array(rows).reshape((steps, 7) + lead).swapaxes(1, -1)
+    rows = np.array(rows).reshape((steps,) + lead + (7,))
     states[1:, ..., :5] = rows[..., 2:]
     Y = A * KG
     Q = OM * LAM * Y
@@ -573,12 +572,13 @@ def _adjoint_arrays(
     Member controls (steps, B, n) take one weight row per member, (B, n),
     and sweep B members at once, as :func:`_forward` rolls them out: the
     batch axis is then the member axis, ``dudc`` gains it too, and member
-    k's numbers are the same bits whatever the other members are.
+    k's numbers are the same bits whatever the other members are. There
+    ``regions`` may also be a (B, r) array whose row k picks member k's own
+    regions, so the gradients are (steps, B, r).
     """
     traj, cpc = _forward(scenario, x0_vec, s_tn, mu_tn, t0=t0, check=check)
     steps, n = s_tn.shape[0], s_tn.shape[-1]
     members = s_tn.ndim == 3
-    dot = np.vecdot if members else np.matmul
     welfare = _utilities(scenario, cpc, t0).sum(axis=0)
     f = np.vecdot(welfare, weights) if members else welfare @ weights.T
     batched = weights.ndim == 2
@@ -599,6 +599,7 @@ def _adjoint_arrays(
 
     states, Y, Q = traj.states, traj.gross_output, traj.net_output
     OM, LAM = traj.damage_fraction, traj.abatement_fraction
+    del traj, cpc  # the sweep reads no other part of the rollout
     K = states[:steps, ..., 5:]
     sig = _window(scenario.exo.sigma, t0, steps, members)
 
@@ -606,58 +607,84 @@ def _adjoint_arrays(
     # arrays; ``batch`` inserts the weight-batch axis after time, where the
     # rollout has no member axis. The consumption part of the T_AT costate
     # term is one row sum; the loop keeps the capital part, one dot per
-    # step. For an (n,) weight vector the climate costates are Python floats.
+    # step. Each of these arrays is freed once read, which keeps a member
+    # sweep's peak memory down.
     batch = (slice(None),) + (None,) * (weights.ndim + 1 - s_tn.ndim)
     w_mu = weights * dudc[batch]
     w_mu_kept = w_mu * (1.0 - s_tn[batch])
     om_prime = -(a1 + a2 * a3 * states[:steps, ..., 0:1] ** (a3 - 1.0))
-    dq_dk = gamma * Q / K
     dq_dtat = LAM * Y * om_prime
+    del om_prime, LAM
     saved_dq_dtat = 5.0 * s_tn * dq_dtat
     kept_dq_dtat = (w_mu_kept * dq_dtat[batch]).sum(axis=-1)
+    del dq_dtat
+    dq_dk = gamma * Q / K
     k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
     kept_dq_dk = w_mu_kept * dq_dk[batch]
+    del dq_dk
     emit_dk = xi1 * sig * (1.0 - mu_tn) * gamma * Y / K
     forcing_sens = geo.xi2 * geo.eta / (states[:steps, ..., 2] * math.log(2.0))
-    if not members:
-        forcing_sens = forcing_sens.tolist()
+    forcing_sens = forcing_sens.tolist()
+
+    def retreat(lam, output_term, f_sens):
+        """One member's climate costates (T_AT, T_LO, M_AT, M_UP, M_LO) one
+        step before ``lam``, given its T_AT output term and forcing sensitivity."""
+        lam_tat, lam_tlo, lam_m0, lam_m1, lam_m2 = lam
+        return (
+            output_term + phi11 * lam_tat + phi21 * lam_tlo,
+            phi12 * lam_tat + phi22 * lam_tlo,
+            z00 * lam_m0 + z10 * lam_m1 + f_sens * lam_tat,
+            z01 * lam_m0 + z11 * lam_m1 + z21 * lam_m2,
+            z12 * lam_m1 + z22 * lam_m2,
+        )
 
     # Entry t of lam_k_path and lam_mat is the costate of K(t+1) and of
     # M_AT(t+1). The sweep stops at t = 1: no output reads the costates of
-    # the start state.
+    # the start state. Each member carries its climate costates as Python
+    # floats, as an (n,) weight vector does; an unbatched sweep with (m, n)
+    # weights carries them as (m,) arrays.
     shape = weights.shape[:-1]
-    lam_tat = lam_tlo = lam_m0 = lam_m1 = lam_m2 = np.zeros(shape) if batched else 0.0
+    lams = (np.zeros(shape) if batched and not members else 0.0,) * 5
+    if members:
+        lams = [lams] * shape[0]
     lam_k_path = np.empty((steps,) + shape + (n,))
     lam_k_path[-1] = 0.0
     lam_mat = np.empty((steps,) + shape)
     tmp = np.empty(shape + (n,))
     cast = np.asarray if batched else float
-    for t in range(steps - 1, 0, -1):
-        lam_k = lam_k_path[t]
+    for t in range(steps - 1, -1, -1):
+        lam_m0 = np.array([lam[2] for lam in lams]) if members else lams[2]
         lam_mat[t] = lam_m0
-        output_term = cast(dot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t])
-        new_tat = output_term + phi11 * lam_tat + phi21 * lam_tlo
-        new_tlo = phi12 * lam_tat + phi22 * lam_tlo
-        new_m0 = z00 * lam_m0 + z10 * lam_m1 + forcing_sens[t] * lam_tat
-        new_m1 = z01 * lam_m0 + z11 * lam_m1 + z21 * lam_m2
-        new_m2 = z12 * lam_m1 + z22 * lam_m2
+        if not t:
+            break
+        lam_k = lam_k_path[t]
+        if members:
+            terms = (np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]).tolist()
+            lams = [retreat(*args) for args in zip(lams, terms, forcing_sens[t])]
+        else:
+            term = cast(lam_k @ saved_dq_dtat[t] + kept_dq_dtat[t])
+            lams = retreat(lams, term, forcing_sens[t])
         lam_k_prev = lam_k_path[t - 1]
         np.multiply(lam_k, k_sens[t], out=lam_k_prev)
         lam_k_prev += kept_dq_dk[t]
         np.multiply(emit_dk[t], lam_m0[:, None] if batched else lam_m0, out=tmp)
         lam_k_prev += tmp
-        lam_tat, lam_tlo = new_tat, new_tlo
-        lam_m0, lam_m1, lam_m2 = new_m0, new_m1, new_m2
-    lam_mat[0] = lam_m0
+    del saved_dq_dtat, k_sens, kept_dq_dk, emit_dk
 
     theta1 = _window(scenario._theta1, t0, steps, members)
     lam_prime = -(theta1 * theta2 * mu_tn ** (theta2 - 1.0))
+    if np.ndim(regions) == 2:
+        # Row k of ``regions`` picks member k's regions.
+        sig = np.broadcast_to(sig, Y.shape)
+        pick = (Ellipsis, np.arange(len(regions))[:, None], regions)
+    else:
+        pick = (Ellipsis, regions)
     Q, OM, Y, sig, lam_prime, s_r = (
-        a[..., regions][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
+        a[pick][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
     )
-    lam_k_path = lam_k_path[..., regions]
-    gs = (-w_mu[..., regions] + 5.0 * lam_k_path) * Q
-    gmu = (w_mu_kept[..., regions] + 5.0 * s_r * lam_k_path) * OM * Y * lam_prime - (
+    w_mu, w_mu_kept, lam_k_path = (a[pick] for a in (w_mu, w_mu_kept, lam_k_path))
+    gs = (-w_mu + 5.0 * lam_k_path) * Q
+    gmu = (w_mu_kept + 5.0 * s_r * lam_k_path) * OM * Y * lam_prime - (
         lam_mat[..., None] * xi1 * sig * Y
     )
     return f, gs, gmu, lam_mat, dudc

@@ -33,7 +33,6 @@ from .solver import (
     SolveReport,
     WindowProblem,
     _lockstep,
-    _pool_map,
     maximize,
 )
 
@@ -225,11 +224,28 @@ def best_response(
 
 
 def _best_responses(
-    scenario: Scenario, profile: ControlProfile, options: SolveOptions, threads: int
+    scenario: Scenario, profile: ControlProfile, options: SolveOptions
 ) -> list:
-    """Every region's :class:`BestResponseResult` against ``profile``."""
-    args = [(scenario, i, profile, options) for i in range(scenario.n_regions)]
-    return _pool_map(best_response, args, threads)
+    """Every region's :class:`BestResponseResult` against ``profile``: one
+    Jacobi round, its n best responses solved in lockstep (``solver._lockstep``).
+
+    Each result equals :func:`best_response`'s for its region bit for bit
+    whenever the member-batched engine gives the unbatched engine's bits.
+    """
+    setups = [
+        _own_problem(scenario, i, scenario.x0, 0, profile.controls)
+        for i in range(scenario.n_regions)
+    ]
+    reports = _lockstep(*zip(*setups), options)
+    return [
+        BestResponseResult(
+            region=i,
+            controls=report.x.reshape(profile.horizon + 1, 2).copy(),
+            welfare=report.objective,
+            report=report,
+        )
+        for i, report in enumerate(reports)
+    ]
 
 
 def rba_dg(
@@ -252,6 +268,12 @@ def rba_dg(
     at the inner solves' resolution. ``converged`` is true only after such
     a stop whose round had every best response end on its gradient or
     objective-change test.
+
+    A Jacobi round's n best responses run in lockstep (``solver._lockstep``):
+    one L-BFGS-B per region, every round of their evaluations one
+    member-batched rollout and adjoint sweep. Gauss-Seidel rounds solve one
+    region after another. The results do not depend on thread scheduling.
+    ``threads`` is kept for callers that pass it and is not read.
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
@@ -270,7 +292,7 @@ def rba_dg(
     converged = False
     for _ in range(episodes):
         if update == "jacobi":
-            results = _best_responses(scenario, ControlProfile(controls), opts, threads)
+            results = _best_responses(scenario, ControlProfile(controls), opts)
             new = np.array([r.controls for r in results])
             terminations = [r.report.termination for r in results]
         else:
@@ -303,9 +325,14 @@ def verify_epsilon_ne(
     options: SolveOptions | None = None,
     threads: int = 1,
 ) -> NeCertificate:
-    """Measure the largest relative unilateral improvement on ``profile``."""
+    """Measure the largest relative unilateral improvement on ``profile``.
+
+    The n best responses run in lockstep, as one Jacobi round of
+    :func:`rba_dg`. ``threads`` is kept for callers that pass it and is not
+    read.
+    """
     opts = options or SolveOptions()
-    results = _best_responses(scenario, profile, opts, threads)
+    results = _best_responses(scenario, profile, opts)
     # Each best response starts from the candidate, so its initial
     # objective is that region's welfare at the candidate.
     welfare = np.array([r.report.initial_objective for r in results])

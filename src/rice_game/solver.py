@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,15 +90,6 @@ class SolveReport:
     start_index: int
     objective_log: np.ndarray
     start_objectives: list = field(default_factory=list)
-
-
-def _pool_map(fn, args, threads: int) -> list:
-    """``[fn(*a) for a in args]`` over ``min(threads, len(args))`` worker processes."""
-    workers = min(threads, len(args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*args)))
-    return [fn(*a) for a in args]
 
 
 def _termination_reason(res) -> str:
@@ -318,22 +308,26 @@ class WindowProblem:
 def _member_values(problems, points) -> list:
     """``[problem(z) for problem, z in zip(problems, points)]`` in one sweep.
 
-    The window problems share their scenario, start state and ``t0``; each
-    keeps its own controls, weight row and free regions. One member-batched
-    rollout and adjoint sweep answers them all, and member k's value and
-    gradient are the same bits in a batch of any size, a batch of one
-    included.
+    The window problems share their scenario, start state, ``t0`` and the
+    number of free regions; each keeps its own controls, weight row and
+    free regions. One member-batched rollout and adjoint sweep answers them
+    all, forming only each member's own gradient columns, and member k's
+    value and gradient are the same bits in a batch of any size. A batch of
+    one is the problem's own unbatched call, which costs less than a member
+    sweep of one; the two paths share every equation of the engine.
     """
+    if len(problems) == 1:
+        return [problems[0](points[0])]
     first = problems[0]
-    full = np.array([p.embed(z) for p, z in zip(problems, points)])
+    s_tn, mu_tn = _time_major(np.array([p.embed(z) for p, z in zip(problems, points)]))
     weights = np.array([p.weights for p in problems])
+    free = np.array([p.free_regions for p in problems])
     f, gs, gmu, _, _ = _adjoint_arrays(
-        first.scenario, first.x0_vec, *_time_major(full), weights, first.t0
+        first.scenario, first.x0_vec, s_tn, mu_tn, weights, first.t0, regions=free
     )
     grads = np.stack([gs, gmu], axis=-1)
     return [
-        (float(f[k]), grads[:, k, p.free_regions].transpose(1, 0, 2).ravel())
-        for k, p in enumerate(problems)
+        (float(f[k]), grads[:, k].transpose(1, 0, 2).ravel()) for k in range(len(problems))
     ]
 
 

@@ -264,6 +264,19 @@ def test_simulate_with_offset_matches_oracle(small_scenario, rng):
     assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
+#: Trajectory flow fields and the oracle's diagnostic keys for them.
+ORACLE_FLOWS = {
+    "gross_output": "Y",
+    "net_output": "Q",
+    "consumption": "C",
+    "abatement_fraction": "LAM",
+    "damage_fraction": "OM",
+    "emissions": "EREG",
+    "total_emissions": "ETOT",
+    "forcing": "F",
+}
+
+
 @pytest.mark.parametrize("kind", ["random", "constant"])
 def test_packaged_scenario_matches_oracle_at_full_horizon(default_scenario, rng, kind):
     # The 12-region, T=120 rollout that the benchmark and the CLI run.
@@ -278,17 +291,7 @@ def test_packaged_scenario_matches_oracle_at_full_horizon(default_scenario, rng,
     states, diag = oracle_trajectory(consts, s, mu)
     traj = simulate(sc.x0, profile, sc)
     np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12, atol=0)
-    flows = {
-        "gross_output": "Y",
-        "net_output": "Q",
-        "consumption": "C",
-        "abatement_fraction": "LAM",
-        "damage_fraction": "OM",
-        "emissions": "EREG",
-        "total_emissions": "ETOT",
-        "forcing": "F",
-    }
-    for name, key in flows.items():
+    for name, key in ORACLE_FLOWS.items():
         np.testing.assert_allclose(
             getattr(traj, name), np.array(diag[key]), rtol=1e-12, atol=0, err_msg=name
         )
@@ -297,6 +300,37 @@ def test_packaged_scenario_matches_oracle_at_full_horizon(default_scenario, rng,
     value = weighted_welfare(traj, profile, sc.weights, sc)
     expect = oracle_weighted_welfare(consts, s, mu, list(sc.weights), FloatBackend())
     assert value == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_member_batch_matches_oracle_at_full_horizon(default_scenario, rng):
+    # The full-horizon oracle check above, on a 3-member batch: the profiles
+    # of that test and one more random one, each member with its own weights.
+    sc = default_scenario
+    n, steps = sc.n_regions, sc.horizon + 1
+    profiles = [
+        random_profile(sc, steps, rng),
+        ControlProfile.constant(n, sc.horizon, 0.25, 0.1),
+        random_profile(sc, steps, rng),
+    ]
+    weights = np.array([sc.weights, np.eye(n)[3], rng.uniform(0.0, 1.0, n)])
+    controls = np.array([p.controls for p in profiles])
+    x0 = sc.x0.to_vector()
+    traj, _ = _forward(sc, x0, *_time_major(controls))
+    welfare = _adjoint_arrays(sc, x0, *_time_major(controls), weights)[0]
+    consts = scenario_constants(sc)
+    for k, profile in enumerate(profiles):
+        s, mu = profile_to_lists(profile)
+        states, diag = oracle_trajectory(consts, s, mu)
+        np.testing.assert_allclose(traj.states[:, k], np.array(states), rtol=1e-12, atol=0)
+        for name, key in ORACLE_FLOWS.items():
+            np.testing.assert_allclose(
+                getattr(traj, name)[:, k], np.array(diag[key]), rtol=1e-12, atol=0,
+                err_msg=f"member {k} {name}",
+            )
+        cpc = np.array(diag["C"]) / sc.exo.labor[:steps]
+        np.testing.assert_array_equal(traj.consumption_floored[:, k], cpc < consts["floor"])
+        expect = oracle_weighted_welfare(consts, s, mu, list(weights[k]), FloatBackend())
+        assert welfare[k] == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_simulate_prefix_property(small_scenario, rng):
@@ -548,6 +582,36 @@ def test_late_breakdown_on_packaged_scenario(default_scenario):
     assert str(exc_info.value) == message
 
 
+def test_late_breakdown_in_a_member_batch(default_scenario):
+    # The breakdown above, carried by the last of three members: one that
+    # never breaks, one that breaks later (step 68), and the step-59 one.
+    # The batch raises the earliest step's error, with the unbatched
+    # rollout's step, region and message, and no numpy warning before it.
+    sc = default_scenario
+    regions = [dataclasses.replace(r, a2=2.0 * r.a2) for r in sc.regions]
+    hot = dataclasses.replace(sc, regions=regions)
+    profiles = [
+        ControlProfile.constant(hot.n_regions, hot.horizon, 0.25, mu)
+        for mu in (0.6, 0.2, 0.0)
+    ]
+    controls = np.array([p.controls for p in profiles])
+    weights = np.repeat(hot.weights[None], 3, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        simulate(hot.x0, profiles[0], hot)
+        with pytest.raises(ModelBreakdownError) as alone:
+            simulate(hot.x0, profiles[1], hot)
+        assert alone.value.step == 68
+        with pytest.raises(ModelBreakdownError) as alone:
+            simulate(hot.x0, profiles[2], hot)
+        for run in (_forward, _adjoint_arrays):
+            args = (weights,) if run is _adjoint_arrays else ()
+            with pytest.raises(ModelBreakdownError) as exc_info:
+                run(hot, hot.x0.to_vector(), *_time_major(controls), *args)
+            assert (exc_info.value.step, exc_info.value.region) == (59, 6)
+            assert str(exc_info.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("t0", [0, 1, 7, 8])
 def test_windowed_rollout_reproduces_full_rollout(small_scenario, rng, t0):
     sc = small_scenario
@@ -797,6 +861,20 @@ def test_adjoint_forms_gradients_of_picked_regions_only(small_scenario, rng):
             np.testing.assert_array_equal(out[3], lam_mat)
             np.testing.assert_array_equal(out[4], dudc)
             assert np.array_equal(out[0], f)
+    # Member controls, each member picking its own regions.
+    controls = np.array([random_profile(sc, steps, rng).controls for _ in range(4)])
+    weights = rng.uniform(0.0, 1.0, size=(4, 3))
+    f, gs, gmu, lam_mat, dudc = _adjoint_arrays(sc, x0, *_time_major(controls), weights)
+    picks = np.array([[2], [0], [1], [2]])
+    for regions in (picks, np.array([[0, 2], [1, 2], [0, 1], [2, 0]])):
+        out = _adjoint_arrays(sc, x0, *_time_major(controls), weights, regions=regions)
+        assert out[1].shape == out[2].shape == (steps, 4, regions.shape[1])
+        for k, row in enumerate(regions):
+            np.testing.assert_array_equal(out[1][:, k], gs[:, k, row])
+            np.testing.assert_array_equal(out[2][:, k], gmu[:, k, row])
+        np.testing.assert_array_equal(out[3], lam_mat)
+        np.testing.assert_array_equal(out[4], dudc)
+        assert np.array_equal(out[0], f)
 
 
 @settings(max_examples=30, deadline=None)

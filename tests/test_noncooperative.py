@@ -220,6 +220,19 @@ def test_rba_gauss_seidel_runs_and_is_deterministic(small_scenario):
     assert np.isfinite(a.episodes[-1].distance_inf)
 
 
+def test_rba_gauss_seidel_stays_serial_best_responses(small_scenario):
+    # A Gauss-Seidel round is n unbatched best_response calls in region
+    # order, each against the profile the ones before it updated.
+    init = cold_profile(small_scenario)
+    got = rba_dg(small_scenario, init, episodes=2, options=FAST, update="gauss-seidel")
+    controls = init.controls.copy()
+    for episode in got.episodes[1:]:
+        for i in range(small_scenario.n_regions):
+            controls[i] = best_response(small_scenario, i, ControlProfile(controls), FAST).controls
+        assert episode.profile.tobytes() == controls.tobytes()
+    assert len(got.episodes) == 3
+
+
 # ---------------------------------------------------------------------------
 # Equilibrium certificate
 # ---------------------------------------------------------------------------

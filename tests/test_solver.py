@@ -1,7 +1,6 @@
 """Optimizer engine, exact gradients, and window objectives."""
 
 import dataclasses
-import operator
 import os
 import sys
 import threading
@@ -26,14 +25,12 @@ from rice_game.model import (
     simulate,
     weighted_welfare,
 )
-from rice_game import solver
-from rice_game.noncooperative import _own_solve
+from rice_game.noncooperative import _best_responses, _own_problem, _own_solve
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
     _lockstep,
     _member_values,
-    _pool_map,
     gradient_adjoint,
     maximize,
 )
@@ -298,38 +295,6 @@ def test_maximize_multistart_escapes_poor_basin():
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "threads,tasks,pools", [(5000, 3, [3]), (2, 3, [2]), (1, 3, []), (5000, 1, [])]
-)
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch, threads, tasks, pools):
-    started = []
-
-    class RecordingPool:
-        """Runs tasks in this process and records the pool size asked for."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
-    args = [(i, 1) for i in range(tasks)]
-    assert _pool_map(operator.add, args, threads) == list(range(1, tasks + 1))
-    assert started == pools
-
-
-# ---------------------------------------------------------------------------
 # Window problems
 # ---------------------------------------------------------------------------
 
@@ -576,3 +541,26 @@ def test_lockstep_raises_only_after_every_thread_ended(rng):
         _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems],
                   inits, SolveOptions())
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("packaged", [False, True])
+def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, rng):
+    # One Jacobi round in lockstep against serial maximize solves of the same
+    # own-welfare problems, every evaluation a batch of one. The packaged
+    # scenario runs at a short horizon.
+    sc = default_scenario if packaged else make_scenario()
+    steps = 13 if packaged else sc.horizon + 1
+    profile = random_profile(sc, steps, rng, margin=0.1)
+    results = _best_responses(sc, profile, SolveOptions())
+    problems = [_own_problem(sc, i, sc.x0, 0, profile.controls)[0] for i in range(sc.n_regions)]
+    reports = [r.report for r in results]
+    assert_same_reports(reports, serial(problems))
+    assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
+    for i, result in enumerate(results):
+        assert result.region == i
+        assert result.welfare == result.report.objective
+        assert result.controls.tobytes() == problems[i].embed(result.report.x)[i].tobytes()
+        # Each result owns its controls.
+        assert result.controls.flags.owndata
+        assert not any(np.shares_memory(result.controls, other.controls)
+                       for other in results if other is not result)

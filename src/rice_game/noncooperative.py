@@ -270,10 +270,10 @@ def rba_dg(
     objective-change test.
 
     A Jacobi round's n best responses run in lockstep (``solver._lockstep``):
-    one L-BFGS-B per region, every round of their evaluations one
-    member-batched rollout and adjoint sweep. Gauss-Seidel rounds solve one
-    region after another. The results do not depend on thread scheduling.
-    ``threads`` is kept for callers that pass it and is not read.
+    one L-BFGS-B per region, all driven from the calling thread, every
+    round of their evaluations one member-batched rollout and adjoint
+    sweep. Gauss-Seidel rounds solve one region after another. ``threads``
+    is kept for callers that pass it and is not read.
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
@@ -327,9 +327,9 @@ def verify_epsilon_ne(
 ) -> NeCertificate:
     """Measure the largest relative unilateral improvement on ``profile``.
 
-    The n best responses run in lockstep, as one Jacobi round of
-    :func:`rba_dg`. ``threads`` is kept for callers that pass it and is not
-    read.
+    The n best responses run in lockstep in the calling thread, as one
+    Jacobi round of :func:`rba_dg`. ``threads`` is kept for callers that
+    pass it and is not read.
     """
     opts = options or SolveOptions()
     results = _best_responses(scenario, profile, opts)
@@ -373,10 +373,9 @@ def rhfa_dg(
     :func:`simulate` would, and no truncated play is returned.
 
     Each step's n window solves run in lockstep (``solver._lockstep``):
-    one L-BFGS-B per region, every round of their evaluations one
-    member-batched rollout and adjoint sweep. The results do not depend on
-    thread scheduling. ``threads`` is kept for callers that pass it and is
-    not read.
+    one L-BFGS-B per region, all driven from the calling thread, every
+    round of their evaluations one member-batched rollout and adjoint
+    sweep. ``threads`` is kept for callers that pass it and is not read.
     """
     if t_sim < 1 or t_rh < 1:
         raise ModelDomainError("t_sim and t_rh must be at least 1")

@@ -2,20 +2,24 @@
 
 The decision vector flattens a :class:`~rice_game.model.ControlProfile` in
 region-major, time-minor, [s, mu] order. Welfare is maximized by running a
-projected quasi-Newton method (the L-BFGS-B engine from scipy) on the
-negated, scaled objective. Gradients come from the model's hand-derived
-discrete adjoint sweep, which matches the rollout step by step.
+projected quasi-Newton method on the negated, scaled objective: scipy's
+L-BFGS-B routine ``setulb``, which returns to its caller for every value
+and gradient it needs. :func:`maximize` answers those requests from one
+objective; ``_lockstep`` answers the requests of many solves in rounds, one
+member-batched evaluation per round. Gradients come from the model's
+hand-derived discrete adjoint sweep, which matches the rollout step by step.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+
+# From the package, not by the submodule's dotted name: loading scipy.optimize
+# as the parent of a submodule import made this package's import slower.
+from scipy.optimize import _lbfgsb
 
 from .model import (
     ControlProfile,
@@ -47,9 +51,11 @@ _BREAKDOWN_MARGIN = 1e6
 #: between accepted iterates.
 _GRAD_TOL = 1e-6
 _OBJ_REL_TOL = 1e-10
-#: L-BFGS-B's correction pairs and function evaluations per line search.
+#: L-BFGS-B's correction pairs and function evaluations per line search,
+#: and scipy's default cap on the evaluations of one run.
 _LBFGS_MEMORY = 20
 _MAX_LINE_SEARCH = 40
+_MAX_FUN = 15000
 #: Half-width of a multistart's uniform jitter, as a fraction of the box.
 _PERTURB_SCALE = 0.1
 
@@ -92,15 +98,153 @@ class SolveReport:
     start_objectives: list = field(default_factory=list)
 
 
-def _termination_reason(res) -> str:
-    msg = str(res.message).upper()
-    if "PGTOL" in msg or "PROJECTED GRADIENT" in msg:
-        return "gradient"
-    if "FACTR" in msg or "REDUCTION" in msg:
-        return "objective-change"
-    if res.status == 1:
-        return "max-iter"
-    return "line-search-failure"
+def _minimize_lbfgsb(fun, x, lower, upper, max_iter, callback):
+    """Minimize with L-BFGS-B from ``x``, as scipy 1.17's ``_minimize_lbfgsb``.
+
+    A generator: ``fun(x)`` is a generator that yields the points it needs
+    and returns ``(value, gradient)`` of the function to minimize. Like
+    scipy's ``ScalarFunction`` it is called at the start and at each point
+    ``setulb`` asks for that differs from the last one evaluated, and the
+    count of those calls stops the run past ``_MAX_FUN``. ``callback()``
+    runs after each iteration. Returns the final point and value, the
+    iteration and evaluation counts, and the termination.
+    """
+    n, m = x.size, _LBFGS_MEMORY
+    x = np.clip(x, lower, upper)
+    finite_lo, finite_hi = ~np.isinf(lower), ~np.isinf(upper)
+    nbd = np.where(finite_lo, np.where(finite_hi, 2, 1), np.where(finite_hi, 3, 0)).astype(np.int32)
+    lower, upper = np.where(finite_lo, lower, 0.0), np.where(finite_hi, upper, 0.0)
+    factr = _OBJ_REL_TOL / np.finfo(float).eps
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+
+    seen = x.copy()
+    fg = yield from fun(x.copy())
+    n_evaluations, iterations = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        g = g.astype(np.float64)  # setulb takes float64 and works in g itself
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
+                       lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, seen):
+                seen = x.copy()
+                fg = yield from fun(x.copy())
+                n_evaluations += 1
+            f, g = fg
+        elif task[0] == 1:  # a new iterate
+            iterations += 1
+            callback()
+            if iterations >= max_iter:
+                task[:] = 5, 504
+            elif n_evaluations > _MAX_FUN:
+                task[:] = 5, 502
+        else:
+            break
+
+    if task[1] in (401, 503):
+        termination = "gradient"
+    elif task[1] == 402:
+        termination = "objective-change"
+    elif task[0] != 4 and (n_evaluations > _MAX_FUN or iterations >= max_iter):
+        termination = "max-iter"
+    else:
+        termination = "line-search-failure"
+    return x, f, iterations, n_evaluations, termination
+
+
+def _ascent(lower, upper, init, options):
+    """:func:`maximize` as a generator that yields each point to evaluate.
+
+    It is sent the point's ``(value, gradient)``, or the
+    :class:`ModelBreakdownError` that evaluating it raised, and returns the
+    :class:`SolveReport`. Its iterates depend on those answers only.
+    """
+    opts = options or SolveOptions()
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    init = np.asarray(init, dtype=float)
+    if init.ndim != 1:
+        raise ModelDomainError("init must be a flat vector")
+    if lower.shape != init.shape or upper.shape != init.shape:
+        raise ModelDomainError("bounds and init must share one shape")
+    if np.any(lower > upper):
+        raise ModelDomainError("lower bound exceeds upper bound")
+    if np.any(init < lower - 1e-12) or np.any(init > upper + 1e-12):
+        raise ModelDomainError("init must lie within the bounds")
+    init = np.clip(init, lower, upper)
+
+    # Each start point is evaluated for the log (the first one for ``f0``)
+    # and again as L-BFGS-B's first call; answer repeats from memory.
+    last = {}
+
+    def evaluate(x):
+        if last and np.array_equal(x, last["x"]):
+            return last["fg"]
+        fg = yield x
+        if isinstance(fg, ModelBreakdownError):
+            raise fg  # a point that breaks the model stores nothing
+        last["x"], last["fg"] = x.copy(), fg
+        return fg
+
+    f0, _ = yield from evaluate(init)
+    if not np.isfinite(f0):
+        raise ModelDomainError("objective at init is not finite")
+    scale = 1.0 / max(abs(f0), 1e-12)
+
+    rng = np.random.default_rng(opts.seed)
+    starts = [init]
+    span = upper - lower
+    for _ in range(max(opts.multistart, 1) - 1):
+        jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
+        starts.append(np.clip(init + jitter, lower, upper))
+
+    best = None
+    start_objectives = []
+    for idx, x_start in enumerate(starts):
+        last_f = {"val": math.nan}
+
+        def fun(x):
+            try:
+                f, g = yield from evaluate(x)
+            except ModelBreakdownError:
+                f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
+            last_f["val"] = f
+            return -scale * f, -scale * np.asarray(g)
+
+        try:
+            log = [(yield from evaluate(x_start))[0]]
+        except ModelBreakdownError:
+            log = [-_BREAKDOWN_MARGIN / scale]
+
+        x, f, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
+            fun, x_start, lower, upper, opts.max_iter, lambda: log.append(last_f["val"])
+        )
+        f_run = -f / scale
+        start_objectives.append(f_run)
+        if best is None or f_run > best.objective:
+            best = SolveReport(
+                x=x,
+                objective=f_run,
+                initial_objective=f0,
+                iterations=iterations,
+                n_evaluations=n_evaluations,
+                termination=termination,
+                start_index=idx,
+                objective_log=np.asarray(log),
+            )
+
+    best.start_objectives = start_objectives
+    if best.objective < f0:
+        # No start improved on the caller's initial point; honor the
+        # ascent guarantee by returning it unchanged.
+        best.x = init.copy()
+        best.objective = f0
+        best.objective_log = np.array([f0])
+    return best
 
 
 def maximize(
@@ -117,100 +261,17 @@ def maximize(
     objective, scaled by 1/|f(init)| so tolerances behave uniformly across
     problems. The returned objective never falls below the initial one.
     """
-    opts = options or SolveOptions()
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    init = np.asarray(init, dtype=float)
-    if lower.shape != init.shape or upper.shape != init.shape:
-        raise ModelDomainError("bounds and init must share one shape")
-    if np.any(lower > upper):
-        raise ModelDomainError("lower bound exceeds upper bound")
-    if np.any(init < lower - 1e-12) or np.any(init > upper + 1e-12):
-        raise ModelDomainError("init must lie within the bounds")
-    init = np.clip(init, lower, upper)
-
-    # Each start point is evaluated for the log (the first one for ``f0``)
-    # and again as L-BFGS-B's first call; answer repeats from memory.
-    last = {}
-
-    def evaluate(x):
-        if last and np.array_equal(x, last["x"]):
-            return last["fg"]
-        fg = objective(x)  # a call that raises stores nothing
-        last["x"], last["fg"] = x.copy(), fg
-        return fg
-
-    f0, _ = evaluate(init)
-    if not np.isfinite(f0):
-        raise ModelDomainError("objective at init is not finite")
-    scale = 1.0 / max(abs(f0), 1e-12)
-
-    rng = np.random.default_rng(opts.seed)
-    starts = [init]
-    span = upper - lower
-    for _ in range(max(opts.multistart, 1) - 1):
-        jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
-        starts.append(np.clip(init + jitter, lower, upper))
-
-    bounds = list(zip(lower, upper))
-    best = None
-    start_objectives = []
-    for idx, x_start in enumerate(starts):
-        last_f = {"val": math.nan}
-
-        def fun(x):
-            try:
-                f, g = evaluate(x)
-            except ModelBreakdownError:
-                f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
-            last_f["val"] = f
-            return -scale * f, -scale * np.asarray(g)
-
+    ascent = _ascent(lower, upper, init, options)
+    answer = None
+    while True:
         try:
-            log = [evaluate(x_start)[0]]
-        except ModelBreakdownError:
-            log = [-_BREAKDOWN_MARGIN / scale]
-
-        def callback(xk):
-            log.append(last_f["val"])
-
-        res = minimize(
-            fun,
-            x_start,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            callback=callback,
-            options={
-                "maxiter": opts.max_iter,
-                "maxcor": _LBFGS_MEMORY,
-                "maxls": _MAX_LINE_SEARCH,
-                "gtol": _GRAD_TOL,
-                "ftol": _OBJ_REL_TOL,
-            },
-        )
-        f_run = -res.fun / scale
-        start_objectives.append(f_run)
-        if best is None or f_run > best.objective:
-            best = SolveReport(
-                x=res.x.copy(),
-                objective=f_run,
-                initial_objective=f0,
-                iterations=res.nit,
-                n_evaluations=res.nfev,
-                termination=_termination_reason(res),
-                start_index=idx,
-                objective_log=np.asarray(log),
-            )
-
-    best.start_objectives = start_objectives
-    if best.objective < f0:
-        # No start improved on the caller's initial point; honor the
-        # ascent guarantee by returning it unchanged.
-        best.x = init.copy()
-        best.objective = f0
-        best.objective_log = np.array([f0])
-    return best
+            x = ascent.send(answer)
+        except StopIteration as done:
+            return done.value
+        try:
+            answer = objective(x)
+        except ModelBreakdownError as exc:
+            answer = exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,122 +408,37 @@ def _round_values(problems, points) -> list:
     return values
 
 
-class _Aborted(Exception):
-    """Stops a lockstep member after another member's solve failed."""
-
-
-def _lockstep_cpus() -> tuple:
-    """The calling thread's CPUs, and the one CPU that a lockstep runs on.
-
-    Only one of a lockstep's threads runs at a time, and every evaluation
-    hands over from one thread to another. On one CPU a handover is a
-    context switch; a thread woken on an idle CPU waits for that CPU to
-    wake instead, which on a 2-vCPU VM left perfbench's ``rhfa`` job idle
-    for a third of its wall time or more. Concurrent processes spread over
-    the allowed CPUs by process id. Both are None where the platform cannot
-    pin threads.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return None, None
-    caller = os.sched_getaffinity(0)
-    return caller, {sorted(caller)[os.getpid() % len(caller)]}
-
-
-def _pin(cpus) -> None:
-    """Pin the calling thread to ``cpus``, where the platform allows it."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass  # the lockstep runs unpinned, only slower
-
-
 def _lockstep(problems, lowers, uppers, inits, options) -> list:
     """``[maximize(p, lo, hi, x, options) for ...]``, evaluated in rounds.
 
-    Each window problem runs the unchanged :func:`maximize` in its own
-    thread. Its objective posts the point and waits on its own lock. Once
-    every member still solving has posted, the calling thread answers them
-    all with one :func:`_round_values` call, in member order. A round waits
-    for every live member, so each member's iterates depend only on its
-    inputs, never on thread scheduling: its report is that of
-    :func:`maximize` with each evaluation a batch of one. A batch that
-    breaks the model is evaluated again one member at a time, so only the
-    members that broke it get ``maximize``'s penalty. Any other exception
-    is raised once every thread has ended. The calling thread and the
-    members share one CPU (:func:`_lockstep_cpus`); the caller's CPUs are
-    restored on return.
+    Each window problem's solve is one :func:`_ascent`, all driven from the
+    calling thread. A round collects the next point of every solve still
+    running and answers them all with one :func:`_round_values` call, in
+    member order, so each member's report is that of :func:`maximize` with
+    each evaluation a batch of one. A batch that breaks the model is
+    evaluated again one member at a time, so only the members that broke it
+    get ``maximize``'s penalty. Any other exception closes every solve and
+    is raised at once.
     """
-    count = len(problems)
-    if not count:
-        return []
-    posted, answers = [None] * count, [None] * count
-    reports, errors = [None] * count, [None] * count
-    turns = [threading.Lock() for _ in problems]
-    for turn in turns:
-        turn.acquire()
-    complete, guard = threading.Lock(), threading.Lock()
-    complete.acquire()
-    waiting = [count]  # members yet to post or end in this round
-    caller, cpu = _lockstep_cpus()
+    ascents = [_ascent(*args, options) for args in zip(lowers, uppers, inits)]
+    reports, points = [None] * len(ascents), {}
 
-    def arrive():
-        with guard:
-            waiting[0] -= 1
-            if not waiting[0]:
-                complete.release()
-
-    def member(k):
-        _pin(cpu)
-
-        def objective(z):
-            posted[k] = z
-            arrive()
-            turns[k].acquire()
-            if isinstance(answers[k], Exception):
-                raise answers[k]
-            return answers[k]
-
+    def advance(k, answer):
         try:
-            reports[k] = maximize(objective, lowers[k], uppers[k], inits[k], options)
-        except Exception as exc:
-            errors[k] = exc
-        finally:
-            arrive()
+            points[k] = ascents[k].send(answer)
+        except StopIteration as done:
+            reports[k] = done.value
+            points.pop(k, None)
 
-    threads = [threading.Thread(target=member, args=(k,), daemon=True) for k in range(count)]
-    failure = None
-    _pin(cpu)
     try:
-        for thread in threads:
-            thread.start()
-        while True:
-            complete.acquire()
-            failure = failure or next((e for e in errors if e is not None), None)
-            live = [k for k in range(count) if posted[k] is not None]
-            if not live:
-                break
-            # Every live member now waits on its turn and every other one
-            # has ended, so no thread touches the count until the turns are
-            # given.
-            waiting[0] = len(live)
-            points = [posted[k] for k in live]
-            for k in live:
-                posted[k] = None
-            if failure is None:
-                try:
-                    values = _round_values([problems[k] for k in live], points)
-                except BaseException as exc:  # raised below, once every member has ended
-                    failure = exc
-            if failure is not None:
-                values = [_Aborted() for _ in live]
+        for k in range(len(ascents)):
+            advance(k, None)
+        while points:
+            live = list(points)
+            values = _round_values([problems[k] for k in live], [points[k] for k in live])
             for k, value in zip(live, values):
-                answers[k] = value
-                turns[k].release()
-        for thread in threads:
-            thread.join()
+                advance(k, value)
     finally:
-        _pin(caller)
-    if failure is not None:
-        raise failure
+        for ascent in ascents:
+            ascent.close()
     return reports

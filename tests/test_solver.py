@@ -2,7 +2,6 @@
 
 import dataclasses
 import os
-import sys
 import threading
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 
 from conftest import make_scenario, random_profile
 from finite_difference import gradient_fd
+from minimize_oracle import maximize_with_minimize
 from scalar_oracle import (
     FloatBackend,
     MpBackend,
@@ -29,6 +29,7 @@ from rice_game.noncooperative import _best_responses, _own_problem, _own_solve
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
+    _lbfgsb,
     _lockstep,
     _member_values,
     gradient_adjoint,
@@ -219,6 +220,9 @@ def test_maximize_validation():
                  SolveOptions())
     with pytest.raises(ModelDomainError):
         maximize(obj, np.zeros(1), np.ones(1), np.array([2.0]), SolveOptions())
+    with pytest.raises(ModelDomainError, match="flat"):
+        maximize(obj, np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5),
+                 SolveOptions())
 
     def broken(x):
         return float("nan"), np.zeros(1)
@@ -292,6 +296,72 @@ def test_maximize_multistart_escapes_poor_basin():
     report = maximize(shelf, np.zeros(1), np.ones(1), np.array([0.05]), opts)
     assert report.objective > -1e-6
     assert report.start_index > 0
+
+
+def rosenbrock(x):
+    """The negated Rosenbrock function and its gradient."""
+    r, q = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+    g = np.zeros_like(x)
+    g[:-1] = 400.0 * x[:-1] * r + 2.0 * q
+    g[1:] -= 200.0 * r
+    return -float(np.sum(100.0 * r**2 + q**2)), g
+
+
+def kinked(x):
+    # |d|^1.2 has an unbounded curvature at 0, so the quasi-Newton steps
+    # stall on the relative-change test before the gradient one.
+    d = x - 0.3
+    return float(-np.sum(np.abs(d) ** 1.2) - 1.0), -1.2 * np.sign(d) * np.abs(d) ** 0.2
+
+
+def wall(x):
+    # Ascends toward x[0] = 1 but breaks the model past 0.6.
+    if x[0] > 0.6:
+        raise ModelBreakdownError("diverged", step=0, region=None)
+    return float(x[0] ** 2 + 0.1 * x[1]), np.array([2.0 * x[0], 0.1])
+
+
+ORACLE_CASES = {
+    "gradient": (quadratic([0.4, 0.6, 0.5]), np.zeros(3), np.ones(3), np.full(3, 0.1), {}),
+    "objective-change": (kinked, np.zeros(3), np.ones(3), np.full(3, 0.9), {}),
+    "max-iter": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
+                 {"max_iter": 3}),
+    "line-search-failure": (wall, np.zeros(2), np.ones(2), np.array([0.2, 0.3]), {}),
+    "pinned": (rosenbrock, np.array([-2.0, 0.5, -2.0, -2.0]), np.array([2.0, 0.5, 2.0, 2.0]),
+               np.array([-1.0, 0.5, -1.0, 0.3]), {}),
+    "multistart": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
+                   {"multistart": 2, "seed": 5}),
+}
+
+
+def assert_same_reports(got, want):
+    """Each pair of reports holds the same types and bytes in every field."""
+    for a, b in zip(got, want, strict=True):
+        for name in ("x", "objective", "initial_objective", "objective_log"):
+            u, v = getattr(a, name), getattr(b, name)
+            assert type(u) is type(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes(), name
+        assert (a.iterations, a.n_evaluations, a.termination, a.start_index) == (
+            b.iterations, b.n_evaluations, b.termination, b.start_index)
+        assert a.start_objectives == b.start_objectives
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_maximize_equals_the_minimize_oracle(case):
+    objective, lower, upper, init, options = ORACLE_CASES[case]
+    options = SolveOptions(**options)
+    got = maximize(objective, lower, upper, init, options)
+    assert_same_reports([got], [maximize_with_minimize(objective, lower, upper, init, options)])
+    if case in ("gradient", "objective-change", "max-iter", "line-search-failure"):
+        assert got.termination == case
+    if case == "multistart":
+        assert len(got.start_objectives) == 2
+
+
+def test_setulb_takes_the_arguments_the_port_passes():
+    # The solver's driver loop passes these 17 arguments to scipy's C
+    # L-BFGS-B (scipy >= 1.15); another signature is an error to see here.
+    args = "m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task"
+    assert _lbfgsb.setulb.__doc__.startswith(f"setulb({args})")
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +489,19 @@ def serial(problems, options=SolveOptions()):
     ]
 
 
-def assert_same_reports(got, want):
-    for a, b in zip(got, want, strict=True):
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.objective_log.tobytes() == b.objective_log.tobytes()
-        assert (a.objective, a.initial_objective, a.iterations, a.n_evaluations,
-                a.termination) == (b.objective, b.initial_objective, b.iterations,
-                                   b.n_evaluations, b.termination)
+def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario, rng):
+    # Own-welfare window problems of the packaged scenario; region 1's mu
+    # pinned by equal bounds, as ``pin_mu`` pins it.
+    sc = default_scenario
+    problems = window_problems(sc, rng, t0=3, steps=5)
+    for i, problem in enumerate(problems):
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        init = problem.extract(problem.controls)
+        if i == 1:
+            lower[1::2] = upper[1::2] = init[1::2]
+        got = maximize(problem, lower, upper, init, SolveOptions())
+        want = maximize_with_minimize(problem, lower, upper, init, SolveOptions())
+        assert_same_reports([got], [want])
 
 
 def test_member_values_match_window_problem_calls(default_scenario, rng):
@@ -442,22 +518,6 @@ def test_lockstep_reports_equal_serial_solves(default_scenario, rng):
     reports = lockstep(problems)
     assert_same_reports(reports, serial(problems))
     assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
-
-
-def test_lockstep_does_not_depend_on_thread_switching(rng):
-    problems = window_problems(make_scenario(n=6), rng, steps=3)
-    want = lockstep(problems)
-    got = []
-    runner = threading.Thread(target=lambda: got.extend(lockstep(problems)), daemon=True)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert_same_reports(got, want)
 
 
 def test_lockstep_penalizes_only_the_member_that_breaks(rng):
@@ -503,30 +563,31 @@ class ProbedProblem(WindowProblem):
         return super().embed(z)
 
 
-def test_lockstep_runs_one_thread_per_member(rng):
+def test_lockstep_starts_no_thread(rng):
     before = threading.active_count()
     problems = window_problems(make_scenario(n=5), rng, cls=ProbedProblem)
     lockstep(problems)
-    assert max(p.alive for p in problems) <= before + len(problems)
+    assert max(p.alive for p in problems) == before
     assert threading.active_count() == before
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be pinned")
-def test_lockstep_runs_on_one_cpu_and_restores_the_callers(rng):
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_lockstep_leaves_the_callers_cpu_affinity_unchanged(rng):
     caller = os.sched_getaffinity(0)
     problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
     lockstep(problems)
-    # The calling thread answers every round, pinned to one CPU.
-    assert len({frozenset(cpus) for p in problems for cpus in p.cpus}) == 1
-    assert len(problems[0].cpus[0]) == 1
+    assert all(cpus == caller for p in problems for cpus in p.cpus)
     assert os.sched_getaffinity(0) == caller
-    with pytest.raises(RuntimeError):
-        problems[1].fail_at = problems[1].calls + 2
+    problems[1].fail_at = problems[1].calls + 2
+    with pytest.raises(RuntimeError, match="evaluation failed"):
         lockstep(problems)
+    assert all(cpus == caller for p in problems for cpus in p.cpus)
     assert os.sched_getaffinity(0) == caller
 
 
 def test_lockstep_raises_only_after_every_thread_ended(rng):
+    # A member's error is raised at once, from the calling thread, and
+    # leaves no thread behind.
     before = threading.active_count()
     problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
     problems[2].fail_at = 3

@@ -12,14 +12,14 @@ hand-derived discrete adjoint sweep, which matches the rollout step by step.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# From the package, not by the submodule's dotted name: loading scipy.optimize
-# as the parent of a submodule import made this package's import slower.
-from scipy.optimize import _lbfgsb
+import scipy
 
 from .model import (
     ControlProfile,
@@ -30,6 +30,25 @@ from .model import (
     _adjoint_arrays,
     _time_major,
 )
+
+
+def _load_lbfgsb():
+    """scipy's compiled ``scipy.optimize._lbfgsb``, loaded from its file and
+    not put in ``sys.modules``; ``import scipy`` has run scipy's library set-up."""
+    directory = os.path.join(scipy.__path__[0], "optimize")
+    spec = importlib.machinery.PathFinder.find_spec("_lbfgsb", [directory])
+    if spec is None:
+        raise ImportError(
+            f"cannot find scipy.optimize._lbfgsb in {directory}",
+            name="scipy.optimize._lbfgsb",
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# On its own: through scipy.optimize, its package init imports ~320 modules.
+_lbfgsb = _load_lbfgsb()
 
 __all__ = [
     "SolveOptions",

@@ -1,8 +1,12 @@
 """Shared fixtures: the packaged scenario and a small fast scenario."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rice_game
 from rice_game import build_default_scenario
 from rice_game.calibration import ExogenousGrowthSpec, RegionGrowthSpec, generate_exogenous
 from rice_game.model import GeoParams, RegionParams, RiceState, Scenario
@@ -113,6 +117,16 @@ def random_profile(scenario, steps, rng, margin=0.0):
     from rice_game.model import ControlProfile
 
     return ControlProfile(u)
+
+
+def checkout_env():
+    """Environment for a fresh interpreter that imports this checkout."""
+    package_root = str(Path(rice_game.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

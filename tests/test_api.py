@@ -4,9 +4,13 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import checkout_env
 
 MODULES = [
     "rice_game",
@@ -107,6 +111,19 @@ def _find_cycle(graph: dict) -> list:
         if module not in state and (ring := visit([module])):
             return ring
     return []
+
+
+def test_import_does_not_load_scipy_optimize():
+    # The solver loads scipy's compiled L-BFGS-B routine on its own; the
+    # scipy.optimize package init would triple start-up time and double RSS.
+    code = (
+        "import sys, rice_game, rice_game.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "assert callable(rice_game.solver._lbfgsb.setulb)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_imports_are_acyclic():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import checkout_env, make_scenario
 
 import rice_game
 from rice_game import SolveOptions, __version__, save_scenario, solve_swm
@@ -118,21 +118,11 @@ def _declared_entry_point():
     return module, attr
 
 
-def _checkout_env():
-    """Environment for a fresh interpreter that imports this checkout."""
-    package_root = str(Path(rice_game.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    return env
-
-
 def test_console_script_is_installed():
     # Run the declared entry point the way pip's generated script does, and
     # `python -m rice_game`, in fresh interpreters that import this checkout.
     module, attr = _declared_entry_point()
-    env = _checkout_env()
+    env = checkout_env()
     commands = [
         [sys.executable, "-c",
          f"import sys; from {module} import {attr}; sys.exit({attr}())",
@@ -176,7 +166,7 @@ def test_validate_rejects_wrong_json_type_without_traceback(scenario_file, tmp_p
     bad.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "rice_game", "validate", "--scenario", str(bad)],
-        capture_output=True, text=True, env=_checkout_env(),
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert proc.returncode == 1
     assert "invalid scenario file: geo.phi11 must be a number" in proc.stderr
@@ -210,7 +200,7 @@ def test_file_errors_exit_one_without_traceback(case, command, scenario_file, tm
         argv += ["--out", str(out)]
     proc = subprocess.run(
         [sys.executable, "-m", "rice_game", *argv],
-        capture_output=True, text=True, env=_checkout_env(),
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("rice-game: ")

@@ -1,6 +1,8 @@
 """Optimizer engine, exact gradients, and window objectives."""
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import os
 import threading
 
@@ -30,6 +32,7 @@ from rice_game.solver import (
     SolveOptions,
     WindowProblem,
     _lbfgsb,
+    _load_lbfgsb,
     _lockstep,
     _member_values,
     gradient_adjoint,
@@ -362,6 +365,20 @@ def test_setulb_takes_the_arguments_the_port_passes():
     # L-BFGS-B (scipy >= 1.15); another signature is an error to see here.
     args = "m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task"
     assert _lbfgsb.setulb.__doc__.startswith(f"setulb({args})")
+
+
+def test_lbfgsb_is_the_file_scipy_optimize_imports():
+    # The solver loads the extension from its file, not through the package;
+    # it must still be the build scipy.optimize itself would import.
+    spec = importlib.util.find_spec("scipy.optimize._lbfgsb")
+    assert os.path.samefile(_lbfgsb.__file__, spec.origin)
+
+
+def test_lbfgsb_loader_names_the_module_it_cannot_find(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb") as info:
+        _load_lbfgsb()
+    assert info.value.name == "scipy.optimize._lbfgsb"
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,16 @@ def verify_epsilon_ne(
     )
 
 
+def _check_rhfa_lengths(scenario: Scenario, t_sim: int, t_rh: int) -> None:
+    """Raise :class:`ModelDomainError` unless :func:`rhfa_dg` can play them."""
+    if t_sim < 1 or t_rh < 1:
+        raise ModelDomainError("t_sim and t_rh must be at least 1")
+    if t_sim + t_rh > scenario.exo.length:
+        raise ModelDomainError(
+            "exogenous paths do not cover t_sim + t_rh; extend the scenario"
+        )
+
+
 def rhfa_dg(
     scenario: Scenario,
     t_sim: int,
@@ -377,12 +387,7 @@ def rhfa_dg(
     round of their evaluations one member-batched rollout and adjoint
     sweep. ``threads`` is kept for callers that pass it and is not read.
     """
-    if t_sim < 1 or t_rh < 1:
-        raise ModelDomainError("t_sim and t_rh must be at least 1")
-    if t_sim + t_rh > scenario.exo.length:
-        raise ModelDomainError(
-            "exogenous paths do not cover t_sim + t_rh; extend the scenario"
-        )
+    _check_rhfa_lengths(scenario, t_sim, t_rh)
     opts = options or SolveOptions()
     n = scenario.n_regions
     initial_controls = np.asarray(initial_controls, dtype=float)

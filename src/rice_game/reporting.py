@@ -2,13 +2,16 @@
 
 All numbers are written with 17 significant digits so values round-trip
 exactly; no timestamps or machine identifiers appear anywhere, which makes
-re-running a manifest reproduce every output byte for byte.
+re-running a manifest reproduce every output byte for byte. Each table is
+one float block formatted a row at a time; headers and text cells go
+through ``csv.writer``, and each file goes out in one write.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -18,7 +21,6 @@ from .model import ControlProfile, Scenario, Trajectory
 
 __all__ = [
     "RunManifest",
-    "fmt",
     "write_trajectory_csv",
     "write_frontier_csv",
     "write_episodes_csv",
@@ -27,11 +29,6 @@ __all__ = [
     "write_manifest",
     "sha256_file",
 ]
-
-
-def fmt(x: float) -> str:
-    """Render a float with 17 significant digits."""
-    return "%.17g" % float(x)
 
 
 def sha256_file(path) -> str:
@@ -64,13 +61,36 @@ class RunManifest:
 
 def write_json(obj, path) -> None:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
     write_json(manifest.to_dict(), path)
+
+
+def _csv_line(cells) -> str:
+    """``cells`` as one ``csv.writer`` row: quoted where needed, CRLF-ended."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+def _number_rows(rows, width: int) -> list[str]:
+    """Each row of ``rows``, as a (-1, width) float block, with its cells in
+    %.17g joined by commas. Numbers never need csv quoting."""
+    line = ",".join(["%.17g"] * width)
+    block = np.asarray(rows, dtype=float).reshape(-1, width)
+    return [line % tuple(row) for row in block.tolist()]
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header through ``csv.writer`` and then the formatted
+    ``rows``, each ended with csv's CRLF, in one write."""
+    text = _csv_line(header) + "\r\n".join([*rows, ""])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def trajectory_header(scenario: Scenario) -> list[str]:
@@ -99,72 +119,50 @@ def write_trajectory_csv(
     Rows 0..T carry state, controls, and flows; the final row T+1 carries
     the terminal state with the flow columns left empty.
     """
-    n = scenario.n_regions
-    horizon = traj.horizon
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_header(scenario))
-        for t in range(horizon + 2):
-            row = [str(scenario.year(t))]
-            row += [fmt(v) for v in traj.states[t]]
-            if t <= horizon:
-                for i in range(n):
-                    row += [
-                        fmt(profile.controls[i, t, 0]),
-                        fmt(profile.controls[i, t, 1]),
-                        fmt(traj.gross_output[t, i]),
-                        fmt(traj.net_output[t, i]),
-                        fmt(traj.consumption[t, i]),
-                        fmt(traj.abatement_fraction[t, i]),
-                        fmt(traj.damage_fraction[t, i]),
-                    ]
-                row += [fmt(traj.total_emissions[t]), fmt(traj.forcing[t])]
-            else:
-                row += [""] * (7 * n + 2)
-            writer.writerow(row)
+    steps = traj.horizon + 1
+    flows = (profile.controls[:, :steps, 0].T, profile.controls[:, :steps, 1].T,
+             traj.gross_output, traj.net_output, traj.consumption,
+             traj.abatement_fraction, traj.damage_fraction)
+    # Each region's [s, mu, Y, Q, C, Lambda, Omega] side by side.
+    regional = np.stack([f[:steps] for f in flows], axis=2).reshape(steps, -1)
+    block = np.hstack([traj.states[:steps], regional,
+                       traj.total_emissions[:steps, None], traj.forcing[:steps, None]])
+    rows = [f"{scenario.year(t)},{cells}"
+            for t, cells in enumerate(_number_rows(block, block.shape[1]))]
+    (terminal,) = _number_rows(traj.states[steps:], traj.states.shape[1])
+    rows.append(f"{scenario.year(steps)},{terminal}" + "," * (7 * scenario.n_regions + 2))
+    _write_csv(path, trajectory_header(scenario), rows)
 
 
 def write_frontier_csv(points, path) -> None:
     """One row per frontier point: p, cluster welfares, terminal warming."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["p", "welfare_developed", "welfare_developing", "terminal_t_at_degc"]
-        )
-        for pt in points:
-            writer.writerow(
-                [
-                    fmt(pt.p),
-                    fmt(pt.welfare_developed),
-                    fmt(pt.welfare_developing),
-                    fmt(pt.terminal_t_at),
-                ]
-            )
+    block = [[pt.p, pt.welfare_developed, pt.welfare_developing, pt.terminal_t_at]
+             for pt in points]
+    _write_csv(path, ["p", "welfare_developed", "welfare_developing", "terminal_t_at_degc"],
+               _number_rows(block, 4))
 
 
 def write_episodes_csv(episodes, region_names, path) -> None:
     """One row per best-response episode: distances, the largest Nash residual
-    over regions, and welfares."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["episode", "distance_inf", "distance_2", "nash_residual"]
-        header += [f"welfare_{nm}" for nm in region_names]
-        writer.writerow(header)
-        for ep in episodes:
-            row = [str(ep.index)]
-            if np.isnan(ep.distance_inf):
-                row += ["", ""]
-            else:
-                row += [fmt(ep.distance_inf), fmt(ep.distance_2)]
-            row.append(fmt(ep.nash_residual.max()))
-            row += [fmt(w) for w in ep.welfare]
-            writer.writerow(row)
+    over regions, and welfares. An episode with no distance (the start) leaves
+    both distance cells empty."""
+    header = ["episode", "distance_inf", "distance_2", "nash_residual"]
+    header += [f"welfare_{nm}" for nm in region_names]
+    distances = _number_rows([[ep.distance_inf, ep.distance_2] for ep in episodes], 2)
+    rest = _number_rows([[ep.nash_residual.max(), *ep.welfare] for ep in episodes],
+                        1 + len(region_names))
+    rows = [f"{ep.index},{',' if np.isnan(ep.distance_inf) else d},{r}"
+            for ep, d, r in zip(episodes, distances, rest, strict=True)]
+    _write_csv(path, header, rows)
 
 
 def write_scc_csv(rows, path) -> None:
     """Rows of (year, region, scc_usd_per_tco2)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "region", "scc_usd_per_tco2"])
-        for year, region, value in rows:
-            writer.writerow([str(year), region, fmt(value)])
+    rows = list(rows)
+    values = _number_rows([v for _, _, v in rows], 1)
+    # A region name quoted as csv.writer quotes it inside a row: after an
+    # empty cell, since a row of one empty cell would be written as "".
+    cells = {region: _csv_line(["", region])[1:-2] for region in {r for _, r, _ in rows}}
+    _write_csv(path, ["year", "region", "scc_usd_per_tco2"],
+               [f"{year},{cells[region]},{value}"
+                for (year, region, _), value in zip(rows, values, strict=True)])

@@ -117,14 +117,15 @@ class SolveReport:
     start_objectives: list = field(default_factory=list)
 
 
-def _minimize_lbfgsb(fun, x, lower, upper, max_iter, callback):
+def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
     """Minimize with L-BFGS-B from ``x``, as scipy 1.17's ``_minimize_lbfgsb``.
 
-    A generator: ``fun(x)`` is a generator that yields the points it needs
-    and returns ``(value, gradient)`` of the function to minimize. Like
-    scipy's ``ScalarFunction`` it is called at the start and at each point
-    ``setulb`` asks for that differs from the last one evaluated, and the
-    count of those calls stops the run past ``_MAX_FUN``. ``callback()``
+    A generator: ``fg`` is ``(value, gradient)`` of the function to
+    minimize at ``x``, and ``fun(x)`` is a generator that yields the points
+    it needs and returns the same pair at ``x``. Like scipy's
+    ``ScalarFunction`` it counts the start as an evaluation and calls
+    ``fun`` at each point ``setulb`` asks for that differs from the last one
+    evaluated; the count stops the run past ``_MAX_FUN``. ``callback()``
     runs after each iteration. Returns the final point and value, the
     iteration and evaluation counts, and the termination.
     """
@@ -141,7 +142,6 @@ def _minimize_lbfgsb(fun, x, lower, upper, max_iter, callback):
     dsave = np.zeros(29)
 
     seen = x.copy()
-    fg = yield from fun(x.copy())
     n_evaluations, iterations = 1, 0
     f, g = np.array(0.0), np.zeros(n)
     while True:
@@ -196,20 +196,10 @@ def _ascent(lower, upper, init, options):
         raise ModelDomainError("init must lie within the bounds")
     init = np.clip(init, lower, upper)
 
-    # Each start point is evaluated for the log (the first one for ``f0``)
-    # and again as L-BFGS-B's first call; answer repeats from memory.
-    last = {}
-
-    def evaluate(x):
-        if last and np.array_equal(x, last["x"]):
-            return last["fg"]
-        fg = yield x
-        if isinstance(fg, ModelBreakdownError):
-            raise fg  # a point that breaks the model stores nothing
-        last["x"], last["fg"] = x.copy(), fg
-        return fg
-
-    f0, _ = yield from evaluate(init)
+    first = yield init
+    if isinstance(first, ModelBreakdownError):
+        raise first
+    f0 = first[0]
     if not np.isfinite(f0):
         raise ModelDomainError("objective at init is not finite")
     scale = 1.0 / max(abs(f0), 1e-12)
@@ -226,21 +216,22 @@ def _ascent(lower, upper, init, options):
     for idx, x_start in enumerate(starts):
         last_f = {"val": math.nan}
 
-        def fun(x):
-            try:
-                f, g = yield from evaluate(x)
-            except ModelBreakdownError:
+        def fun(x, answer=None):
+            if answer is None:
+                answer = yield x
+            if isinstance(answer, ModelBreakdownError):
                 f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
+            else:
+                f, g = answer
             last_f["val"] = f
             return -scale * f, -scale * np.asarray(g)
 
-        try:
-            log = [(yield from evaluate(x_start))[0]]
-        except ModelBreakdownError:
-            log = [-_BREAKDOWN_MARGIN / scale]
-
+        # Each point is evaluated once: the first start is the caller's
+        # initial point, answered above.
+        fg = yield from fun(x_start, first if idx == 0 else None)
+        log = [last_f["val"]]
         x, f, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
-            fun, x_start, lower, upper, opts.max_iter, lambda: log.append(last_f["val"])
+            fun, x_start, fg, lower, upper, opts.max_iter, lambda: log.append(last_f["val"])
         )
         f_run = -f / scale
         start_objectives.append(f_run)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import checkout_env, make_scenario
+from reporting_oracle import fmt
 
 import rice_game
 from rice_game import SolveOptions, __version__, save_scenario, solve_swm
 from rice_game.cli import _build_parser, main
-from rice_game.reporting import fmt, sha256_file, trajectory_header
+from rice_game.reporting import sha256_file, trajectory_header
 
 
 @pytest.fixture()
@@ -485,6 +486,28 @@ def test_scc_checks_steps_before_solving(argv, scenario_file, tmp_path, capsys,
                 "--policy", "swm", *argv])
     assert code == 2
     assert capsys.readouterr().err == "rice-game: step index out of range\n"
+    assert not (tmp_path / "x").exists()
+
+
+RHFA_LENGTHS = [
+    (["--t-sim", "0", "--t-rh", "3"], "t_sim and t_rh must be at least 1"),
+    (["--t-sim", "3", "--t-rh", "0"], "t_sim and t_rh must be at least 1"),
+    (["--t-sim", "30", "--t-rh", "11"],
+     "exogenous paths do not cover t_sim + t_rh; extend the scenario"),
+]
+
+
+@pytest.mark.parametrize("argv,message", RHFA_LENGTHS,
+                         ids=["t_sim", "t_rh", "exogenous"])
+def test_rhfa_checks_lengths_before_solving(argv, message, scenario_file, tmp_path,
+                                            capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_swm called before the length check")
+
+    monkeypatch.setattr("rice_game.cli.solve_swm", no_solve)
+    code = run(["rhfa", "--scenario", scenario_file, "--out", tmp_path / "x", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"rice-game: {message}\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -271,7 +271,7 @@ def test_maximize_survives_breakdown_regions():
 )
 def test_maximize_evaluates_each_point_once(objective):
     # The start point is evaluated for the ascent guarantee and is then
-    # L-BFGS-B's first call; the repeat is answered from memory.
+    # L-BFGS-B's first call; it is evaluated once.
     calls = []
 
     def counting(x):
@@ -522,12 +522,15 @@ def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario
 
 
 def test_member_values_match_window_problem_calls(default_scenario, rng):
-    problems = window_problems(default_scenario, rng, t0=3, steps=5)
-    points = [p.extract(p.controls) + 0.01 for p in problems]
-    for (f, g), p, z in zip(_member_values(problems, points), problems, points, strict=True):
-        want_f, want_g = p(z)
-        assert f == pytest.approx(want_f, rel=1e-13, abs=0)
-        np.testing.assert_allclose(g, want_g, rtol=1e-13, atol=0)
+    # The same bits, which the lockstep's equality with serial solves rests on.
+    for t0, steps in [(3, 5), (0, 121), (7, 10)]:
+        problems = window_problems(default_scenario, rng, t0=t0, steps=steps)
+        points = [p.extract(p.controls) + 0.01 for p in problems]
+        for (f, g), p, z in zip(_member_values(problems, points), problems, points,
+                                strict=True):
+            want_f, want_g = p(z)
+            assert f == want_f
+            assert g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
 
 
 def test_lockstep_reports_equal_serial_solves(default_scenario, rng):

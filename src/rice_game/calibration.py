@@ -10,7 +10,6 @@ reproduce a scenario exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -186,90 +185,46 @@ def negishi_weights(scenario: Scenario) -> np.ndarray:
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every scenario invariant; return a list of violation messages.
 
-    An empty list means the scenario is valid.
+    An empty list means the scenario is valid. Each file key's own range is
+    read from the format tables; the rules across keys are written here.
     """
-    v: list[str] = []
-    geo = scenario.geo
     n = scenario.n_regions
-
-    for name, val in dataclasses.asdict(geo).items():
-        if not np.isfinite(val):
-            v.append(f"geo.{name} is not finite")
-    zmat = geo.carbon_matrix()
+    v = _leaf_problems(vars(scenario.geo), _GEO, "geo.")
+    zmat = scenario.geo.carbon_matrix()
     if np.any(zmat < 0.0):
         v.append("carbon matrix has negative entries")
-    cols = zmat.sum(axis=0)
-    for j, s in enumerate(cols):
+    for j, s in enumerate(zmat.sum(axis=0)):
         if abs(s - 1.0) > 1e-6:
             v.append(f"carbon matrix column {j} sums to {s!r}, not 1 within 1e-6")
-    for nm, val in (("phi11", geo.phi11), ("phi22", geo.phi22)):
-        if not 0.0 < val < 1.0:
-            v.append(f"geo.{nm} = {val!r} outside (0, 1)")
-    for nm, val in (("phi12", geo.phi12), ("phi21", geo.phi21)):
-        if not 0.0 <= val < 1.0:
-            v.append(f"geo.{nm} = {val!r} outside [0, 1)")
-    for nm, val in (
-        ("xi1", geo.xi1),
-        ("xi2", geo.xi2),
-        ("eta", geo.eta),
-        ("m_at_1750", geo.m_at_1750),
-    ):
-        if not val > 0.0:
-            v.append(f"geo.{nm} = {val!r} must be positive")
 
-    if len(scenario.region_names) != n:
-        v.append("region_names length does not match regions")
-    if scenario.developed.shape != (n,):
-        v.append("developed flags length does not match regions")
-    if scenario.damage_loss_2c.shape != (n,):
-        v.append("damage_loss_2c length does not match regions")
+    for a in _COLUMNS:
+        if np.shape(getattr(scenario, a)) != (n,):
+            v.append(f"{a} length does not match regions")
+    columns = [(a, np.ravel(getattr(scenario, a)).tolist()) for a in _COLUMNS]
     for i, r in enumerate(scenario.regions):
-        tag = f"regions[{i}]"
-        if not 0.0 < r.gamma < 1.0:
-            v.append(f"{tag}.gamma = {r.gamma!r} outside (0, 1)")
-        if not 0.0 <= r.delta_k <= 1.0:
-            v.append(f"{tag}.delta_k = {r.delta_k!r} outside [0, 1]")
-        if not r.alpha > 0.0:
-            v.append(f"{tag}.alpha = {r.alpha!r} must be positive")
-        if not r.rho >= 0.0:
-            v.append(f"{tag}.rho = {r.rho!r} must be nonnegative")
-        if not r.a2 >= 0.0:
-            v.append(f"{tag}.a2 = {r.a2!r} must be nonnegative")
-        if not r.theta2 > 1.0:
-            v.append(f"{tag}.theta2 = {r.theta2!r} must exceed 1")
-        if not r.pb > 0.0:
-            v.append(f"{tag}.pb = {r.pb!r} must be positive")
-        if not 0.0 <= r.delta_pb < 1.0:
-            v.append(f"{tag}.delta_pb = {r.delta_pb!r} outside [0, 1)")
+        row = {**vars(r), **{a: col[i] for a, col in columns if i < len(col)}}
+        v += _leaf_problems(row, _REGION, f"regions[{i}].")
         if i < scenario.damage_loss_2c.size:
             implied = r.a1 * 2.0 + r.a2 * 2.0**r.a3
             ref = scenario.damage_loss_2c[i]
             if abs(implied - ref) > 1e-9:
                 v.append(
-                    f"{tag} damage at 2 degC is {implied!r}, reference loss"
+                    f"regions[{i}] damage at 2 degC is {implied!r}, reference loss"
                     f" is {ref!r} (tolerance 1e-9)"
                 )
 
     exo = scenario.exo
     if exo.n_regions != n:
         v.append("exogenous paths region count does not match regions")
-    for nm, arr in (
-        ("tfp", exo.tfp),
-        ("labor", exo.labor),
-        ("sigma", exo.sigma),
-        ("e_land", exo.e_land),
-        ("f_ex", exo.f_ex),
-    ):
-        if not np.all(np.isfinite(arr)):
+    for nm in ("tfp", "labor", "sigma", "e_land", "f_ex"):
+        if not np.all(np.isfinite(getattr(exo, nm))):
             v.append(f"exogenous {nm} contains non-finite values")
-    if np.any(exo.tfp <= 0.0):
-        v.append("exogenous tfp must be positive everywhere")
-    if np.any(exo.labor <= 0.0):
-        v.append("exogenous labor must be positive everywhere")
-    if np.any(exo.sigma < 0.0):
-        v.append("exogenous sigma must be nonnegative")
-    if np.any(exo.e_land < 0.0):
-        v.append("exogenous e_land must be nonnegative")
+    for nm in ("tfp", "labor"):
+        if np.any(getattr(exo, nm) <= 0.0):
+            v.append(f"exogenous {nm} must be positive everywhere")
+    for nm in ("sigma", "e_land"):
+        if np.any(getattr(exo, nm) < 0.0):
+            v.append(f"exogenous {nm} must be nonnegative")
     if scenario.horizon < 1:
         v.append(f"horizon = {scenario.horizon} must be at least 1")
     if exo.length < scenario.horizon + 1:
@@ -278,26 +233,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f" {scenario.horizon} (needs horizon + 1)"
         )
 
-    x0 = scenario.x0
-    for nm, val in (("t_at", x0.t_at), ("t_lo", x0.t_lo)):
-        if not np.isfinite(val):
-            v.append(f"initial {nm} is not finite")
-    for nm, val in (("m_at", x0.m_at), ("m_up", x0.m_up), ("m_lo", x0.m_lo)):
-        if not val > 0.0:
-            v.append(f"initial {nm} = {val!r} must be positive")
-    if x0.capital.shape != (n,):
+    v += _leaf_problems(vars(scenario.x0), _STATE, "initial_state.")
+    if scenario.x0.capital.shape != (n,):
         v.append("initial capital length does not match regions")
-    elif np.any(x0.capital <= 0.0):
-        v.append("initial capital must be positive everywhere")
-
+    # The top level's one numeric leaf is ``weights``.
+    v += _leaf_problems(vars(scenario), _SCENARIO, "")
     w = scenario.weights
     if w.shape != (n,):
         v.append("weights length does not match regions")
-    else:
-        if np.any(w <= 0.0):
-            v.append("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            v.append(f"weights sum to {w.sum()!r}, not 1 within 1e-9")
+    elif abs(w.sum() - 1.0) > 1e-9:
+        v.append(f"weights sum to {w.sum()!r}, not 1 within 1e-9")
 
     if tuple(scenario.region_names) == CANONICAL_REGIONS:
         got = [bool(b) for b in scenario.developed]
@@ -317,6 +262,27 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return v
 
 
+def _leaf_problems(attrs: dict, kind, prefix: str) -> list[str]:
+    """A message for each number of a section's float and list leaves that is
+    not finite or outside its interval; ``attrs`` maps attribute to value."""
+    v = []
+    for key, attr, sub, (interval, lo, hi, open_lo, open_hi) in kind:
+        if (sub is not float and sub is not list) or attr not in attrs:
+            continue
+        value = attrs[attr]
+        items = enumerate(np.ravel(value).tolist()) if sub is list else ((None, value),)
+        for i, x in items:
+            # An open infinite end fails on +-inf, and every comparison on NaN.
+            if (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi):
+                continue
+            path = prefix + key if i is None else f"{prefix}{key}[{i}]"
+            if not math.isfinite(x):
+                v.append(f"{path} must be finite, not {x!r}")
+            else:
+                v.append(f"{path} must lie in {interval}, not {x!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -328,21 +294,29 @@ class _Field(NamedTuple):
     ``kind`` is the JSON type the key must hold: ``float`` (a number, not
     a boolean), ``int``, ``bool`` or ``str``; ``list`` for a list of
     numbers (a float array); a section table for a nested object; or
-    ``[table]`` for a list of such objects.
+    ``[table]`` for a list of such objects. Each number of a ``float`` or
+    ``list`` leaf must be finite and lie in ``interval``: its text, such as
+    ``(0, 1]`` or ``[0, inf)``, its two ends and whether each end is open.
     """
 
     key: str
     attr: str
     kind: object
+    interval: tuple[str, float, float, bool, bool]
 
 
-def _f(key: str, attr: str | None = None, kind: object = float) -> _Field:
+def _f(
+    key: str, attr: str | None = None, kind: object = float, interval: str = "(-inf, inf)"
+) -> _Field:
     """A field whose attribute is named like its key unless ``attr`` is given."""
-    return _Field(key, attr or key, kind)
+    lo, hi = map(float, interval[1:-1].split(","))
+    ends = (interval, lo, hi, interval[0] == "(", interval[-1] == ")")
+    return _Field(key, attr or key, kind, ends)
 
 
 # The file format, one table per section in file order. Parsing, the
-# unknown/missing key checks and serialization are all derived from these.
+# unknown/missing key checks, serialization and the range checks of
+# validate_scenario are all derived from these.
 _GEO = (
     _f("zeta11"),
     _f("zeta12"),
@@ -351,31 +325,31 @@ _GEO = (
     _f("zeta23"),
     _f("zeta32"),
     _f("zeta33"),
-    _f("xi1_gtc_per_gtco2", "xi1"),
-    _f("phi11"),
-    _f("phi12"),
-    _f("phi21"),
-    _f("phi22"),
-    _f("xi2_degc_per_wm2", "xi2"),
-    _f("eta_wm2_per_doubling", "eta"),
-    _f("m_at_1750_gtc", "m_at_1750"),
+    _f("xi1_gtc_per_gtco2", "xi1", interval="(0, inf)"),
+    _f("phi11", interval="(0, 1)"),
+    _f("phi12", interval="[0, 1)"),
+    _f("phi21", interval="[0, 1)"),
+    _f("phi22", interval="(0, 1)"),
+    _f("xi2_degc_per_wm2", "xi2", interval="(0, inf)"),
+    _f("eta_wm2_per_doubling", "eta", interval="(0, inf)"),
+    _f("m_at_1750_gtc", "m_at_1750", interval="(0, inf)"),
 )
 
 # A region row: RegionParams fields plus three per-region Scenario lists.
 _REGION = (
     _f("name", "region_names", str),
     _f("developed", kind=bool),
-    _f("gamma"),
-    _f("delta_k_per_year", "delta_k"),
-    _f("alpha"),
-    _f("rho_per_year", "rho"),
+    _f("gamma", interval="(0, 1)"),
+    _f("delta_k_per_year", "delta_k", interval="[0, 1]"),
+    _f("alpha", interval="(0, inf)"),
+    _f("rho_per_year", "rho", interval="[0, inf)"),
     _f("a1"),
-    _f("a2"),
+    _f("a2", interval="[0, inf)"),
     _f("a3"),
     _f("damage_loss_at_2c", "damage_loss_2c"),
-    _f("theta2"),
-    _f("pb_usd_per_tco2", "pb"),
-    _f("delta_pb_per_step", "delta_pb"),
+    _f("theta2", interval="(1, inf)"),
+    _f("pb_usd_per_tco2", "pb", interval="(0, inf)"),
+    _f("delta_pb_per_step", "delta_pb", interval="[0, 1)"),
 )
 _COLUMNS = tuple(
     f.attr for f in _REGION if f.attr not in RegionParams.__dataclass_fields__
@@ -405,10 +379,10 @@ _EXO = (
 _STATE = (
     _f("t_at_degc", "t_at"),
     _f("t_lo_degc", "t_lo"),
-    _f("m_at_gtc", "m_at"),
-    _f("m_up_gtc", "m_up"),
-    _f("m_lo_gtc", "m_lo"),
-    _f("capital_trillion_usd", "capital", list),
+    _f("m_at_gtc", "m_at", interval="(0, inf)"),
+    _f("m_up_gtc", "m_up", interval="(0, inf)"),
+    _f("m_lo_gtc", "m_lo", interval="(0, inf)"),
+    _f("capital_trillion_usd", "capital", list, interval="(0, inf)"),
 )
 
 # In order, the flattened (s_bounds, mu_bounds) of the Scenario.
@@ -421,7 +395,7 @@ _SCENARIO = (
     _f("regions", kind=[_REGION]),
     _f("exogenous", "exo_spec", _EXO),
     _f("initial_state", "x0", _STATE),
-    _f("weights", kind=list),
+    _f("weights", kind=list, interval="(0, inf)"),
     _f("bounds", kind=_BOUNDS),
 )
 
@@ -478,7 +452,7 @@ def _read(value, kind, path: str):
         problem, key = ("unknown", unknown[0]) if unknown else ("missing", missing[0])
         raise ScenarioFormatError(f"{problem} key {prefix}{key} in scenario file")
     out = {}
-    for key, attr, sub in kind:
+    for key, attr, sub, _ in kind:
         v = value[key]
         # Plain finite JSON floats, the bulk of a file, need no conversion.
         fast = sub is float and type(v) is float and math.isfinite(v)
@@ -495,7 +469,7 @@ def _write(value, kind):
     attrs = value if isinstance(value, dict) else vars(value)
     return {
         key: sub(attrs[attr]) if sub in _SCALARS else _write(attrs[attr], sub)
-        for key, attr, sub in kind
+        for key, attr, sub, _ in kind
     }
 
 

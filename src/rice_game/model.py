@@ -559,6 +559,9 @@ def _adjoint_arrays(
 
     ``weights`` is (n,) or a batch (m, n) of weight rows; every costate
     carries the batch axis of ``weights`` between the time and region axes.
+    A batch row agrees with the sweep of that row alone to rounding, not
+    bit for bit: the batched products may round differently, by a few
+    units in the last place of the row's largest entry.
     Returns ``(f, gs, gmu, lam_mat, dudc)``: the welfare (a float, or (m,)),
     its gradients with respect to the s and mu of the regions that the
     index ``regions`` picks (all by default, none for an empty list), shaped

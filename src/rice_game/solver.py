@@ -404,18 +404,14 @@ def _member_values(problems, points) -> list:
 
 def _round_values(problems, points) -> list:
     """:func:`_member_values`, or, if the batch breaks the model, each member
-    evaluated alone: its value, or the breakdown that it raises."""
+    evaluated alone: its value, or the breakdown that it raises. A batch of
+    one is evaluated once."""
     try:
         return _member_values(problems, points)
-    except ModelBreakdownError:
-        pass
-    values = []
-    for problem, z in zip(problems, points):
-        try:
-            values.append(_member_values([problem], [z])[0])
-        except ModelBreakdownError as exc:
-            values.append(exc)
-    return values
+    except ModelBreakdownError as exc:
+        if len(problems) == 1:
+            return [exc]
+    return [_round_values([p], [z])[0] for p, z in zip(problems, points)]
 
 
 def _lockstep(problems, lowers, uppers, inits, options) -> list:

@@ -1,7 +1,10 @@
 """Exogenous-path generation, weights, validation, and the file format."""
 
+import copy
 import dataclasses
 import json
+import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -210,16 +213,17 @@ def test_validate_catches_geo_problems(small_scenario):
     bad = dataclasses.replace(small_scenario, geo=dataclasses.replace(geo, zeta11=0.5))
     expect_violation(bad, "column 0")
     bad = dataclasses.replace(small_scenario, geo=dataclasses.replace(geo, phi11=1.5))
-    expect_violation(bad, "phi11")
+    expect_violation(bad, "geo.phi11 must lie in (0, 1), not 1.5")
     bad = dataclasses.replace(small_scenario, geo=dataclasses.replace(geo, eta=-1.0))
-    expect_violation(bad, "eta")
+    expect_violation(bad, "geo.eta_wm2_per_doubling must lie in (0, inf), not -1.0")
 
 
 def test_validate_catches_region_problems(small_scenario):
     regions = list(small_scenario.regions)
     regions[1] = dataclasses.replace(regions[1], theta2=0.9)
     expect_violation(
-        dataclasses.replace(small_scenario, regions=regions), "theta2"
+        dataclasses.replace(small_scenario, regions=regions),
+        "regions[1].theta2 must lie in (1, inf), not 0.9",
     )
     regions = list(small_scenario.regions)
     regions[0] = dataclasses.replace(regions[0], a2=regions[0].a2 * 2.0)
@@ -244,11 +248,11 @@ def test_validate_catches_state_weight_bound_problems(small_scenario):
     bad = dataclasses.replace(
         small_scenario, x0=dataclasses.replace(small_scenario.x0, m_at=0.0)
     )
-    expect_violation(bad, "m_at")
+    expect_violation(bad, "initial_state.m_at_gtc must lie in (0, inf), not 0.0")
     bad = dataclasses.replace(small_scenario, weights=np.array([0.5, 0.4, 0.2]))
     expect_violation(bad, "weights sum")
     bad = dataclasses.replace(small_scenario, weights=np.array([1.2, -0.1, -0.1]))
-    expect_violation(bad, "weights must be positive")
+    expect_violation(bad, "weights[1] must lie in (0, inf), not -0.1")
     bad = dataclasses.replace(small_scenario, s_bounds=(0.6, 0.4))
     expect_violation(bad, "savings bounds")
     bad = dataclasses.replace(small_scenario, mu_bounds=(-0.1, 1.0))
@@ -260,6 +264,93 @@ def test_validate_canonical_developed_cluster(default_scenario):
     developed[3] = True
     bad = dataclasses.replace(default_scenario, developed=developed)
     expect_violation(bad, "developed cluster")
+
+
+def with_leaf(scenario, section, attr, x):
+    """``scenario`` with one number set to ``x``: region 1's or entry 1's
+    where the number is per region.
+
+    A shallow copy keeps the derived tables, so that ``validate_scenario``
+    alone judges the value (``Scenario`` itself rejects ``delta_pb >= 1``).
+    """
+    sc = copy.copy(scenario)
+    if section == "geo":
+        sc.geo = dataclasses.replace(sc.geo, **{attr: x})
+    elif section == "regions":
+        sc.regions = list(sc.regions)
+        sc.regions[1] = dataclasses.replace(sc.regions[1], **{attr: x})
+    elif section == "initial_state" and attr != "capital":
+        sc.x0 = dataclasses.replace(sc.x0, **{attr: x})
+    else:
+        values = (sc.x0.capital if attr == "capital" else getattr(sc, attr)).copy()
+        values[1] = x
+        if attr == "capital":
+            sc.x0 = dataclasses.replace(sc.x0, capital=values)
+        else:
+            setattr(sc, attr, values)
+    return sc
+
+
+@pytest.mark.parametrize(
+    "section, attr, path",
+    [
+        ("regions", "a1", "regions[1].a1"),
+        ("regions", "a3", "regions[1].a3"),
+        ("scenario", "damage_loss_2c", "regions[1].damage_loss_at_2c"),
+        ("initial_state", "capital", "initial_state.capital_trillion_usd[1]"),
+        ("scenario", "weights", "weights[1]"),
+    ],
+)
+def test_validate_rejects_nan_in_unranged_leaves(small_scenario, section, attr, path):
+    # Every comparison with NaN is false, so no sign or sum check sees it.
+    messages = validate_scenario(with_leaf(small_scenario, section, attr, math.nan))
+    assert f"{path} must be finite, not nan" in messages
+
+
+# Every key with a range, and its interval, written out here and not read
+# from calibration, so that a table edit that moves a bound fails.
+RANGED_KEYS = [
+    ("geo", "phi11", "geo.phi11", "(0, 1)"),
+    ("geo", "phi12", "geo.phi12", "[0, 1)"),
+    ("geo", "phi21", "geo.phi21", "[0, 1)"),
+    ("geo", "phi22", "geo.phi22", "(0, 1)"),
+    ("geo", "xi1", "geo.xi1_gtc_per_gtco2", "(0, inf)"),
+    ("geo", "xi2", "geo.xi2_degc_per_wm2", "(0, inf)"),
+    ("geo", "eta", "geo.eta_wm2_per_doubling", "(0, inf)"),
+    ("geo", "m_at_1750", "geo.m_at_1750_gtc", "(0, inf)"),
+    ("regions", "gamma", "regions[1].gamma", "(0, 1)"),
+    ("regions", "delta_k", "regions[1].delta_k_per_year", "[0, 1]"),
+    ("regions", "alpha", "regions[1].alpha", "(0, inf)"),
+    ("regions", "rho", "regions[1].rho_per_year", "[0, inf)"),
+    ("regions", "a2", "regions[1].a2", "[0, inf)"),
+    ("regions", "theta2", "regions[1].theta2", "(1, inf)"),
+    ("regions", "pb", "regions[1].pb_usd_per_tco2", "(0, inf)"),
+    ("regions", "delta_pb", "regions[1].delta_pb_per_step", "[0, 1)"),
+    ("initial_state", "m_at", "initial_state.m_at_gtc", "(0, inf)"),
+    ("initial_state", "m_up", "initial_state.m_up_gtc", "(0, inf)"),
+    ("initial_state", "m_lo", "initial_state.m_lo_gtc", "(0, inf)"),
+    ("initial_state", "capital", "initial_state.capital_trillion_usd[1]", "(0, inf)"),
+    ("scenario", "weights", "weights[1]", "(0, inf)"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, attr, path, interval", RANGED_KEYS, ids=[k[2] for k in RANGED_KEYS]
+)
+def test_validate_range_boundaries(small_scenario, section, attr, path, interval):
+    # Each finite end and the float just outside it; the largest float
+    # stands for an infinite end. Only the key's own message is checked:
+    # the damage and weight-sum rules may flag the same value too.
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    cases = [(lo, interval[0] == "["), (math.nextafter(lo, -math.inf), False)]
+    if hi == math.inf:
+        cases.append((sys.float_info.max, True))
+    else:
+        cases += [(hi, interval[-1] == "]"), (math.nextafter(hi, math.inf), False)]
+    for x, inside in cases:
+        messages = validate_scenario(with_leaf(small_scenario, section, attr, x))
+        own = [m for m in messages if m.startswith(f"{path} ")]
+        assert own == ([] if inside else [f"{path} must lie in {interval}, not {x!r}"])
 
 
 # ---------------------------------------------------------------------------

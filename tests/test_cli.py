@@ -157,7 +157,7 @@ def test_validate_flags_bad_values(scenario_file, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code = run(["validate", "--scenario", bad])
     assert code == 1
-    assert "phi11" in capsys.readouterr().out
+    assert "geo.phi11 must lie in (0, 1), not -0.5" in capsys.readouterr().out
 
 
 def test_validate_rejects_wrong_json_type_without_traceback(scenario_file, tmp_path):

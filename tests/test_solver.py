@@ -567,6 +567,33 @@ def test_lockstep_penalizes_only_the_member_that_breaks(rng):
     assert_same_reports(reports[1:], lockstep(problems[1:]))
 
 
+class BreakingQuadratic:
+    """A concave quadratic peaked at 0.8 whose evaluation breaks the model
+    where ``z[0] > 0.6``; it records every point it is called at."""
+
+    def __init__(self):
+        self.points = []
+
+    def __call__(self, z):
+        self.points.append(z.copy())
+        if z[0] > 0.6:
+            raise ModelBreakdownError("breaks above 0.6", step=0)
+        return -float(np.sum((z - 0.8) ** 2)), -2.0 * (z - 0.8)
+
+
+def test_lockstep_evaluates_a_breaking_point_once():
+    # maximize calls its objective once per point it asks for; a one-member
+    # lockstep must too, also where the point breaks the model.
+    lower, upper, init = np.zeros(3), np.ones(3), np.full(3, 0.2)
+    alone, member = BreakingQuadratic(), BreakingQuadratic()
+    want = maximize(alone, lower, upper, init, SolveOptions())
+    got = _lockstep([member], [lower], [upper], [init], SolveOptions())
+    assert_same_reports(got, [want])
+    assert any(z[0] > 0.6 for z in member.points)
+    assert len(member.points) == len(alone.points)
+    assert np.array_equal(member.points, alone.points)
+
+
 class ProbedProblem(WindowProblem):
     """Records the live thread count and the CPUs it may run on whenever it
     is embedded, and raises on its embedding number ``fail_at``, if set."""

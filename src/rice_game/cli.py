@@ -36,7 +36,7 @@ from .model import (
     simulate,
     social_cost_of_co2,
 )
-from .noncooperative import _check_rhfa_lengths, rba_dg, rhfa_dg, verify_epsilon_ne
+from .noncooperative import _check_lengths, rba_dg, rhfa_dg, verify_epsilon_ne
 from .reporting import (
     RunManifest,
     sha256_file,
@@ -338,7 +338,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
 
 def _cmd_rhfa(args, scenario, outdir) -> tuple:
     # Checked before the SWM solve, which can take seconds.
-    _check_rhfa_lengths(scenario, args.t_sim, args.t_rh)
+    _check_lengths(scenario, args.t_sim, args.t_rh, args.t_rh)
     first = _swm(args, scenario).profile.controls[:, 0, :]
     result = rhfa_dg(scenario, args.t_sim, args.t_rh, first)
     write_trajectory_csv(result.trajectory, result.profile, scenario,

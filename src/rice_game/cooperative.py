@@ -22,9 +22,8 @@ from .model import (
     Trajectory,
     regional_welfare,
     simulate,
-    step,
 )
-from .noncooperative import _own_solve, _shifted
+from .noncooperative import _check_lengths, _own_solve, _receding
 from .solver import SolveOptions, SolveReport, WindowProblem, maximize
 
 __all__ = [
@@ -262,33 +261,17 @@ def mpc_rice(
     step that breaks the model raises :class:`ModelBreakdownError`, with its
     step and region; no truncated run is returned.
     """
-    if t_sim < 0 or t_rh < 1:
-        raise ModelDomainError("t_sim must be >= 0 and t_rh >= 1")
-    if t_sim + t_rh + 1 > scenario.exo.length:
-        raise ModelDomainError(
-            "exogenous paths do not cover t_sim + t_rh; extend the scenario"
-        )
+    _check_lengths(scenario, t_sim, t_rh, t_rh + 1)
     opts = options or SolveOptions()
-    played = np.empty((scenario.n_regions, t_sim + 1, 2))
-    objs = np.empty(t_sim + 1)
-    inits = np.empty(t_sim + 1)
-    x = scenario.x0
-    prev = default_initial_profile(scenario, t_rh + 1)
-    for t in range(t_sim + 1):
-        problem = WindowProblem(scenario, scenario.weights, x, t, prev)
-        report = maximize(problem, problem.lower, problem.upper, prev.ravel(), opts)
-        full = problem.embed(report.x)
-        objs[t] = report.objective
-        inits[t] = report.initial_objective
-        played[:, t, :] = full[:, 0, :]
-        x, _ = step(t, x, full[:, 0, :], scenario)
-        prev = _shifted(full)
+    objs, inits = [], []
 
-    profile = ControlProfile(played)
-    traj = simulate(scenario.x0, profile, scenario)
-    return MpcResult(
-        profile=profile,
-        trajectory=traj,
-        window_objectives=objs,
-        window_initial_objectives=inits,
-    )
+    def plan(t, x, warm, last):
+        problem = WindowProblem(scenario, scenario.weights, x, t, warm)
+        report = maximize(problem, problem.lower, problem.upper, warm.ravel(), opts)
+        objs.append(report.objective)
+        inits.append(report.initial_objective)
+        return problem.embed(report.x)
+
+    cold = default_initial_profile(scenario, t_rh + 1)
+    profile, trajectory = _receding(scenario, t_sim, plan, cold)
+    return MpcResult(profile, trajectory, np.array(objs), np.array(inits))

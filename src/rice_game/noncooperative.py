@@ -199,6 +199,41 @@ def _shifted(plan: np.ndarray) -> np.ndarray:
     return np.concatenate([plan[:, 1:], plan[:, -1:]], axis=1)
 
 
+def _check_lengths(scenario: Scenario, t_sim: int, t_rh: int, steps: int) -> None:
+    """Raise :class:`ModelDomainError` unless :func:`_receding` can play steps
+    0 … ``t_sim`` with ``steps``-step windows: ``t_rh + 1`` for MPC, which
+    plans [t, t + t_rh] at each step t, and ``t_rh`` for RHFA, which plays
+    the caller's step 0 and plans [t + 1, t + t_rh] after each step t."""
+    first = t_rh + 1 - steps  # the first planned step
+    if t_sim < first or t_rh < 1:
+        least = "t_sim and t_rh must be at least 1" if first else "t_sim must be >= 0 and t_rh >= 1"
+        raise ModelDomainError(least)
+    if t_sim + steps > scenario.exo.length:
+        raise ModelDomainError("exogenous paths do not cover t_sim + t_rh; extend the scenario")
+
+
+def _receding(scenario: Scenario, t_sim: int, plan, warm: np.ndarray) -> tuple:
+    """The :class:`ControlProfile` of steps 0 … ``t_sim`` played from
+    ``scenario.x0``, and its :class:`Trajectory`.
+
+    Step t plays the first controls of ``plan(t, x, warm, last)``, an
+    (n, steps, 2) window planned from the state ``x`` at step t and
+    warm-started from ``warm``: the first window's is the argument, every
+    later one the last window shifted one step. ``last`` is the (n, 2)
+    controls played at step t - 1 (None at step 0). A played step that
+    breaks the model raises :class:`ModelBreakdownError`.
+    """
+    played = np.empty((scenario.n_regions, t_sim + 1, 2))
+    x, last = scenario.x0, None
+    for t in range(t_sim + 1):
+        window = plan(t, x, warm, last)
+        last = played[:, t, :] = window[:, 0, :]
+        x, _ = step(t, x, last, scenario)
+        warm = _shifted(window)
+    profile = ControlProfile(played)
+    return profile, simulate(scenario.x0, profile, scenario)
+
+
 def best_response(
     scenario: Scenario,
     region: int,
@@ -351,16 +386,6 @@ def verify_epsilon_ne(
     )
 
 
-def _check_rhfa_lengths(scenario: Scenario, t_sim: int, t_rh: int) -> None:
-    """Raise :class:`ModelDomainError` unless :func:`rhfa_dg` can play them."""
-    if t_sim < 1 or t_rh < 1:
-        raise ModelDomainError("t_sim and t_rh must be at least 1")
-    if t_sim + t_rh > scenario.exo.length:
-        raise ModelDomainError(
-            "exogenous paths do not cover t_sim + t_rh; extend the scenario"
-        )
-
-
 def rhfa_dg(
     scenario: Scenario,
     t_sim: int,
@@ -387,32 +412,27 @@ def rhfa_dg(
     round of their evaluations one member-batched rollout and adjoint
     sweep. ``threads`` is kept for callers that pass it and is not read.
     """
-    _check_rhfa_lengths(scenario, t_sim, t_rh)
+    _check_lengths(scenario, t_sim, t_rh, t_rh)
     opts = options or SolveOptions()
     n = scenario.n_regions
     initial_controls = np.asarray(initial_controls, dtype=float)
     if initial_controls.shape != (n, 2):
         raise ModelDomainError("initial controls must have shape (n, 2)")
+    lo, hi = scenario.control_lower(), scenario.control_upper()
+    if not np.all((lo - 1e-12 <= initial_controls) & (initial_controls <= hi + 1e-12)):
+        raise ModelDomainError("initial controls must lie within the control box")
 
-    played = np.empty((n, t_sim + 1, 2))
-    played[:, 0, :] = initial_controls
-    x, _ = step(0, scenario.x0, initial_controls, scenario)
-    plans = np.repeat(initial_controls[:, None, :], t_rh, axis=1)
-
-    for t in range(t_sim):
+    def plan(t, x, warm, last):
+        if t == 0:  # the caller's controls, which also seed the first plans
+            return warm
         # Region i's window: the others frozen at their just-played
         # controls, its own rows warm-started from its shifted plan.
-        windows = np.array([np.repeat(played[:, t, None, :], t_rh, axis=1)] * n)
-        windows[range(n), range(n)] = _shifted(plans)
-        setups = [_own_problem(scenario, i, x, t + 1, windows[i]) for i in range(n)]
+        windows = np.array([np.repeat(last[:, None, :], t_rh, axis=1)] * n)
+        windows[range(n), range(n)] = warm
+        setups = [_own_problem(scenario, i, x, t, windows[i]) for i in range(n)]
         reports = _lockstep(*zip(*setups), opts)
-        plans = np.array([report.x.reshape(t_rh, 2) for report in reports])
-        played[:, t + 1, :] = plans[:, 0, :]
-        x, _ = step(t + 1, x, plans[:, 0, :], scenario)
+        return np.array([report.x.reshape(t_rh, 2) for report in reports])
 
-    profile = ControlProfile(played)
-    return RhfaResult(
-        profile=profile,
-        trajectory=simulate(scenario.x0, profile, scenario),
-        t_rh=t_rh,
-    )
+    first = np.repeat(initial_controls[:, None, :], t_rh, axis=1)
+    profile, trajectory = _receding(scenario, t_sim, plan, first)
+    return RhfaResult(profile=profile, trajectory=trajectory, t_rh=t_rh)

@@ -4,9 +4,9 @@ The decision vector flattens a :class:`~rice_game.model.ControlProfile` in
 region-major, time-minor, [s, mu] order. Welfare is maximized by running a
 projected quasi-Newton method on the negated, scaled objective: scipy's
 L-BFGS-B routine ``setulb``, which returns to its caller for every value
-and gradient it needs. :func:`maximize` answers those requests from one
-objective; ``_lockstep`` answers the requests of many solves in rounds, one
-member-batched evaluation per round. Gradients come from the model's
+and gradient it needs. One driver, ``_lockstep``, answers the requests of
+one or many solves in rounds, one member-batched evaluation per round;
+:func:`maximize` is a single solve. Gradients come from the model's
 hand-derived discrete adjoint sweep, which matches the rollout step by step.
 """
 
@@ -176,11 +176,14 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
 
 
 def _ascent(lower, upper, init, options):
-    """:func:`maximize` as a generator that yields each point to evaluate.
+    """One box-constrained ascent, as a generator that yields each point to evaluate.
 
     It is sent the point's ``(value, gradient)``, or the
     :class:`ModelBreakdownError` that evaluating it raised, and returns the
-    :class:`SolveReport`. Its iterates depend on those answers only.
+    :class:`SolveReport`. Its iterates depend on those answers only. It
+    runs L-BFGS-B on the negated objective scaled by 1/|f(init)|, charges a
+    point that breaks the model ``_BREAKDOWN_MARGIN``, keeps the best of
+    ``options.multistart`` starts, and never ends below the initial objective.
     """
     opts = options or SolveOptions()
     lower = np.asarray(lower, dtype=float)
@@ -264,24 +267,15 @@ def maximize(
     init: np.ndarray,
     options: SolveOptions | None = None,
 ) -> SolveReport:
-    """Maximize ``objective`` over the box [lower, upper].
+    """Maximize ``objective`` over the box [lower, upper] from ``init``.
 
-    ``objective(x)`` must return ``(value, gradient)``. The problem is
-    handed to the L-BFGS-B engine as minimization of the negated
-    objective, scaled by 1/|f(init)| so tolerances behave uniformly across
-    problems. The returned objective never falls below the initial one.
+    ``objective(x)`` must return ``(value, gradient)``; a point at which it
+    raises :class:`ModelBreakdownError` is penalized and the solve goes on.
+    The problem is handed to the L-BFGS-B engine as minimization of the
+    negated objective, scaled by 1/|f(init)| so tolerances behave uniformly
+    across problems. The returned objective never falls below the initial one.
     """
-    ascent = _ascent(lower, upper, init, options)
-    answer = None
-    while True:
-        try:
-            x = ascent.send(answer)
-        except StopIteration as done:
-            return done.value
-        try:
-            answer = objective(x)
-        except ModelBreakdownError as exc:
-            answer = exc
+    return _lockstep([objective], [lower], [upper], [init], options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +409,16 @@ def _round_values(problems, points) -> list:
 
 
 def _lockstep(problems, lowers, uppers, inits, options) -> list:
-    """``[maximize(p, lo, hi, x, options) for ...]``, evaluated in rounds.
+    """The :class:`SolveReport` of one :func:`_ascent` of each ``problems[k]``
+    from ``inits[k]`` over its box, all driven from the calling thread.
 
-    Each window problem's solve is one :func:`_ascent`, all driven from the
-    calling thread. A round collects the next point of every solve still
-    running and answers them all with one :func:`_round_values` call, in
-    member order, so each member's report is that of :func:`maximize` with
-    each evaluation a batch of one. A batch that breaks the model is
-    evaluated again one member at a time, so only the members that broke it
-    get ``maximize``'s penalty. Any other exception closes every solve and
-    is raised at once.
+    A round collects the next point of every solve still running and
+    answers them all with one :func:`_round_values` call, in member order. A
+    batch that breaks the model is evaluated again one member at a time, so
+    only the members that broke it are penalized. A one-member round calls
+    its problem directly, so any callable that returns ``(value, gradient)``
+    can be solved alone. Any other exception closes every solve and is
+    raised at once.
     """
     ascents = [_ascent(*args, options) for args in zip(lowers, uppers, inits)]
     reports, points = [None] * len(ascents), {}

@@ -230,6 +230,13 @@ def test_validate_catches_region_problems(small_scenario):
     expect_violation(
         dataclasses.replace(small_scenario, regions=regions), "damage at 2 degC"
     )
+    # 2**a3 overflows a float: reported, not raised.
+    regions = list(small_scenario.regions)
+    regions[1] = dataclasses.replace(regions[1], a3=1e308)
+    expect_violation(
+        dataclasses.replace(small_scenario, regions=regions),
+        "regions[1] damage at 2 degC is inf, reference loss",
+    )
 
 
 def test_validate_catches_exogenous_problems(small_scenario):

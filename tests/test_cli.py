@@ -160,6 +160,16 @@ def test_validate_flags_bad_values(scenario_file, tmp_path, capsys):
     assert "geo.phi11 must lie in (0, 1), not -0.5" in capsys.readouterr().out
 
 
+def test_validate_reports_a_damage_exponent_too_large_to_evaluate(scenario_file, tmp_path,
+                                                                   capsys):
+    doc = json.loads(scenario_file.read_text())
+    doc["regions"][1]["a3"] = 1e308
+    bad = tmp_path / "bad_a3.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", "--scenario", bad]) == 1
+    assert "invalid: regions[1] damage at 2 degC is inf" in capsys.readouterr().out
+
+
 def test_validate_rejects_wrong_json_type_without_traceback(scenario_file, tmp_path):
     doc = json.loads(scenario_file.read_text())
     doc["geo"]["phi11"] = "abc"

@@ -22,6 +22,7 @@ from rice_game.cooperative import default_initial_profile, pareto_weights
 from rice_game.solver import WindowProblem
 
 FAST = SolveOptions(multistart=1, max_iter=300)
+UNCOVERED = "^exogenous paths do not cover t_sim \\+ t_rh; extend the scenario$"
 
 
 def cluster_welfares(scenario, point):
@@ -258,12 +259,21 @@ def test_pareto_frontier_audit_tolerance_is_honored(small_scenario, monkeypatch)
 
 
 def test_mpc_rejects_bad_horizons(small_scenario):
-    with pytest.raises(ModelDomainError):
+    with pytest.raises(ModelDomainError, match="^t_sim must be >= 0 and t_rh >= 1$"):
         mpc_rice(small_scenario, t_sim=-1, t_rh=3)
-    with pytest.raises(ModelDomainError):
+    with pytest.raises(ModelDomainError, match="^t_sim must be >= 0 and t_rh >= 1$"):
         mpc_rice(small_scenario, t_sim=3, t_rh=0)
-    with pytest.raises(ModelDomainError):
+    with pytest.raises(ModelDomainError, match=UNCOVERED):
         mpc_rice(small_scenario, t_sim=35, t_rh=10)
+
+
+def test_mpc_last_window_may_end_at_the_last_exogenous_step():
+    sc = make_scenario(length=12)
+    # The last window covers steps t_sim .. t_sim + t_rh.
+    res = mpc_rice(sc, t_sim=8, t_rh=3, options=FAST)
+    assert res.profile.controls.shape == (sc.n_regions, 9, 2)
+    with pytest.raises(ModelDomainError, match=UNCOVERED):
+        mpc_rice(sc, t_sim=9, t_rh=3, options=FAST)
 
 
 def test_mpc_windows_ascend_and_shapes(small_scenario):

@@ -292,6 +292,10 @@ def test_rhfa_rejects_bad_arguments(small_scenario):
             t_rh=2,
             initial_controls=np.zeros((small_scenario.n_regions, 3)),
         )
+    above_the_box = first.copy()
+    above_the_box[0, 0] = 0.99  # the box ends at 0.95
+    with pytest.raises(ModelDomainError, match="initial controls must lie within the control box"):
+        rhfa_dg(small_scenario, t_sim=3, t_rh=2, initial_controls=above_the_box)
 
 
 def test_rhfa_last_window_may_end_at_the_last_exogenous_step():

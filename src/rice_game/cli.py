@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -86,6 +87,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rice-game", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -159,6 +161,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _packaged() -> tuple:
+    """The packaged scenario and the sha256 of its JSON document, built once;
+    no subcommand mutates the shared scenario."""
+    scenario = build_default_scenario()
+    doc = json.dumps(serialize_scenario(scenario), sort_keys=True)
+    return scenario, hashlib.sha256(doc.encode()).hexdigest()
+
+
 def _load(args) -> tuple:
     """Resolve the scenario, returning (scenario, label, sha256)."""
     if args.scenario:
@@ -166,10 +177,8 @@ def _load(args) -> tuple:
         label = str(args.scenario)
         digest = sha256_file(args.scenario)
     else:
-        scenario = build_default_scenario()
+        scenario, digest = _packaged()
         label = "packaged-default"
-        doc = json.dumps(serialize_scenario(scenario), sort_keys=True)
-        digest = hashlib.sha256(doc.encode()).hexdigest()
     horizon = getattr(args, "horizon", None)
     if horizon is not None:
         scenario = dataclasses.replace(scenario, horizon=int(horizon))

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -17,8 +18,15 @@ from conftest import checkout_env, make_scenario
 from reporting_oracle import fmt
 
 import rice_game
-from rice_game import SolveOptions, __version__, save_scenario, solve_swm
-from rice_game.cli import _build_parser, main
+from rice_game import (
+    SolveOptions,
+    __version__,
+    build_default_scenario,
+    save_scenario,
+    solve_swm,
+)
+from rice_game.calibration import serialize_scenario
+from rice_game.cli import _build_parser, _packaged, main
 from rice_game.reporting import sha256_file, trajectory_header
 
 
@@ -582,3 +590,49 @@ def test_rerunning_manifest_reproduces_every_file(argv, scenario_file, tmp_path)
     assert run([*argv_from_manifest(manifest), "--out", second]) == 0
     for name in manifest["outputs"]:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+# ---------------------------------------------------------------------------
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def _document(scenario):
+    return json.dumps(serialize_scenario(scenario), sort_keys=True)
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path):
+    # main builds its parser and the packaged scenario once per process;
+    # later calls, and a --horizon run in between, must not see any trace
+    # of earlier ones.
+    runs = [
+        ["simulate", "--saving", "0.3", "--mu", "0.2"],
+        ["scc", "--policy", "baseline", "--steps", "0,5,60"],
+        ["simulate", "--horizon", "20"],
+        ["simulate", "--saving", "0.3", "--mu", "0.2"],
+        ["scc", "--policy", "baseline", "--steps", "0,5,60"],
+    ]
+    fresh = {}
+    for k, argv in enumerate(runs):
+        assert run([*argv, "--out", tmp_path / f"in{k}"]) == 0
+        key = " ".join(argv)
+        if key not in fresh:
+            out = tmp_path / f"fresh{k}"
+            subprocess.run([sys.executable, "-m", "rice_game", *argv, "--out", str(out)],
+                           check=True, env=checkout_env())
+            fresh[key] = _tree(out)
+        assert _tree(tmp_path / f"in{k}") == fresh[key], argv
+
+    for argv in (["swm", "--horizon", "3"],
+                 ["rba", "--episodes", "1", "--horizon", "3", "--verify-ne"],
+                 ["pareto", "--grid", "2", "--horizon", "3"],
+                 ["mpc", "--t-sim", "1", "--t-rh", "1"]):
+        assert run([*argv, "--out", tmp_path / argv[0]]) == 0, argv
+    scenario, digest = _packaged()
+    doc = _document(build_default_scenario())
+    assert _document(scenario) == doc
+    assert digest == hashlib.sha256(doc.encode()).hexdigest()

@@ -23,7 +23,7 @@ from .model import (
     regional_welfare,
     simulate,
 )
-from .noncooperative import _check_lengths, _own_solve, _receding
+from .noncooperative import _best_responses, _check_lengths, _receding
 from .solver import SolveOptions, SolveReport, WindowProblem, maximize
 
 __all__ = [
@@ -153,17 +153,18 @@ def _polish_savings(
 
     Saving coordinates of a near-zero-weight region carry gradient entries
     scaled by that weight, so the joint solve stalls on them long before
-    its own tolerance; this pass finishes them one region at a time by an
-    own-welfare solve with that region's abatement pinned. A saving path
-    touches other regions only through the owner's unabated emissions, and
-    where the stall actually occurs the remaining cluster has already
-    pushed the stalled cluster to full abatement, so the refinement is
-    exact there and a resolution-level tie-break elsewhere.
+    its own tolerance; this pass finishes them in one Jacobi round: every
+    region's own-welfare solve, with its abatement pinned, starts from
+    ``controls`` and faces the others' ``controls``, and the n solves run
+    in lockstep. A saving path touches other regions only through the
+    owner's unabated emissions, and where the stall actually occurs the
+    remaining cluster has already pushed the stalled cluster to full
+    abatement, so the refinement is exact there and a resolution-level
+    tie-break elsewhere.
     """
     sub = dataclasses.replace(options, multistart=1)
-    for i in range(scenario.n_regions):
-        controls, _ = _own_solve(scenario, i, scenario.x0, 0, controls, sub, pin_mu=True)
-    return controls
+    results = _best_responses(scenario, ControlProfile(controls), sub, pin_mu=True)
+    return np.array([r.controls for r in results])
 
 
 def solve_pareto_point(

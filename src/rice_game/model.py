@@ -558,10 +558,8 @@ def _adjoint_arrays(
     """Weighted welfare and its exact discrete adjoint, time-major controls.
 
     ``weights`` is (n,) or a batch (m, n) of weight rows; every costate
-    carries the batch axis of ``weights`` between the time and region axes.
-    A batch row agrees with the sweep of that row alone to rounding, not
-    bit for bit: the batched products may round differently, by a few
-    units in the last place of the row's largest entry.
+    carries the batch axis of ``weights`` between the time and region axes,
+    and row j's numbers are the same bits as the sweep of row j alone.
     Returns ``(f, gs, gmu, lam_mat, dudc)``: the welfare (a float, or (m,)),
     its gradients with respect to the s and mu of the regions that the
     index ``regions`` picks (all by default, none for an empty list), shaped
@@ -583,7 +581,7 @@ def _adjoint_arrays(
     steps, n = s_tn.shape[0], s_tn.shape[-1]
     members = s_tn.ndim == 3
     welfare = _utilities(scenario, cpc, t0).sum(axis=0)
-    f = np.vecdot(welfare, weights) if members else welfare @ weights.T
+    f = np.vecdot(welfare, weights)
     batched = weights.ndim == 2
     if not batched:
         f = float(f)
@@ -643,30 +641,29 @@ def _adjoint_arrays(
 
     # Entry t of lam_k_path and lam_mat is the costate of K(t+1) and of
     # M_AT(t+1). The sweep stops at t = 1: no output reads the costates of
-    # the start state. Each member carries its climate costates as Python
-    # floats, as an (n,) weight vector does; an unbatched sweep with (m, n)
-    # weights carries them as (m,) arrays.
+    # the start state. Each weight row carries its climate costates as
+    # Python floats, as an (n,) weight vector does; without a member axis
+    # every row reads the one forcing sensitivity.
     shape = weights.shape[:-1]
-    lams = (np.zeros(shape) if batched and not members else 0.0,) * 5
-    if members:
+    lams = (0.0,) * 5
+    if batched:
         lams = [lams] * shape[0]
     lam_k_path = np.empty((steps,) + shape + (n,))
     lam_k_path[-1] = 0.0
     lam_mat = np.empty((steps,) + shape)
     tmp = np.empty(shape + (n,))
-    cast = np.asarray if batched else float
     for t in range(steps - 1, -1, -1):
-        lam_m0 = np.array([lam[2] for lam in lams]) if members else lams[2]
+        lam_m0 = np.array([lam[2] for lam in lams]) if batched else lams[2]
         lam_mat[t] = lam_m0
         if not t:
             break
         lam_k = lam_k_path[t]
-        if members:
-            terms = (np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]).tolist()
-            lams = [retreat(*args) for args in zip(lams, terms, forcing_sens[t])]
+        terms = np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]
+        if batched:
+            f_sens = forcing_sens[t] if members else [forcing_sens[t]] * shape[0]
+            lams = [retreat(*args) for args in zip(lams, terms.tolist(), f_sens)]
         else:
-            term = cast(lam_k @ saved_dq_dtat[t] + kept_dq_dtat[t])
-            lams = retreat(lams, term, forcing_sens[t])
+            lams = retreat(lams, float(terms), forcing_sens[t])
         lam_k_prev = lam_k_path[t - 1]
         np.multiply(lam_k, k_sens[t], out=lam_k_prev)
         lam_k_prev += kept_dq_dk[t]

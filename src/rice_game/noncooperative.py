@@ -150,26 +150,6 @@ def _own_problem(
     return problem, lower, upper, init
 
 
-def _own_solve(
-    scenario: Scenario,
-    region: int,
-    x0: RiceState,
-    t0: int,
-    controls: np.ndarray,
-    options: SolveOptions,
-    pin_mu: bool = False,
-) -> tuple[np.ndarray, SolveReport]:
-    """Maximize ``region``'s own welfare over the window of ``controls``.
-
-    The problem is :func:`_own_problem`'s, warm-started from ``region``'s
-    own rows. Returns the full (n, steps, 2) controls with ``region``'s
-    rows solved, and the solver report.
-    """
-    problem, lower, upper, init = _own_problem(scenario, region, x0, t0, controls, pin_mu)
-    report = maximize(problem, lower, upper, init, options)
-    return problem.embed(report.x), report
-
-
 def _nash_residual(scenario: Scenario, controls: np.ndarray) -> tuple:
     """Regional welfare and first-order Nash residual at (n, T+1, 2) ``controls``.
 
@@ -247,28 +227,29 @@ def best_response(
     """
     if not 0 <= region < scenario.n_regions:
         raise ModelDomainError("region index out of range")
-    full, report = _own_solve(
-        scenario, region, scenario.x0, 0, profile.controls, options or SolveOptions()
-    )
+    problem, lower, upper, init = _own_problem(scenario, region, scenario.x0, 0, profile.controls)
+    report = maximize(problem, lower, upper, init, options or SolveOptions())
     return BestResponseResult(
         region=region,
-        controls=full[region].copy(),
+        controls=report.x.reshape(profile.horizon + 1, 2).copy(),
         welfare=report.objective,
         report=report,
     )
 
 
 def _best_responses(
-    scenario: Scenario, profile: ControlProfile, options: SolveOptions
+    scenario: Scenario, profile: ControlProfile, options: SolveOptions, pin_mu: bool = False
 ) -> list:
     """Every region's :class:`BestResponseResult` against ``profile``: one
     Jacobi round, its n best responses solved in lockstep (``solver._lockstep``).
 
     Each result equals :func:`best_response`'s for its region bit for bit
     whenever the member-batched engine gives the unbatched engine's bits.
+    ``pin_mu`` pins every region's abatement at its ``profile`` rows, as
+    :func:`_own_problem` does, so that only the savings move.
     """
     setups = [
-        _own_problem(scenario, i, scenario.x0, 0, profile.controls)
+        _own_problem(scenario, i, scenario.x0, 0, profile.controls, pin_mu)
         for i in range(scenario.n_regions)
     ]
     reports = _lockstep(*zip(*setups), options)

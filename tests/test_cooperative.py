@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, random_profile
 
 from rice_game import (
     ModelDomainError,
@@ -18,8 +18,9 @@ from rice_game import (
     weighted_welfare,
 )
 from rice_game import cooperative
-from rice_game.cooperative import default_initial_profile, pareto_weights
-from rice_game.solver import WindowProblem
+from rice_game.cooperative import _polish_savings, default_initial_profile, pareto_weights
+from rice_game.noncooperative import _own_problem
+from rice_game.solver import WindowProblem, maximize
 
 FAST = SolveOptions(multistart=1, max_iter=300)
 UNCOVERED = "^exogenous paths do not cover t_sim \\+ t_rh; extend the scenario$"
@@ -187,6 +188,21 @@ def test_polish_is_exact_when_abatement_saturates(monkeypatch):
             traj = simulate(sc.x0, pt.profile, sc)
             own[tag] = weighted_welfare(traj, pt.profile, w, sc)
         assert own["fine"] >= own["rough"] - 1e-9 * abs(own["rough"])
+
+
+def test_polish_is_one_jacobi_round_of_pinned_own_solves(small_scenario, rng):
+    # Every region's saving solve starts from the input controls and faces
+    # the others' input controls, with one start whatever the options ask.
+    sc = small_scenario
+    controls = random_profile(sc, sc.horizon + 1, rng, margin=0.1).controls
+    polished = _polish_savings(sc, controls, dataclasses.replace(FAST, multistart=2))
+    assert polished.shape == controls.shape
+    np.testing.assert_array_equal(polished[:, :, 1], controls[:, :, 1])
+    for i in range(sc.n_regions):
+        problem, lower, upper, init = _own_problem(sc, i, sc.x0, 0, controls, pin_mu=True)
+        report = maximize(problem, lower, upper, init, FAST)
+        assert polished[i].tobytes() == problem.embed(report.x)[i].tobytes()
+        assert not np.array_equal(polished[i, :, 0], controls[i, :, 0])
 
 
 def test_pareto_frontier_small_grid_is_clean(small_scenario):

@@ -822,30 +822,26 @@ def test_scc_matches_oracle_central_differences(small_scenario, rng):
                 assert abs(table[t, i] - ref) <= 1e-6 * abs(ref), (t, i, table[t, i], ref)
 
 
-def test_batched_adjoint_rows_match_single_sweeps(small_scenario, rng):
-    sc = small_scenario
-    steps = sc.horizon + 1
-    profile = random_profile(sc, steps, rng)
-    s_tn = np.ascontiguousarray(profile.saving.T)
-    mu_tn = np.ascontiguousarray(profile.mu.T)
-    x0 = sc.x0.to_vector()
-    weights = np.vstack([rng.uniform(0.0, 1.0, size=(3, 3)), np.eye(3)])
-    f, gs, gmu, lam_mat, dudc = _adjoint_arrays(sc, x0, s_tn, mu_tn, weights)
-    assert f.shape == (6,)
-    assert gs.shape == gmu.shape == (steps, 6, 3)
-    assert lam_mat.shape == (steps, 6)
-    # The batched products may round differently from a single row's (by up
-    # to about 5e-16 of the row's largest entry on the packaged scenario),
-    # so rows match to rounding, not bit for bit; 1e-13 leaves room for that
-    # and still catches a wrong term.
-    for j, w in enumerate(weights):
-        f1, gs1, gmu1, lam1, dudc1 = _adjoint_arrays(sc, x0, s_tn, mu_tn, w)
-        assert isinstance(f1, float)
-        np.testing.assert_allclose(f[j], f1, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(gs[:, j], gs1, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(gmu[:, j], gmu1, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(lam_mat[:, j], lam1, rtol=1e-13, atol=0)
-        np.testing.assert_array_equal(dudc, dudc1)
+def test_batched_adjoint_rows_match_single_sweeps(small_scenario, default_scenario, rng):
+    for sc in (small_scenario, default_scenario):
+        n, steps = sc.n_regions, sc.horizon + 1
+        profile = random_profile(sc, steps, rng)
+        s_tn = np.ascontiguousarray(profile.saving.T)
+        mu_tn = np.ascontiguousarray(profile.mu.T)
+        x0 = sc.x0.to_vector()
+        weights = np.vstack([rng.uniform(0.0, 1.0, size=(3, n)), np.eye(n)])
+        f, gs, gmu, lam_mat, dudc = _adjoint_arrays(sc, x0, s_tn, mu_tn, weights)
+        assert f.shape == (n + 3,)
+        assert gs.shape == gmu.shape == (steps, n + 3, n)
+        assert lam_mat.shape == (steps, n + 3)
+        for j, w in enumerate(weights):
+            f1, gs1, gmu1, lam1, dudc1 = _adjoint_arrays(sc, x0, s_tn, mu_tn, w)
+            assert isinstance(f1, float)
+            np.testing.assert_array_equal(f[j], f1)
+            np.testing.assert_array_equal(gs[:, j], gs1)
+            np.testing.assert_array_equal(gmu[:, j], gmu1)
+            np.testing.assert_array_equal(lam_mat[:, j], lam1)
+            np.testing.assert_array_equal(dudc, dudc1)
 
 
 def test_adjoint_forms_gradients_of_picked_regions_only(small_scenario, rng):

@@ -27,7 +27,7 @@ from rice_game.model import (
     simulate,
     weighted_welfare,
 )
-from rice_game.noncooperative import _best_responses, _own_problem, _own_solve
+from rice_game.noncooperative import _best_responses, _own_problem
 from rice_game.solver import (
     SolveOptions,
     WindowProblem,
@@ -462,7 +462,9 @@ def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
     fixed = random_profile(sc, 5, rng, margin=0.05).controls
     before = regional_welfare(simulate(sc.x0, ControlProfile(fixed), sc), sc)[2]
     for pin_mu in (False, True):
-        full, report = _own_solve(sc, 2, sc.x0, 0, fixed, SolveOptions(), pin_mu=pin_mu)
+        problem, lower, upper, init = _own_problem(sc, 2, sc.x0, 0, fixed, pin_mu=pin_mu)
+        report = maximize(problem, lower, upper, init, SolveOptions())
+        full = problem.embed(report.x)
         np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
         if pin_mu:
             np.testing.assert_array_equal(full[2, :, 1], fixed[2, :, 1])
@@ -497,12 +499,16 @@ def lockstep(problems, options=SolveOptions()):
                      inits, options)
 
 
-def serial(problems, options=SolveOptions()):
-    """``maximize`` on each problem in turn, every evaluation a batch of one."""
+def serial(problems, options=SolveOptions(), bounds=None):
+    """``maximize`` on each problem in turn, every evaluation a batch of one.
+
+    ``bounds[k]`` is problem k's ``(lower, upper)`` (default: its own box).
+    """
+    bounds = bounds or [(p.lower, p.upper) for p in problems]
     return [
-        maximize(lambda z, p=p: _member_values([p], [z])[0], p.lower, p.upper,
+        maximize(lambda z, p=p: _member_values([p], [z])[0], lower, upper,
                  p.extract(p.controls), options)
-        for p in problems
+        for p, (lower, upper) in zip(problems, bounds, strict=True)
     ]
 
 
@@ -651,19 +657,28 @@ def test_lockstep_raises_only_after_every_thread_ended(rng):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("packaged", [False, True])
-def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, rng):
+@pytest.mark.parametrize(
+    "packaged, pin_mu",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-pinned", "True-pinned"],
+)
+def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, pin_mu, rng):
     # One Jacobi round in lockstep against serial maximize solves of the same
-    # own-welfare problems, every evaluation a batch of one. The packaged
-    # scenario runs at a short horizon.
+    # own-welfare problems, over the same (pinned or not) bounds, every
+    # evaluation a batch of one. The packaged scenario runs at a short horizon.
     sc = default_scenario if packaged else make_scenario()
     steps = 13 if packaged else sc.horizon + 1
     profile = random_profile(sc, steps, rng, margin=0.1)
-    results = _best_responses(sc, profile, SolveOptions())
-    problems = [_own_problem(sc, i, sc.x0, 0, profile.controls)[0] for i in range(sc.n_regions)]
+    results = _best_responses(sc, profile, SolveOptions(), pin_mu=pin_mu)
+    setups = [_own_problem(sc, i, sc.x0, 0, profile.controls, pin_mu)
+              for i in range(sc.n_regions)]
+    problems = [problem for problem, _, _, _ in setups]
     reports = [r.report for r in results]
-    assert_same_reports(reports, serial(problems))
-    assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
+    assert_same_reports(
+        reports, serial(problems, bounds=[(lower, upper) for _, lower, upper, _ in setups])
+    )
+    if packaged or not pin_mu:  # the small pinned round's three members each take 13
+        assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
     for i, result in enumerate(results):
         assert result.region == i
         assert result.welfare == result.report.objective

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -477,7 +478,7 @@ def _forward(
     row = (0.0, 0.0, *x0_vec[:5].tolist())
     if members:
         row = [row] * lead[0]
-    rows = []
+    rows = []  # every member's row of every step, in (step, member) order
     one, tmp = np.ones(n), np.empty(lead + (n,))
 
     # Past a breakdown the rollout runs on with meaningless values (K**gamma
@@ -496,13 +497,14 @@ def _forward(
             if members:
                 etot = np.vecdot(ea, kg).tolist()
                 row = [advance(r, e + land_rel, f_rel) for r, e in zip(row, etot)]
+                rows += row
             else:
-                row = advance(row, float(ea @ kg) + land_rel, f_rel)
+                row = advance(row, float(ea.dot(kg)) + land_rel, f_rel)
+                rows.append(row)
             np.multiply(om, kg, out=tmp)
             tmp *= d
             np.multiply(keep5, k, out=k_next)
             k_next += tmp
-            rows.append(row)
 
     bad = (OM <= 0.0) | (LAM <= 0.0)
     if bad.any():
@@ -515,7 +517,8 @@ def _forward(
             step=ta,
             region=i,
         )
-    rows = np.array(rows).reshape((steps,) + lead + (7,))
+    rows = np.fromiter(chain.from_iterable(rows), float, 7 * len(rows))
+    rows = rows.reshape((steps,) + lead + (7,))
     states[1:, ..., :5] = rows[..., 2:]
     Y = A * KG
     Q = OM * LAM * Y
@@ -538,10 +541,12 @@ def _utilities(scenario: Scenario, cpc: np.ndarray, t0: int) -> np.ndarray:
     steps, members = cpc.shape[0], cpc.ndim == 3
     labor = _window(scenario.exo.labor, t0, steps, members)
     alpha = scenario._alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        crra = labor * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
-    logu = labor * np.log(cpc)
-    base = np.where(alpha == 1.0, logu, crra)
+    base = labor * np.log(cpc)
+    if (alpha != 1.0).any():
+        # CRRA utility where alpha != 1, log utility where alpha == 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crra = labor * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+        base = np.where(alpha == 1.0, base, crra)
     return base * _window(scenario._disc, t0, steps, members)
 
 
@@ -618,6 +623,8 @@ def _adjoint_arrays(
     del om_prime, LAM
     saved_dq_dtat = 5.0 * s_tn * dq_dtat
     kept_dq_dtat = (w_mu_kept * dq_dtat[batch]).sum(axis=-1)
+    if not batched:
+        kept_dq_dtat = kept_dq_dtat.tolist()  # the loop adds it to a Python float
     del dq_dtat
     dq_dk = gamma * Q / K
     k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
@@ -658,12 +665,13 @@ def _adjoint_arrays(
         if not t:
             break
         lam_k = lam_k_path[t]
-        terms = np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]
         if batched:
+            terms = np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]
             f_sens = forcing_sens[t] if members else [forcing_sens[t]] * shape[0]
             lams = [retreat(*args) for args in zip(lams, terms.tolist(), f_sens)]
         else:
-            lams = retreat(lams, float(terms), forcing_sens[t])
+            term = float(lam_k.dot(saved_dq_dtat[t])) + kept_dq_dtat[t]
+            lams = retreat(lams, term, forcing_sens[t])
         lam_k_prev = lam_k_path[t - 1]
         np.multiply(lam_k, k_sens[t], out=lam_k_prev)
         lam_k_prev += kept_dq_dk[t]
@@ -671,18 +679,27 @@ def _adjoint_arrays(
         lam_k_prev += tmp
     del saved_dq_dtat, k_sens, kept_dq_dk, emit_dk
 
+    # The gradients read the picked regions' columns only, so they are
+    # gathered first and the abatement cost's derivative formed on them.
     theta1 = _window(scenario._theta1, t0, steps, members)
-    lam_prime = -(theta1 * theta2 * mu_tn ** (theta2 - 1.0))
     if np.ndim(regions) == 2:
-        # Row k of ``regions`` picks member k's regions.
-        sig = np.broadcast_to(sig, Y.shape)
-        pick = (Ellipsis, np.arange(len(regions))[:, None], regions)
+        # Row k of ``regions`` picks member k's regions: flat indices into
+        # each step's B * n entries, and columns of the rows members share.
+        flat = np.arange(len(regions))[:, None] * n + regions
+        sig, theta1 = sig[:, 0, regions], theta1[:, 0, regions]
+
+        def pick(a):
+            return a.reshape(steps, -1).take(flat, axis=1)
     else:
-        pick = (Ellipsis, regions)
-    Q, OM, Y, sig, lam_prime, s_r = (
-        a[pick][batch] for a in (Q, OM, Y, sig, lam_prime, s_tn)
-    )
-    w_mu, w_mu_kept, lam_k_path = (a[pick] for a in (w_mu, w_mu_kept, lam_k_path))
+        sig, theta1 = sig[..., regions], theta1[..., regions]
+
+        def pick(a):
+            return a[..., regions]
+    theta2 = theta2[regions]
+    Q, OM, Y, mu_r, s_r = (pick(a) for a in (Q, OM, Y, mu_tn, s_tn))
+    lam_prime = -(theta1 * theta2 * mu_r ** (theta2 - 1.0))
+    Q, OM, Y, sig, lam_prime, s_r = (a[batch] for a in (Q, OM, Y, sig, lam_prime, s_r))
+    w_mu, w_mu_kept, lam_k_path = (pick(a) for a in (w_mu, w_mu_kept, lam_k_path))
     gs = (-w_mu + 5.0 * lam_k_path) * Q
     gmu = (w_mu_kept + 5.0 * s_r * lam_k_path) * OM * Y * lam_prime - (
         lam_mat[..., None] * xi1 * sig * Y

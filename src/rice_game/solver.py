@@ -32,9 +32,14 @@ from .model import (
 )
 
 
+#: The call ``_minimize_lbfgsb`` makes: scipy 1.15's integer-task interface.
+_SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+
+
 def _load_lbfgsb():
     """scipy's compiled ``scipy.optimize._lbfgsb``, loaded from its file and
-    not put in ``sys.modules``; ``import scipy`` has run scipy's library set-up."""
+    not put in ``sys.modules``; ``import scipy`` has run scipy's library set-up.
+    A ``setulb`` without the call ``_minimize_lbfgsb`` makes is an ImportError."""
     directory = os.path.join(scipy.__path__[0], "optimize")
     spec = importlib.machinery.PathFinder.find_spec("_lbfgsb", [directory])
     if spec is None:
@@ -44,6 +49,12 @@ def _load_lbfgsb():
         )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    doc = getattr(getattr(module, "setulb", None), "__doc__", None) or ""
+    if not doc.startswith(_SETULB):
+        raise ImportError(
+            f"scipy.optimize._lbfgsb in {directory} has no {_SETULB}; scipy >= 1.15 has it",
+            name="scipy.optimize._lbfgsb",
+        )
     return module
 
 
@@ -141,19 +152,22 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
     lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
 
+    # f and g are always the answer at ``seen``, the last point evaluated.
+    # setulb reads g as float64 and writes neither, so one conversion per
+    # answer serves every call until the next one.
     seen = x.copy()
     n_evaluations, iterations = 1, 0
-    f, g = np.array(0.0), np.zeros(n)
+    f, g = fg
+    g = np.asarray(g, dtype=np.float64)
     while True:
-        g = g.astype(np.float64)  # setulb takes float64 and works in g itself
         _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
                        lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
         if task[0] == 3:  # f and g wanted at x
-            if not np.array_equal(x, seen):
+            if (x != seen).any():
                 seen = x.copy()
-                fg = yield from fun(x.copy())
+                f, g = yield from fun(seen)
+                g = np.asarray(g, dtype=np.float64)
                 n_evaluations += 1
-            f, g = fg
         elif task[0] == 1:  # a new iterate
             iterations += 1
             callback()
@@ -207,12 +221,13 @@ def _ascent(lower, upper, init, options):
         raise ModelDomainError("objective at init is not finite")
     scale = 1.0 / max(abs(f0), 1e-12)
 
-    rng = np.random.default_rng(opts.seed)
     starts = [init]
-    span = upper - lower
-    for _ in range(max(opts.multistart, 1) - 1):
-        jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
-        starts.append(np.clip(init + jitter, lower, upper))
+    if opts.multistart > 1:
+        rng = np.random.default_rng(opts.seed)
+        span = upper - lower
+        for _ in range(opts.multistart - 1):
+            jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
+            starts.append(np.clip(init + jitter, lower, upper))
 
     best = None
     start_objectives = []
@@ -362,7 +377,17 @@ class WindowProblem:
             self.t0,
             regions=self.free_regions,
         )
-        return f, np.stack([gs, gmu], axis=-1).transpose(1, 0, 2).ravel()
+        return f, _decision_order(gs, gmu)
+
+
+def _decision_order(gs: np.ndarray, gmu: np.ndarray) -> np.ndarray:
+    """Gradients (steps, [B,] r) of s and mu as flat decision vectors, (r*steps*2,)
+    or one row per member, (B, r*steps*2)."""
+    axes = (*range(1, gs.ndim), 0)
+    out = np.empty(gs.shape[1:] + gs.shape[:1] + (2,))
+    out[..., 0] = gs.transpose(axes)
+    out[..., 1] = gmu.transpose(axes)
+    return out.reshape(gs.shape[1:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +409,18 @@ def _member_values(problems, points) -> list:
     if len(problems) == 1:
         return [problems[0](points[0])]
     first = problems[0]
-    s_tn, mu_tn = _time_major(np.array([p.embed(z) for p, z in zip(problems, points)]))
-    weights = np.array([p.weights for p in problems])
+    # Every member's controls, time-major, then one write of every member's
+    # free rows: (2, steps, B, n) takes (B, r, steps, 2) at [:, :, k, free[k]].
+    controls = _time_major(np.array([p.controls for p in problems]))
     free = np.array([p.free_regions for p in problems])
+    members = np.arange(len(problems))[:, None]
+    z = np.array(points).reshape(free.shape + (first.steps, 2))
+    controls[:, :, members, free] = z.transpose(3, 2, 0, 1)
+    weights = np.array([p.weights for p in problems])
     f, gs, gmu, _, _ = _adjoint_arrays(
-        first.scenario, first.x0_vec, s_tn, mu_tn, weights, first.t0, regions=free
+        first.scenario, first.x0_vec, *controls, weights, first.t0, regions=free
     )
-    grads = np.stack([gs, gmu], axis=-1)
-    return [
-        (float(f[k]), grads[:, k].transpose(1, 0, 2).ravel()) for k in range(len(problems))
-    ]
+    return list(zip(f.tolist(), _decision_order(gs, gmu)))
 
 
 def _round_values(problems, points) -> list:

@@ -38,6 +38,7 @@ from rice_game import (
     verify_epsilon_ne,
     weighted_welfare,
 )
+from rice_game.model import _forward, _per_capita, _time_major, _utilities
 from rice_game.noncooperative import _NASH_TOL, _nash_residual
 
 
@@ -121,6 +122,13 @@ def test_criterion_01_adjoint_matches_finite_differences():
         traj = simulate(sc.x0, profile, sc)
         return weighted_welfare(traj, profile, weights, sc)
 
+    def objectives(xs):
+        # ``objective`` at each point of a stack, from one member-batched
+        # rollout: each member's welfare is the same bits as its own rollout's.
+        traj, _ = _forward(sc, sc.x0.to_vector(), *_time_major(xs.reshape(-1, n, steps, 2)))
+        cpc, _ = _per_capita(sc, traj.consumption, 0)
+        return [float(w @ weights) for w in _utilities(sc, cpc, 0).sum(axis=0)]
+
     consts = scenario_constants(sc)
     rng = np.random.default_rng(2020)
     checked = escalated = 0
@@ -130,7 +138,7 @@ def test_criterion_01_adjoint_matches_finite_differences():
         profile = random_profile(sc, steps, rng, margin=0.05)
         x = profile.controls.ravel().copy()
         g_adj = gradient_adjoint(profile, sc, weights)
-        g_fd, _ = gradient_fd(objective, x, step=2e-4, lower=lower, upper=upper)
+        g_fd, _ = gradient_fd(objectives, x, step=2e-4, lower=lower, upper=upper, stacked=True)
         mask = np.abs(g_fd) > 1e-8
         checked += int(mask.sum())
         rel = np.abs(g_adj - g_fd)[mask] / np.abs(g_fd)[mask]

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.machinery
 import importlib.util
 import os
+import sys
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from scalar_oracle import (
     scenario_constants,
 )
 
+from rice_game import solver
 from rice_game.model import (
     ControlProfile,
     ModelBreakdownError,
@@ -374,6 +376,35 @@ def test_lbfgsb_is_the_file_scipy_optimize_imports():
     assert os.path.samefile(_lbfgsb.__file__, spec.origin)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # scipy 1.14's f2py wrapper: the character task of L-BFGS-B 3.0.
+        "x,f,g,wa,iwa,task,csave,lsave,isave,dsave = setulb(m,x,l,u,nbd,f,g,factr,"
+        "pgtol,wa,iwa,task,iprint,csave,lsave,isave,dsave,maxls)",
+        None,
+    ],
+    ids=["character-task", "no-docstring"],
+)
+def test_lbfgsb_loader_rejects_another_setulb(monkeypatch, tmp_path, doc):
+    # A scipy whose setulb lacks the integer-task call the port makes is an
+    # ImportError at import time, not a wrong call inside the first solve.
+    (tmp_path / "optimize").mkdir()
+    (tmp_path / "optimize" / "_lbfgsb.py").write_text(
+        f"def setulb(*args):\n    pass\n\n\nsetulb.__doc__ = {doc!r}\n"
+    )
+    monkeypatch.setattr(solver.scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the fake is rewritten below
+    with pytest.raises(ImportError, match=r"maxls,ln_task\)") as info:
+        _load_lbfgsb()
+    assert info.value.name == "scipy.optimize._lbfgsb"
+    # The same fake with the call the port makes loads.
+    (tmp_path / "optimize" / "_lbfgsb.py").write_text(
+        f"def setulb(*args):\n    pass\n\n\nsetulb.__doc__ = {_lbfgsb.setulb.__doc__!r}\n"
+    )
+    assert _load_lbfgsb().setulb.__doc__ == _lbfgsb.setulb.__doc__
+
+
 def test_lbfgsb_loader_names_the_module_it_cannot_find(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
     with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb") as info:
@@ -481,7 +512,7 @@ def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
 # ---------------------------------------------------------------------------
 
 
-def window_problems(scenario, rng, t0=1, steps=4, weights=None, cls=WindowProblem):
+def window_problems(scenario, rng, t0=1, steps=4, weights=None):
     """One single-region window problem per region, from random controls.
 
     Row i of ``weights`` (default: the identity) weighs region i's problem.
@@ -490,7 +521,8 @@ def window_problems(scenario, rng, t0=1, steps=4, weights=None, cls=WindowProble
     weights = np.eye(n) if weights is None else weights
     controls = random_profile(scenario, steps, rng, margin=0.1).controls
     x0 = simulate(scenario.x0, ControlProfile(controls[:, :t0]), scenario).state(t0)
-    return [cls(scenario, weights[i], x0, t0, controls, free_regions=[i]) for i in range(n)]
+    return [WindowProblem(scenario, weights[i], x0, t0, controls, free_regions=[i])
+            for i in range(n)]
 
 
 def lockstep(problems, options=SolveOptions()):
@@ -528,15 +560,18 @@ def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario
 
 
 def test_member_values_match_window_problem_calls(default_scenario, rng):
-    # The same bits, which the lockstep's equality with serial solves rests on.
+    # The same bits, which the lockstep's equality with serial solves rests on:
+    # for a whole round and for the few members still live in a late one.
     for t0, steps in [(3, 5), (0, 121), (7, 10)]:
         problems = window_problems(default_scenario, rng, t0=t0, steps=steps)
         points = [p.extract(p.controls) + 0.01 for p in problems]
-        for (f, g), p, z in zip(_member_values(problems, points), problems, points,
-                                strict=True):
-            want_f, want_g = p(z)
-            assert f == want_f
-            assert g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
+        for live in [range(len(problems)), [3, 9], [0, 2, 5, 7, 11]]:
+            batch = [problems[k] for k in live]
+            zs = [points[k] for k in live]
+            for (f, g), p, z in zip(_member_values(batch, zs), batch, zs, strict=True):
+                want_f, want_g = p(z)
+                assert f == want_f
+                assert g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
 
 
 def test_lockstep_reports_equal_serial_solves(default_scenario, rng):
@@ -600,50 +635,59 @@ def test_lockstep_evaluates_a_breaking_point_once():
     assert np.array_equal(member.points, alone.points)
 
 
-class ProbedProblem(WindowProblem):
-    """Records the live thread count and the CPUs it may run on whenever it
-    is embedded, and raises on its embedding number ``fail_at``, if set."""
+class Probe:
+    """Stands in for ``solver._adjoint_arrays``, which answers each lockstep
+    round once: records the live thread count and the CPUs the caller may
+    run on at every call, and raises on its call number ``fail_at``, if set."""
 
-    fail_at = None
+    def __init__(self, sweep):
+        self.sweep, self.alive, self.cpus, self.calls, self.fail_at = sweep, 0, [], 0, None
 
-    def embed(self, z):
-        self.alive = max(getattr(self, "alive", 0), threading.active_count())
+    def __call__(self, *args, **kwargs):
+        self.alive = max(self.alive, threading.active_count())
         if hasattr(os, "sched_getaffinity"):
-            self.cpus = getattr(self, "cpus", []) + [os.sched_getaffinity(0)]
-        self.calls = getattr(self, "calls", 0) + 1
+            self.cpus.append(os.sched_getaffinity(0))
+        self.calls += 1
         if self.calls == self.fail_at:
             raise RuntimeError("evaluation failed")
-        return super().embed(z)
+        return self.sweep(*args, **kwargs)
 
 
-def test_lockstep_starts_no_thread(rng):
+@pytest.fixture
+def probe(monkeypatch):
+    probe = Probe(solver._adjoint_arrays)
+    monkeypatch.setattr(solver, "_adjoint_arrays", probe)
+    return probe
+
+
+def test_lockstep_starts_no_thread(rng, probe):
     before = threading.active_count()
-    problems = window_problems(make_scenario(n=5), rng, cls=ProbedProblem)
+    problems = window_problems(make_scenario(n=5), rng)
     lockstep(problems)
-    assert max(p.alive for p in problems) == before
+    assert probe.calls and probe.alive == before
     assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
-def test_lockstep_leaves_the_callers_cpu_affinity_unchanged(rng):
+def test_lockstep_leaves_the_callers_cpu_affinity_unchanged(rng, probe):
     caller = os.sched_getaffinity(0)
-    problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
+    problems = window_problems(make_scenario(n=4), rng)
     lockstep(problems)
-    assert all(cpus == caller for p in problems for cpus in p.cpus)
+    assert probe.cpus and all(cpus == caller for cpus in probe.cpus)
     assert os.sched_getaffinity(0) == caller
-    problems[1].fail_at = problems[1].calls + 2
+    probe.fail_at = probe.calls + 2
     with pytest.raises(RuntimeError, match="evaluation failed"):
         lockstep(problems)
-    assert all(cpus == caller for p in problems for cpus in p.cpus)
+    assert all(cpus == caller for cpus in probe.cpus)
     assert os.sched_getaffinity(0) == caller
 
 
-def test_lockstep_raises_only_after_every_thread_ended(rng):
+def test_lockstep_raises_only_after_every_thread_ended(rng, probe):
     # A member's error is raised at once, from the calling thread, and
     # leaves no thread behind.
     before = threading.active_count()
-    problems = window_problems(make_scenario(n=4), rng, cls=ProbedProblem)
-    problems[2].fail_at = 3
+    problems = window_problems(make_scenario(n=4), rng)
+    probe.fail_at = 3
     with pytest.raises(RuntimeError, match="evaluation failed"):
         lockstep(problems)
     assert threading.active_count() == before

@@ -9,7 +9,6 @@ controls.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 from .model import (
     ControlProfile,
     ModelDomainError,
+    RiceGameError,
     Scenario,
     Trajectory,
     regional_welfare,
@@ -78,7 +78,8 @@ class FrontierResult:
 
     ``dominance_violations`` lists index pairs (i, j) where point i beats
     point j in both cluster welfares by more than the audit tolerance;
-    ``failures`` records grid values whose solve raised, with the message.
+    ``failures`` records grid values whose solve raised a
+    :class:`RiceGameError`, with the message.
     """
 
     points: list
@@ -146,9 +147,7 @@ def pareto_weights(scenario: Scenario, p: float) -> np.ndarray:
     return np.where(scenario.developed, p, 1.0 - p)
 
 
-def _polish_savings(
-    scenario: Scenario, controls: np.ndarray, options: SolveOptions
-) -> np.ndarray:
+def _polish_savings(scenario: Scenario, controls: np.ndarray) -> np.ndarray:
     """Re-solve each region's saving path against its own welfare.
 
     Saving coordinates of a near-zero-weight region carry gradient entries
@@ -162,8 +161,7 @@ def _polish_savings(
     abatement, so the refinement is exact there and a resolution-level
     tie-break elsewhere.
     """
-    sub = dataclasses.replace(options, multistart=1)
-    results = _best_responses(scenario, ControlProfile(controls), sub, pin_mu=True)
+    results = _best_responses(scenario, ControlProfile(controls), pin_mu=True)
     return np.array([r.controls for r in results])
 
 
@@ -182,7 +180,7 @@ def solve_pareto_point(
     init = _start(scenario, init)
     problem = WindowProblem(scenario, pareto_weights(scenario, p), scenario.x0, 0, init)
     report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
-    profile = ControlProfile(_polish_savings(scenario, problem.embed(report.x), opts))
+    profile = ControlProfile(_polish_savings(scenario, problem.embed(report.x)))
     traj = simulate(scenario.x0, profile, scenario)
     welfare = regional_welfare(traj, scenario)
     return ParetoPoint(
@@ -208,9 +206,10 @@ def pareto_frontier(
     better scalarized objective: a cold solve at p = 0 stalls on the
     zero-weight cluster and is dominated in both clusters (by 8.4e-6 at
     T=120), while re-solving a warm-started point gains less than 1e-6.
-    A grid value whose solve raised is recorded in ``failures`` with its
-    error. Every pair of points is audited for dominance at
-    ``AUDIT_REL_TOL``, the measured resolution floor of the
+    A grid value whose solve raised a :class:`RiceGameError` (a domain
+    error or a model breakdown) is recorded in ``failures`` with its error;
+    any other exception propagates. Every pair of points is audited for
+    dominance at ``AUDIT_REL_TOL``, the measured resolution floor of the
     solve-and-polish pipeline on this problem family.
     """
     if p_grid is None:
@@ -223,7 +222,7 @@ def pareto_frontier(
     for p in np.asarray(p_grid, dtype=float):
         try:
             point = solve_pareto_point(scenario, p, opts, init=init)
-        except Exception as exc:  # noqa: BLE001 - recorded, scan continues
+        except RiceGameError as exc:  # recorded, scan continues
             failures.append((float(p), f"{type(exc).__name__}: {exc}"))
             continue
         points.append(point)
@@ -251,7 +250,6 @@ def mpc_rice(
     scenario: Scenario,
     t_sim: int,
     t_rh: int,
-    options: SolveOptions | None = None,
 ) -> MpcResult:
     """Receding-horizon welfare maximization.
 
@@ -263,12 +261,11 @@ def mpc_rice(
     step and region; no truncated run is returned.
     """
     _check_lengths(scenario, t_sim, t_rh, t_rh + 1)
-    opts = options or SolveOptions()
     objs, inits = [], []
 
     def plan(t, x, warm, last):
         problem = WindowProblem(scenario, scenario.weights, x, t, warm)
-        report = maximize(problem, problem.lower, problem.upper, warm.ravel(), opts)
+        report = maximize(problem, problem.lower, problem.upper, warm.ravel())
         objs.append(report.objective)
         inits.append(report.initial_objective)
         return problem.embed(report.x)

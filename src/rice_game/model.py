@@ -328,6 +328,8 @@ class Scenario:
 
     def __post_init__(self):
         n = len(self.regions)
+        if self.exo.n_regions != n or self.x0.capital.size != n:
+            raise ModelDomainError("region count mismatch across scenario parts")
         self.weights = np.asarray(self.weights, dtype=float)
         self.developed = np.asarray(self.developed, dtype=bool)
         self.damage_loss_2c = np.asarray(self.damage_loss_2c, dtype=float)
@@ -355,8 +357,6 @@ class Scenario:
         self._productivity = self.exo.tfp * self.exo.labor ** (1.0 - self._gamma)
         rho = np.array([r.rho for r in self.regions])
         self._disc = (1.0 + rho) ** (-STEP_YEARS * np.arange(length)[:, None])
-        if self.exo.n_regions != n or self.x0.capital.size != n:
-            raise ModelDomainError("region count mismatch across scenario parts")
 
     @property
     def n_regions(self) -> int:

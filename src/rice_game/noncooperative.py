@@ -27,14 +27,7 @@ from .model import (
     simulate,
     step,
 )
-from .solver import (
-    _GRAD_TOL,
-    SolveOptions,
-    SolveReport,
-    WindowProblem,
-    _lockstep,
-    maximize,
-)
+from .solver import _GRAD_TOL, SolveReport, WindowProblem, _lockstep, maximize
 
 __all__ = [
     "BestResponseResult",
@@ -218,7 +211,6 @@ def best_response(
     scenario: Scenario,
     region: int,
     profile: ControlProfile,
-    options: SolveOptions | None = None,
 ) -> BestResponseResult:
     """Maximize region's own welfare with all other regions frozen.
 
@@ -228,7 +220,7 @@ def best_response(
     if not 0 <= region < scenario.n_regions:
         raise ModelDomainError("region index out of range")
     problem, lower, upper, init = _own_problem(scenario, region, scenario.x0, 0, profile.controls)
-    report = maximize(problem, lower, upper, init, options or SolveOptions())
+    report = maximize(problem, lower, upper, init)
     return BestResponseResult(
         region=region,
         controls=report.x.reshape(profile.horizon + 1, 2).copy(),
@@ -237,9 +229,7 @@ def best_response(
     )
 
 
-def _best_responses(
-    scenario: Scenario, profile: ControlProfile, options: SolveOptions, pin_mu: bool = False
-) -> list:
+def _best_responses(scenario: Scenario, profile: ControlProfile, pin_mu: bool = False) -> list:
     """Every region's :class:`BestResponseResult` against ``profile``: one
     Jacobi round, its n best responses solved in lockstep (``solver._lockstep``).
 
@@ -252,7 +242,7 @@ def _best_responses(
         _own_problem(scenario, i, scenario.x0, 0, profile.controls, pin_mu)
         for i in range(scenario.n_regions)
     ]
-    reports = _lockstep(*zip(*setups), options)
+    reports = _lockstep(*zip(*setups))
     return [
         BestResponseResult(
             region=i,
@@ -268,7 +258,7 @@ def rba_dg(
     scenario: Scenario,
     initial_profile: ControlProfile,
     episodes: int = 21,
-    options: SolveOptions | None = None,
+    *,
     threads: int = 1,
     update: str = "jacobi",
 ) -> RbaResult:
@@ -293,7 +283,6 @@ def rba_dg(
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
-    opts = options or SolveOptions()
     log = []
 
     def record(controls, dist_inf, dist_2):
@@ -308,14 +297,14 @@ def rba_dg(
     converged = False
     for _ in range(episodes):
         if update == "jacobi":
-            results = _best_responses(scenario, ControlProfile(controls), opts)
+            results = _best_responses(scenario, ControlProfile(controls))
             new = np.array([r.controls for r in results])
             terminations = [r.report.termination for r in results]
         else:
             new = controls.copy()
             terminations = []
             for i in range(scenario.n_regions):
-                res = best_response(scenario, i, ControlProfile(new), opts)
+                res = best_response(scenario, i, ControlProfile(new))
                 new[i] = res.controls
                 terminations.append(res.report.termination)
         dist_inf = float(np.max(np.abs(new - controls)))
@@ -338,7 +327,7 @@ def rba_dg(
 def verify_epsilon_ne(
     scenario: Scenario,
     profile: ControlProfile,
-    options: SolveOptions | None = None,
+    *,
     threads: int = 1,
 ) -> NeCertificate:
     """Measure the largest relative unilateral improvement on ``profile``.
@@ -347,8 +336,7 @@ def verify_epsilon_ne(
     Jacobi round of :func:`rba_dg`. ``threads`` is kept for callers that
     pass it and is not read.
     """
-    opts = options or SolveOptions()
-    results = _best_responses(scenario, profile, opts)
+    results = _best_responses(scenario, profile)
     # Each best response starts from the candidate, so its initial
     # objective is that region's welfare at the candidate.
     welfare = np.array([r.report.initial_objective for r in results])
@@ -372,7 +360,7 @@ def rhfa_dg(
     t_sim: int,
     t_rh: int,
     initial_controls: np.ndarray,
-    options: SolveOptions | None = None,
+    *,
     threads: int = 1,
 ) -> RhfaResult:
     """Receding-horizon feedback play of the dynamic game.
@@ -394,7 +382,6 @@ def rhfa_dg(
     sweep. ``threads`` is kept for callers that pass it and is not read.
     """
     _check_lengths(scenario, t_sim, t_rh, t_rh)
-    opts = options or SolveOptions()
     n = scenario.n_regions
     initial_controls = np.asarray(initial_controls, dtype=float)
     if initial_controls.shape != (n, 2):
@@ -411,7 +398,7 @@ def rhfa_dg(
         windows = np.array([np.repeat(last[:, None, :], t_rh, axis=1)] * n)
         windows[range(n), range(n)] = warm
         setups = [_own_problem(scenario, i, x, t, windows[i]) for i in range(n)]
-        reports = _lockstep(*zip(*setups), opts)
+        reports = _lockstep(*zip(*setups))
         return np.array([report.x.reshape(t_rh, 2) for report in reports])
 
     first = np.repeat(initial_controls[:, None, :], t_rh, axis=1)

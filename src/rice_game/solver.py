@@ -82,9 +82,11 @@ _BREAKDOWN_MARGIN = 1e6
 _GRAD_TOL = 1e-6
 _OBJ_REL_TOL = 1e-10
 #: L-BFGS-B's correction pairs and function evaluations per line search,
-#: and scipy's default cap on the evaluations of one run.
+#: and the caps on the iterations and (scipy's default) the evaluations of
+#: one start.
 _LBFGS_MEMORY = 20
 _MAX_LINE_SEARCH = 40
+_MAX_ITER = 2000
 _MAX_FUN = 15000
 #: Half-width of a multistart's uniform jitter, as a fraction of the box.
 _PERTURB_SCALE = 0.1
@@ -94,13 +96,11 @@ _PERTURB_SCALE = 0.1
 class SolveOptions:
     """Knobs for :func:`maximize`.
 
-    ``max_iter`` caps the quasi-Newton iterations of each start.
     ``multistart`` runs the given initial point plus bound-respecting
     random perturbations of it (deterministic in ``seed``); exact
     objective ties keep the lowest start index.
     """
 
-    max_iter: int = 2000
     multistart: int = 1
     seed: int = 0
 
@@ -128,7 +128,7 @@ class SolveReport:
     start_objectives: list = field(default_factory=list)
 
 
-def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
+def _minimize_lbfgsb(fun, x, fg, lower, upper, callback):
     """Minimize with L-BFGS-B from ``x``, as scipy 1.17's ``_minimize_lbfgsb``.
 
     A generator: ``fg`` is ``(value, gradient)`` of the function to
@@ -136,9 +136,10 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
     it needs and returns the same pair at ``x``. Like scipy's
     ``ScalarFunction`` it counts the start as an evaluation and calls
     ``fun`` at each point ``setulb`` asks for that differs from the last one
-    evaluated; the count stops the run past ``_MAX_FUN``. ``callback()``
-    runs after each iteration. Returns the final point and value, the
-    iteration and evaluation counts, and the termination.
+    evaluated; the count stops the run past ``_MAX_FUN``, and the iteration
+    count at ``_MAX_ITER``. ``callback()`` runs after each iteration.
+    Returns the final point and value, the iteration and evaluation counts,
+    and the termination.
     """
     n, m = x.size, _LBFGS_MEMORY
     x = np.clip(x, lower, upper)
@@ -171,7 +172,7 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
         elif task[0] == 1:  # a new iterate
             iterations += 1
             callback()
-            if iterations >= max_iter:
+            if iterations >= _MAX_ITER:
                 task[:] = 5, 504
             elif n_evaluations > _MAX_FUN:
                 task[:] = 5, 502
@@ -182,7 +183,7 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, max_iter, callback):
         termination = "gradient"
     elif task[1] == 402:
         termination = "objective-change"
-    elif task[0] != 4 and (n_evaluations > _MAX_FUN or iterations >= max_iter):
+    elif task[0] != 4 and (n_evaluations > _MAX_FUN or iterations >= _MAX_ITER):
         termination = "max-iter"
     else:
         termination = "line-search-failure"
@@ -249,7 +250,7 @@ def _ascent(lower, upper, init, options):
         fg = yield from fun(x_start, first if idx == 0 else None)
         log = [last_f["val"]]
         x, f, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
-            fun, x_start, fg, lower, upper, opts.max_iter, lambda: log.append(last_f["val"])
+            fun, x_start, fg, lower, upper, lambda: log.append(last_f["val"])
         )
         f_run = -f / scale
         start_objectives.append(f_run)
@@ -435,7 +436,7 @@ def _round_values(problems, points) -> list:
     return [_round_values([p], [z])[0] for p, z in zip(problems, points)]
 
 
-def _lockstep(problems, lowers, uppers, inits, options) -> list:
+def _lockstep(problems, lowers, uppers, inits, options=None) -> list:
     """The :class:`SolveReport` of one :func:`_ascent` of each ``problems[k]``
     from ``inits[k]`` over its box, all driven from the calling thread.
 

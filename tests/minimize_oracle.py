@@ -1,7 +1,9 @@
 """``maximize`` through scipy's ``minimize``, the reference for the solver's
 own L-BFGS-B driver loop: the same checks, memo, scaling, breakdown penalty,
 multistart, objective log and ascent guarantee, with the loop left to
-``scipy.optimize.minimize(method="L-BFGS-B")``."""
+``scipy.optimize.minimize(method="L-BFGS-B")``. The iteration and evaluation
+caps are read from ``rice_game.solver`` at each call, so a test that
+patches them there patches both sides."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
+from rice_game import solver
 from rice_game.model import ModelBreakdownError, ModelDomainError
 from rice_game.solver import (
     _BREAKDOWN_MARGIN,
@@ -99,7 +102,8 @@ def maximize_with_minimize(objective, lower, upper, init, options=None) -> Solve
             bounds=bounds,
             callback=callback,
             options={
-                "maxiter": opts.max_iter,
+                "maxiter": solver._MAX_ITER,
+                "maxfun": solver._MAX_FUN,
                 "maxcor": _LBFGS_MEMORY,
                 "maxls": _MAX_LINE_SEARCH,
                 "gtol": _GRAD_TOL,

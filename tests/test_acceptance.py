@@ -84,7 +84,7 @@ def frontier(scenario):
 @pytest.fixture(scope="module")
 def mpc_runs(scenario):
     return {
-        t_rh: mpc_rice(scenario, t_sim=50, t_rh=t_rh, options=SolveOptions())
+        t_rh: mpc_rice(scenario, t_sim=50, t_rh=t_rh)
         for t_rh in (10, 20, 60)
     }
 
@@ -97,7 +97,6 @@ def rhfa_runs(scenario, coop):
             scenario,
             t_sim=120,
             t_rh=t_rh,
-            options=SolveOptions(),
             initial_controls=first,
         )
         for t_rh in (5, 10, 20)

@@ -22,7 +22,7 @@ from rice_game.cooperative import _polish_savings, default_initial_profile, pare
 from rice_game.noncooperative import _own_problem
 from rice_game.solver import WindowProblem, maximize
 
-FAST = SolveOptions(multistart=1, max_iter=300)
+FAST = SolveOptions(multistart=1)
 UNCOVERED = "^exogenous paths do not cover t_sim \\+ t_rh; extend the scenario$"
 
 
@@ -154,7 +154,7 @@ def test_solve_pareto_point_cluster_accounting(small_scenario):
 def unpolished_pareto_point(monkeypatch, scenario, p):
     """``solve_pareto_point`` with the saving polish turned into a no-op."""
     with monkeypatch.context() as patch:
-        patch.setattr(cooperative, "_polish_savings", lambda sc, controls, opts: controls)
+        patch.setattr(cooperative, "_polish_savings", lambda sc, controls: controls)
         return solve_pareto_point(scenario, p, FAST)
 
 
@@ -192,10 +192,10 @@ def test_polish_is_exact_when_abatement_saturates(monkeypatch):
 
 def test_polish_is_one_jacobi_round_of_pinned_own_solves(small_scenario, rng):
     # Every region's saving solve starts from the input controls and faces
-    # the others' input controls, with one start whatever the options ask.
+    # the others' input controls, with one start.
     sc = small_scenario
     controls = random_profile(sc, sc.horizon + 1, rng, margin=0.1).controls
-    polished = _polish_savings(sc, controls, dataclasses.replace(FAST, multistart=2))
+    polished = _polish_savings(sc, controls)
     assert polished.shape == controls.shape
     np.testing.assert_array_equal(polished[:, :, 1], controls[:, :, 1])
     for i in range(sc.n_regions):
@@ -224,6 +224,19 @@ def test_pareto_frontier_records_per_point_failures(small_scenario):
         p_failed, message = res.failures[0]
         assert p_failed == 1.5
         assert "must lie in [0, 1]" in message
+
+
+def test_pareto_frontier_raises_a_fault_that_is_not_a_rice_game_error(
+    small_scenario, monkeypatch
+):
+    # Only a RiceGameError is a recorded failure; a programming error in a
+    # point solve propagates instead of emptying the frontier.
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the point solve")
+
+    monkeypatch.setattr(cooperative, "regional_welfare", broken)
+    with pytest.raises(TypeError, match="a fault in the point solve"):
+        pareto_frontier(small_scenario, p_grid=np.linspace(0.1, 0.9, 3), options=FAST)
 
 
 def recorded_solves(monkeypatch, scenario, grid):
@@ -286,14 +299,14 @@ def test_mpc_rejects_bad_horizons(small_scenario):
 def test_mpc_last_window_may_end_at_the_last_exogenous_step():
     sc = make_scenario(length=12)
     # The last window covers steps t_sim .. t_sim + t_rh.
-    res = mpc_rice(sc, t_sim=8, t_rh=3, options=FAST)
+    res = mpc_rice(sc, t_sim=8, t_rh=3)
     assert res.profile.controls.shape == (sc.n_regions, 9, 2)
     with pytest.raises(ModelDomainError, match=UNCOVERED):
-        mpc_rice(sc, t_sim=9, t_rh=3, options=FAST)
+        mpc_rice(sc, t_sim=9, t_rh=3)
 
 
 def test_mpc_windows_ascend_and_shapes(small_scenario):
-    res = mpc_rice(small_scenario, t_sim=4, t_rh=3, options=FAST)
+    res = mpc_rice(small_scenario, t_sim=4, t_rh=3)
     n = small_scenario.n_regions
     sc, cold = small_scenario, default_initial_profile(small_scenario, 4)
     first = WindowProblem(sc, sc.weights, sc.x0, 0, cold)
@@ -310,7 +323,7 @@ def test_mpc_windows_ascend_and_shapes(small_scenario):
 
 
 def test_mpc_is_deterministic(small_scenario):
-    a = mpc_rice(small_scenario, t_sim=3, t_rh=2, options=FAST)
-    b = mpc_rice(small_scenario, t_sim=3, t_rh=2, options=FAST)
+    a = mpc_rice(small_scenario, t_sim=3, t_rh=2)
+    b = mpc_rice(small_scenario, t_sim=3, t_rh=2)
     np.testing.assert_array_equal(a.profile.controls, b.profile.controls)
     np.testing.assert_array_equal(a.window_objectives, b.window_objectives)

@@ -21,6 +21,7 @@ from scalar_oracle import (
 from rice_game.model import (
     CONSUMPTION_FLOOR,
     ControlProfile,
+    ExogenousPaths,
     ModelBreakdownError,
     ModelDomainError,
     RiceState,
@@ -465,6 +466,16 @@ def test_region_count_mismatch(small_scenario):
     profile = ControlProfile.constant(4, 3, 0.25, 0.0)
     with pytest.raises(ModelDomainError):
         simulate(small_scenario.x0, profile, small_scenario)
+
+
+def test_scenario_checks_region_count_before_building_its_tables(default_scenario):
+    # Three-region exogenous paths on the 12-region scenario: the count check
+    # runs before any table broadcasts the paths against the region columns.
+    exo = default_scenario.exo
+    three = ExogenousPaths(exo.tfp[:, :3], exo.labor[:, :3], exo.sigma[:, :3],
+                           exo.e_land[:, :3], exo.f_ex)
+    with pytest.raises(ModelDomainError, match="^region count mismatch across scenario parts$"):
+        dataclasses.replace(default_scenario, exo=three)
 
 
 def test_breakdown_reports_step_and_region():

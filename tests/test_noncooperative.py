@@ -10,18 +10,16 @@ from rice_game import (
     ControlProfile,
     ModelBreakdownError,
     ModelDomainError,
-    SolveOptions,
     best_response,
     rba_dg,
     regional_welfare,
     rhfa_dg,
     simulate,
+    solver,
     verify_epsilon_ne,
 )
 from rice_game.cooperative import default_initial_profile, solve_swm
 from rice_game.noncooperative import _NASH_TOL, _RESIDUAL_STALL, _nash_residual
-
-FAST = SolveOptions(multistart=1, max_iter=300)
 
 
 def cold_profile(scenario):
@@ -38,14 +36,14 @@ def test_best_response_improves_own_welfare(small_scenario):
     profile = cold_profile(small_scenario)
     traj = simulate(small_scenario.x0, profile, small_scenario)
     base = regional_welfare(traj, small_scenario)[1]
-    br = best_response(small_scenario, 1, profile, FAST)
+    br = best_response(small_scenario, 1, profile)
     assert br.region == 1
     assert br.welfare >= base
 
 
 def test_best_response_welfare_matches_spliced_rollout(small_scenario):
     profile = cold_profile(small_scenario)
-    br = best_response(small_scenario, 2, profile, FAST)
+    br = best_response(small_scenario, 2, profile)
     spliced = profile.controls.copy()
     spliced[2] = br.controls
     new_profile = ControlProfile(spliced)
@@ -61,7 +59,7 @@ def test_best_response_welfare_matches_spliced_rollout(small_scenario):
 @pytest.mark.parametrize("region", [-1, 3, 12])
 def test_best_response_rejects_bad_region(small_scenario, region):
     with pytest.raises(ModelDomainError):
-        best_response(small_scenario, region, cold_profile(small_scenario), FAST)
+        best_response(small_scenario, region, cold_profile(small_scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +105,6 @@ def test_rba_episode_log_structure(small_scenario):
     res = rba_dg(
         small_scenario,
         episodes=2,
-        options=FAST,
         initial_profile=cold_profile(small_scenario),
     )
     assert len(res.episodes) == 3
@@ -129,7 +126,7 @@ def test_rba_episode_log_structure(small_scenario):
 
 def test_rba_zero_episodes_returns_initial(small_scenario):
     init = cold_profile(small_scenario)
-    res = rba_dg(small_scenario, episodes=0, options=FAST, initial_profile=init)
+    res = rba_dg(small_scenario, episodes=0, initial_profile=init)
     np.testing.assert_array_equal(res.profile.controls, init.controls)
     assert not res.converged
     assert len(res.episodes) == 1
@@ -142,14 +139,13 @@ def test_rba_converges_and_certifies_on_toy(small_scenario):
     res = rba_dg(
         small_scenario,
         episodes=10,
-        options=FAST,
         initial_profile=cold_profile(small_scenario),
     )
     assert res.converged
     assert res.episodes[-1].distance_inf < 1e-3
     assert res.episodes[-1].nash_residual.max() <= _NASH_TOL
     assert len(res.episodes) < 11
-    cert = verify_epsilon_ne(small_scenario, res.profile, FAST)
+    cert = verify_epsilon_ne(small_scenario, res.profile)
     assert cert.epsilon < 1e-8
     np.testing.assert_array_equal(cert.nash_residual, res.episodes[-1].nash_residual)
     # The episode log and the certificate read the same welfare, bit for bit,
@@ -161,7 +157,7 @@ def test_rba_converges_and_certifies_on_toy(small_scenario):
 
 def test_rba_stops_on_the_first_small_stalled_round(small_scenario):
     init = cold_profile(small_scenario)
-    res = rba_dg(small_scenario, episodes=10, options=FAST, initial_profile=init)
+    res = rba_dg(small_scenario, episodes=10, initial_profile=init)
     residuals = [ep.nash_residual.max() for ep in res.episodes]
 
     def stalled(k):
@@ -173,7 +169,7 @@ def test_rba_stops_on_the_first_small_stalled_round(small_scenario):
     assert not any(stalled(k) for k in range(1, played))
     # With fewer rounds allowed, the same play is cut at the cap.
     capped = rba_dg(
-        small_scenario, episodes=played - 1, options=FAST, initial_profile=init
+        small_scenario, episodes=played - 1, initial_profile=init
     )
     assert len(capped.episodes) == played
     assert not capped.converged
@@ -183,18 +179,18 @@ def test_rba_stops_on_the_first_small_stalled_round(small_scenario):
 
 
 @pytest.mark.parametrize("update", ["jacobi", "gauss-seidel"])
-def test_rba_not_converged_when_best_responses_stop_early(small_scenario, update):
+def test_rba_not_converged_when_best_responses_stop_early(small_scenario, update, monkeypatch):
     # Started at an equilibrium, the first round's residual is already small
     # and stalled, so play stops there; its best responses were cut off
     # after one iteration.
     equilibrium = rba_dg(
-        small_scenario, options=FAST, initial_profile=cold_profile(small_scenario)
+        small_scenario, initial_profile=cold_profile(small_scenario)
     )
     assert equilibrium.converged
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
     res = rba_dg(
         small_scenario,
         episodes=3,
-        options=SolveOptions(max_iter=1),
         initial_profile=equilibrium.profile,
         update=update,
     )
@@ -207,10 +203,22 @@ def test_rba_rejects_unknown_update_rule(small_scenario):
         rba_dg(small_scenario, cold_profile(small_scenario), update="newton")
 
 
+def test_threads_and_update_are_keyword_only(small_scenario):
+    # A positional argument after the documented ones, such as a stale
+    # options object, is an error rather than a silent `threads`.
+    profile = cold_profile(small_scenario)
+    first = profile.controls[:, 0, :]
+    with pytest.raises(TypeError):
+        rba_dg(small_scenario, profile, 2, 1)
+    with pytest.raises(TypeError):
+        verify_epsilon_ne(small_scenario, profile, 1)
+    with pytest.raises(TypeError):
+        rhfa_dg(small_scenario, 3, 2, first, 1)
+
+
 def test_rba_gauss_seidel_runs_and_is_deterministic(small_scenario):
     kwargs = dict(
         episodes=2,
-        options=FAST,
         initial_profile=cold_profile(small_scenario),
         update="gauss-seidel",
     )
@@ -224,11 +232,11 @@ def test_rba_gauss_seidel_stays_serial_best_responses(small_scenario):
     # A Gauss-Seidel round is n unbatched best_response calls in region
     # order, each against the profile the ones before it updated.
     init = cold_profile(small_scenario)
-    got = rba_dg(small_scenario, init, episodes=2, options=FAST, update="gauss-seidel")
+    got = rba_dg(small_scenario, init, episodes=2, update="gauss-seidel")
     controls = init.controls.copy()
     for episode in got.episodes[1:]:
         for i in range(small_scenario.n_regions):
-            controls[i] = best_response(small_scenario, i, ControlProfile(controls), FAST).controls
+            controls[i] = best_response(small_scenario, i, ControlProfile(controls)).controls
         assert episode.profile.tobytes() == controls.tobytes()
     assert len(got.episodes) == 3
 
@@ -240,7 +248,7 @@ def test_rba_gauss_seidel_stays_serial_best_responses(small_scenario):
 
 def test_certificate_fields_are_consistent(small_scenario):
     profile = cold_profile(small_scenario)
-    cert = verify_epsilon_ne(small_scenario, profile, FAST)
+    cert = verify_epsilon_ne(small_scenario, profile)
     n = small_scenario.n_regions
     assert cert.welfare.shape == (n,)
     traj = simulate(small_scenario.x0, profile, small_scenario)
@@ -256,9 +264,12 @@ def test_certificate_fields_are_consistent(small_scenario):
     )
 
 
-def test_certificate_not_converged_when_best_responses_stop_early(small_scenario, rng):
+def test_certificate_not_converged_when_best_responses_stop_early(
+    small_scenario, rng, monkeypatch
+):
     profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
-    cert = verify_epsilon_ne(small_scenario, profile, SolveOptions(max_iter=1))
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    cert = verify_epsilon_ne(small_scenario, profile)
     assert len(cert.terminations) == small_scenario.n_regions
     assert "max-iter" in cert.terminations
     assert cert.converged is False
@@ -267,7 +278,7 @@ def test_certificate_not_converged_when_best_responses_stop_early(small_scenario
 def test_certificate_flags_non_equilibrium(small_scenario):
     # The cold start is far from any equilibrium, so some region should
     # gain visibly from a unilateral deviation.
-    cert = verify_epsilon_ne(small_scenario, cold_profile(small_scenario), FAST)
+    cert = verify_epsilon_ne(small_scenario, cold_profile(small_scenario))
     assert cert.epsilon > 1e-3
 
 
@@ -302,10 +313,10 @@ def test_rhfa_last_window_may_end_at_the_last_exogenous_step():
     sc = make_scenario(length=12)
     first = np.column_stack([np.full(sc.n_regions, 0.25), np.full(sc.n_regions, 0.1)])
     # The last window covers steps t_sim .. t_sim + t_rh - 1.
-    res = rhfa_dg(sc, t_sim=9, t_rh=3, options=FAST, initial_controls=first)
+    res = rhfa_dg(sc, t_sim=9, t_rh=3, initial_controls=first)
     assert res.profile.controls.shape == (sc.n_regions, 10, 2)
     with pytest.raises(ModelDomainError):
-        rhfa_dg(sc, t_sim=10, t_rh=3, options=FAST, initial_controls=first)
+        rhfa_dg(sc, t_sim=10, t_rh=3, initial_controls=first)
 
 
 def test_rhfa_raises_when_joint_play_breaks_the_model():
@@ -324,7 +335,7 @@ def test_rhfa_plays_initial_controls_first(small_scenario):
     n = small_scenario.n_regions
     first = np.column_stack([np.full(n, 0.3), np.full(n, 0.2)])
     res = rhfa_dg(
-        small_scenario, t_sim=3, t_rh=2, options=FAST, initial_controls=first
+        small_scenario, t_sim=3, t_rh=2, initial_controls=first
     )
     np.testing.assert_array_equal(res.profile.controls[:, 0, :], first)
     assert res.profile.controls.shape == (n, 4, 2)
@@ -338,8 +349,8 @@ def test_rhfa_plays_initial_controls_first(small_scenario):
 def test_rhfa_is_deterministic(small_scenario):
     n = small_scenario.n_regions
     first = np.column_stack([np.full(n, 0.25), np.full(n, 0.1)])
-    a = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST, initial_controls=first)
-    b = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST, initial_controls=first)
+    a = rhfa_dg(small_scenario, t_sim=3, t_rh=2, initial_controls=first)
+    b = rhfa_dg(small_scenario, t_sim=3, t_rh=2, initial_controls=first)
     np.testing.assert_array_equal(a.profile.controls, b.profile.controls)
 
 
@@ -354,11 +365,11 @@ def test_pooled_runs_match_serial(small_scenario):
     first = np.column_stack([np.full(n, 0.25), np.full(n, 0.1)])
     runs = {}
     for threads in (1, 2):
-        rba = rba_dg(small_scenario, episodes=2, options=FAST, initial_profile=init,
+        rba = rba_dg(small_scenario, episodes=2, initial_profile=init,
                      threads=threads)
-        cert = verify_epsilon_ne(small_scenario, init, FAST, threads=threads)
-        rhfa = rhfa_dg(small_scenario, t_sim=3, t_rh=2, options=FAST,
-                       initial_controls=first, threads=threads)
+        cert = verify_epsilon_ne(small_scenario, init, threads=threads)
+        rhfa = rhfa_dg(small_scenario, t_sim=3, t_rh=2, initial_controls=first,
+                       threads=threads)
         runs[threads] = (rba, cert, rhfa)
     (rba1, cert1, rhfa1), (rba2, cert2, rhfa2) = runs[1], runs[2]
     np.testing.assert_array_equal(rba2.profile.controls, rba1.profile.controls)

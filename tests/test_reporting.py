@@ -53,7 +53,7 @@ def test_trajectory_random_profile(tmp_path, default_scenario, rng):
 
 def test_trajectory_solved_profile(tmp_path, default_scenario):
     sc = dataclasses.replace(default_scenario, horizon=4)
-    result = solve_swm(sc, SolveOptions(multistart=1, max_iter=5))
+    result = solve_swm(sc, SolveOptions(multistart=1))
     same_bytes(tmp_path, "write_trajectory_csv", result.trajectory, result.profile, sc)
 
 

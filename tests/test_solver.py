@@ -326,16 +326,20 @@ def wall(x):
     return float(x[0] ** 2 + 0.1 * x[1]), np.array([2.0 * x[0], 0.1])
 
 
+#: Each case: objective, bounds, init, SolveOptions fields, and the solver
+#: caps patched for it.
 ORACLE_CASES = {
-    "gradient": (quadratic([0.4, 0.6, 0.5]), np.zeros(3), np.ones(3), np.full(3, 0.1), {}),
-    "objective-change": (kinked, np.zeros(3), np.ones(3), np.full(3, 0.9), {}),
+    "gradient": (quadratic([0.4, 0.6, 0.5]), np.zeros(3), np.ones(3), np.full(3, 0.1), {}, {}),
+    "objective-change": (kinked, np.zeros(3), np.ones(3), np.full(3, 0.9), {}, {}),
     "max-iter": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
-                 {"max_iter": 3}),
-    "line-search-failure": (wall, np.zeros(2), np.ones(2), np.array([0.2, 0.3]), {}),
+                 {}, {"_MAX_ITER": 3}),
+    "max-fun": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
+                {}, {"_MAX_FUN": 8}),
+    "line-search-failure": (wall, np.zeros(2), np.ones(2), np.array([0.2, 0.3]), {}, {}),
     "pinned": (rosenbrock, np.array([-2.0, 0.5, -2.0, -2.0]), np.array([2.0, 0.5, 2.0, 2.0]),
-               np.array([-1.0, 0.5, -1.0, 0.3]), {}),
+               np.array([-1.0, 0.5, -1.0, 0.3]), {}, {}),
     "multistart": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
-                   {"multistart": 2, "seed": 5}),
+                   {"multistart": 2, "seed": 5}, {}),
 }
 
 
@@ -351,13 +355,20 @@ def assert_same_reports(got, want):
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
-def test_maximize_equals_the_minimize_oracle(case):
-    objective, lower, upper, init, options = ORACLE_CASES[case]
+def test_maximize_equals_the_minimize_oracle(case, monkeypatch):
+    objective, lower, upper, init, options, caps = ORACLE_CASES[case]
+    for name, value in caps.items():
+        monkeypatch.setattr(solver, name, value)
     options = SolveOptions(**options)
     got = maximize(objective, lower, upper, init, options)
     assert_same_reports([got], [maximize_with_minimize(objective, lower, upper, init, options)])
     if case in ("gradient", "objective-change", "max-iter", "line-search-failure"):
         assert got.termination == case
+    if case == "max-fun":
+        # The evaluation cap ends the run (uncapped, it takes 44 evaluations
+        # and 37 iterations) and reports as the iteration cap does.
+        assert got.termination == "max-iter"
+        assert got.n_evaluations > 8 > got.iterations
     if case == "multistart":
         assert len(got.start_objectives) == 2
 
@@ -713,7 +724,7 @@ def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, p
     sc = default_scenario if packaged else make_scenario()
     steps = 13 if packaged else sc.horizon + 1
     profile = random_profile(sc, steps, rng, margin=0.1)
-    results = _best_responses(sc, profile, SolveOptions(), pin_mu=pin_mu)
+    results = _best_responses(sc, profile, pin_mu=pin_mu)
     setups = [_own_problem(sc, i, sc.x0, 0, profile.controls, pin_mu)
               for i in range(sc.n_regions)]
     problems = [problem for problem, _, _, _ in setups]

@@ -170,6 +170,12 @@ def _packaged() -> tuple:
     return scenario, hashlib.sha256(doc.encode()).hexdigest()
 
 
+@functools.cache
+def _packaged_problems() -> list:
+    """What :func:`validate_scenario` finds in the packaged scenario, found once."""
+    return validate_scenario(_packaged()[0])
+
+
 def _load(args) -> tuple:
     """Resolve the scenario, returning (scenario, label, sha256)."""
     if args.scenario:
@@ -182,7 +188,10 @@ def _load(args) -> tuple:
     horizon = getattr(args, "horizon", None)
     if horizon is not None:
         scenario = dataclasses.replace(scenario, horizon=int(horizon))
-    problems = validate_scenario(scenario)
+    if args.scenario or horizon is not None:
+        problems = validate_scenario(scenario)
+    else:
+        problems = _packaged_problems()
     if problems:
         for msg in problems:
             print(f"invalid scenario: {msg}", file=sys.stderr)

@@ -315,13 +315,9 @@ class Scenario:
     # Derived tables, rebuilt by __post_init__.
     _zmat: np.ndarray = field(init=False, repr=False, compare=False)
     _phimat: np.ndarray = field(init=False, repr=False, compare=False)
-    _gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    _loop_params: np.ndarray = field(init=False, repr=False, compare=False)
     _alpha: np.ndarray = field(init=False, repr=False, compare=False)
-    _a1: np.ndarray = field(init=False, repr=False, compare=False)
-    _a2: np.ndarray = field(init=False, repr=False, compare=False)
-    _a3: np.ndarray = field(init=False, repr=False, compare=False)
     _theta2: np.ndarray = field(init=False, repr=False, compare=False)
-    _keep5: np.ndarray = field(init=False, repr=False, compare=False)
     _theta1: np.ndarray = field(init=False, repr=False, compare=False)
     _productivity: np.ndarray = field(init=False, repr=False, compare=False)
     _disc: np.ndarray = field(init=False, repr=False, compare=False)
@@ -335,15 +331,17 @@ class Scenario:
         self.damage_loss_2c = np.asarray(self.damage_loss_2c, dtype=float)
         self._zmat = self.geo.carbon_matrix()
         self._phimat = self.geo.temperature_matrix()
-        self._gamma = np.array([r.gamma for r in self.regions])
+        # The rows gamma, keep5 = (1 - delta_k)**5, a1, a2, a3 and ones: the
+        # per-region parameters of the rollout loop, in one block that a
+        # member rollout copies to its batch's shape at once.
+        self._loop_params = np.array(
+            [
+                [r.gamma, (1.0 - r.delta_k) ** STEP_YEARS, r.a1, r.a2, r.a3, 1.0]
+                for r in self.regions
+            ]
+        ).T.copy()
         self._alpha = np.array([r.alpha for r in self.regions])
-        self._a1 = np.array([r.a1 for r in self.regions])
-        self._a2 = np.array([r.a2 for r in self.regions])
-        self._a3 = np.array([r.a3 for r in self.regions])
         self._theta2 = np.array([r.theta2 for r in self.regions])
-        self._keep5 = np.array(
-            [(1.0 - r.delta_k) ** STEP_YEARS for r in self.regions]
-        )
         length = self.exo.length
         pb = np.array([r.pb for r in self.regions])
         dpb = np.array([r.delta_pb for r in self.regions])
@@ -354,7 +352,7 @@ class Scenario:
             pb / (1000.0 * self._theta2) * (1.0 - dpb) ** (tgrid - 1) * self.exo.sigma
         )
         # Gross output per unit of K**gamma: tfp * labor**(1 - gamma).
-        self._productivity = self.exo.tfp * self.exo.labor ** (1.0 - self._gamma)
+        self._productivity = self.exo.tfp * self.exo.labor ** (1.0 - self._loop_params[0])
         rho = np.array([r.rho for r in self.regions])
         self._disc = (1.0 + rho) ** (-STEP_YEARS * np.arange(length)[:, None])
 
@@ -392,6 +390,16 @@ def _window(table: np.ndarray, t0: int, steps: int, members: bool) -> np.ndarray
     return rows[:, None] if members else rows
 
 
+def _check_covered(scenario: Scenario, t0: int, steps: int) -> None:
+    """Raise :class:`ModelDomainError` unless the exogenous paths cover steps
+    ``t0 .. t0+steps-1``."""
+    if t0 < 0 or t0 + steps > scenario.exo.length:
+        raise ModelDomainError(
+            "exogenous paths do not cover steps"
+            f" [{t0}, {t0 + steps - 1}] (length {scenario.exo.length})"
+        )
+
+
 def _forward(
     scenario: Scenario,
     x0_vec: np.ndarray,
@@ -421,11 +429,7 @@ def _forward(
     lead = s_tn.shape[1:-1]
     if s_tn.ndim not in (2, 3) or s_tn.shape[-1] != n or mu_tn.shape != s_tn.shape:
         raise ModelDomainError("controls must have shape (T+1, n)")
-    if t0 < 0 or t0 + steps > scenario.exo.length:
-        raise ModelDomainError(
-            "exogenous paths do not cover steps"
-            f" [{t0}, {t0 + steps - 1}] (length {scenario.exo.length})"
-        )
+    _check_covered(scenario, t0, steps)
     if check:
         # Asked as "inside" so that a NaN, which fails every comparison, is out.
         inside = (s_tn >= 0.0) & (s_tn <= 1.0) & (mu_tn >= 0.0) & (mu_tn <= 1.0)
@@ -436,8 +440,6 @@ def _forward(
                 "start state must be finite, with positive carbon stocks and capital"
             )
 
-    gamma, keep5 = scenario._gamma, scenario._keep5
-    a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
     geo = scenario.geo
     eta, m1750, xi1, xi2 = geo.eta, geo.m_at_1750, geo.xi1, geo.xi2
     log2 = math.log(2.0)
@@ -471,23 +473,35 @@ def _forward(
     EA = _window(exo.sigma, t0, steps, members) * (1.0 - mu_tn) * A
     D = STEP_YEARS * s_tn * LAM * A
 
-    states = np.empty((steps + 1,) + lead + (5 + n,))
-    states[0] = x0_vec
+    # Every operand of a numpy call in the loop has the output's shape and is
+    # contiguous, so that numpy runs its same-shape loop instead of building a
+    # broadcasting or strided iterator: capital in its own block, the
+    # parameters copied to the batch's shape, and T_AT written into a buffer.
+    params = scenario._loop_params
+    if members:
+        params = np.broadcast_to(params[:, None], (6,) + lead + (n,)).copy()
+    gamma, keep5, a1, a2, a3, one = params
+    K = np.empty((steps + 1,) + lead + (n,))
+    K[0] = x0_vec[5:]
     KG = np.empty((steps,) + lead + (n,))
     OM = np.empty_like(KG)
     row = (0.0, 0.0, *x0_vec[:5].tolist())
     if members:
         row = [row] * lead[0]
     rows = []  # every member's row of every step, in (step, member) order
-    one, tmp = np.ones(n), np.empty(lead + (n,))
+    t_at, tmp = np.empty(lead + (n,)), np.empty(lead + (n,))
+    t_at_cols = t_at.T  # a list of B floats assigned here fills member k's row
 
     # Past a breakdown the rollout runs on with meaningless values (K**gamma
     # of a negative capital is NaN) until the domain test after the loop.
     with np.errstate(all="ignore"):
         for kg, om, ea, d, k, k_next, f_rel, land_rel in zip(
-            KG, OM, EA, D, states[:-1, ..., 5:], states[1:, ..., 5:], f_ex, land
+            KG, OM, EA, D, K[:-1], K[1:], f_ex, land
         ):
-            t_at = np.array([r[2] for r in row])[:, None] if members else row[2]
+            if members:
+                t_at_cols[...] = [r[2] for r in row]
+            else:
+                t_at.fill(row[2])
             np.power(k, gamma, out=kg)
             np.multiply(a1, t_at, out=om)
             np.subtract(one, om, out=om)
@@ -519,7 +533,10 @@ def _forward(
         )
     rows = np.fromiter(chain.from_iterable(rows), float, 7 * len(rows))
     rows = rows.reshape((steps,) + lead + (7,))
+    states = np.empty((steps + 1,) + lead + (5 + n,))
+    states[0, ..., :5] = x0_vec[:5]
     states[1:, ..., :5] = rows[..., 2:]
+    states[..., 5:] = K
     Y = A * KG
     Q = OM * LAM * Y
     EREG = EA * KG + _window(exo.e_land, t0, steps, members)
@@ -598,8 +615,8 @@ def _adjoint_arrays(
     )
 
     geo = scenario.geo
-    a1, a2, a3 = scenario._a1, scenario._a2, scenario._a3
-    theta2, gamma, xi1 = scenario._theta2, scenario._gamma, geo.xi1
+    gamma, keep5, a1, a2, a3, _ = scenario._loop_params
+    theta2, xi1 = scenario._theta2, geo.xi1
     phi11, phi12, phi21, phi22 = geo.phi11, geo.phi12, geo.phi21, geo.phi22
     (z00, z01, _), (z10, z11, z12), (_, z21, z22) = scenario._zmat.tolist()
 
@@ -627,12 +644,11 @@ def _adjoint_arrays(
         kept_dq_dtat = kept_dq_dtat.tolist()  # the loop adds it to a Python float
     del dq_dtat
     dq_dk = gamma * Q / K
-    k_sens = scenario._keep5 + 5.0 * s_tn * dq_dk
+    k_sens = keep5 + 5.0 * s_tn * dq_dk
     kept_dq_dk = w_mu_kept * dq_dk[batch]
     del dq_dk
     emit_dk = xi1 * sig * (1.0 - mu_tn) * gamma * Y / K
     forcing_sens = geo.xi2 * geo.eta / (states[:steps, ..., 2] * math.log(2.0))
-    forcing_sens = forcing_sens.tolist()
 
     def retreat(lam, output_term, f_sens):
         """One member's climate costates (T_AT, T_LO, M_AT, M_UP, M_LO) one
@@ -650,33 +666,46 @@ def _adjoint_arrays(
     # M_AT(t+1). The sweep stops at t = 1: no output reads the costates of
     # the start state. Each weight row carries its climate costates as
     # Python floats, as an (n,) weight vector does; without a member axis
-    # every row reads the one forcing sensitivity.
+    # every row reads the one forcing sensitivity. As in the rollout, the
+    # M_AT costate that multiplies emit_dk is written into a buffer of the
+    # batch's shape, and the loop zips over the step rows from the last.
     shape = weights.shape[:-1]
     lams = (0.0,) * 5
+    lam_m0 = np.empty(shape + (n,))
     if batched:
         lams = [lams] * shape[0]
+        lam_m0_cols = lam_m0.T  # a list of m floats assigned here fills row j
+        forcing_sens = np.broadcast_to(forcing_sens.reshape(steps, -1), (steps,) + shape)
     lam_k_path = np.empty((steps,) + shape + (n,))
     lam_k_path[-1] = 0.0
-    lam_mat = np.empty((steps,) + shape)
+    lam_mat = []  # the M_AT costates from the last step, flat
     tmp = np.empty(shape + (n,))
-    for t in range(steps - 1, -1, -1):
-        lam_m0 = np.array([lam[2] for lam in lams]) if batched else lams[2]
-        lam_mat[t] = lam_m0
-        if not t:
-            break
-        lam_k = lam_k_path[t]
+    for lam_k, lam_k_prev, saved, kept, f_sens, sens, kept_dk, emit in zip(
+        lam_k_path[:0:-1],
+        lam_k_path[-2::-1],
+        saved_dq_dtat[:0:-1],
+        kept_dq_dtat[:0:-1],
+        forcing_sens[:0:-1].tolist(),
+        k_sens[:0:-1],
+        kept_dq_dk[:0:-1],
+        emit_dk[:0:-1],
+    ):
         if batched:
-            terms = np.vecdot(lam_k, saved_dq_dtat[t]) + kept_dq_dtat[t]
-            f_sens = forcing_sens[t] if members else [forcing_sens[t]] * shape[0]
+            m0 = [lam[2] for lam in lams]
+            lam_m0_cols[...] = m0
+            lam_mat += m0
+            terms = np.vecdot(lam_k, saved) + kept
             lams = [retreat(*args) for args in zip(lams, terms.tolist(), f_sens)]
         else:
-            term = float(lam_k.dot(saved_dq_dtat[t])) + kept_dq_dtat[t]
-            lams = retreat(lams, term, forcing_sens[t])
-        lam_k_prev = lam_k_path[t - 1]
-        np.multiply(lam_k, k_sens[t], out=lam_k_prev)
-        lam_k_prev += kept_dq_dk[t]
-        np.multiply(emit_dk[t], lam_m0[:, None] if batched else lam_m0, out=tmp)
+            lam_m0.fill(lams[2])
+            lam_mat.append(lams[2])
+            lams = retreat(lams, float(lam_k.dot(saved)) + kept, f_sens)
+        np.multiply(lam_k, sens, out=lam_k_prev)
+        lam_k_prev += kept_dk
+        np.multiply(emit, lam_m0, out=tmp)
         lam_k_prev += tmp
+    lam_mat += [lam[2] for lam in lams] if batched else [lams[2]]
+    lam_mat = np.array(lam_mat).reshape((steps,) + shape)[::-1]
     del saved_dq_dtat, k_sens, kept_dq_dk, emit_dk
 
     # The gradients read the picked regions' columns only, so they are
@@ -747,6 +776,9 @@ def regional_welfare(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     rolls it out. The consumption stored in the trajectory already carries
     the (1 - s_i) factor and the mu_i abatement argument.
     """
+    if traj.n_regions != scenario.n_regions:
+        raise ModelDomainError("trajectory region count does not match scenario")
+    _check_covered(scenario, 0, traj.horizon + 1)
     cpc, _ = _per_capita(scenario, traj.consumption, 0)
     return _utilities(scenario, cpc, 0).sum(axis=0)
 

@@ -24,9 +24,10 @@ from rice_game import (
     build_default_scenario,
     save_scenario,
     solve_swm,
+    validate_scenario,
 )
 from rice_game.calibration import serialize_scenario
-from rice_game.cli import _build_parser, _packaged, main
+from rice_game.cli import _build_parser, _packaged, _packaged_problems, main
 from rice_game.reporting import sha256_file, trajectory_header
 
 
@@ -636,3 +637,23 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path):
     doc = _document(build_default_scenario())
     assert _document(scenario) == doc
     assert digest == hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_packaged_scenario_is_validated_once_per_process(scenario_file, tmp_path, monkeypatch):
+    # A run on the packaged scenario reuses its one validation; a --horizon
+    # or --scenario run validates the scenario it runs.
+    validated = []
+
+    def counted(scenario):
+        validated.append(scenario.horizon)
+        return validate_scenario(scenario)
+
+    monkeypatch.setattr("rice_game.cli.validate_scenario", counted)
+    _packaged_problems.cache_clear()
+    for k in range(2):
+        assert run(["simulate", "--out", tmp_path / f"packaged{k}"]) == 0
+    assert validated == [120]
+    assert run(["simulate", "--horizon", "5", "--out", tmp_path / "horizon"]) == 0
+    assert validated == [120, 5]
+    assert run(["simulate", "--scenario", scenario_file, "--out", tmp_path / "file"]) == 0
+    assert validated == [120, 5, make_scenario().horizon]

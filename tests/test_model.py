@@ -671,6 +671,28 @@ def test_welfare_validation(small_scenario, rng):
                                   rel=1e-12)
 
 
+def test_welfare_checks_the_trajectory_against_the_scenario(default_scenario, small_scenario):
+    sc = default_scenario
+    profile = ControlProfile.constant(3, 4, 0.25, 0.1)
+    three = simulate(small_scenario.x0, profile, small_scenario)
+    with pytest.raises(ModelDomainError, match="region count"):
+        regional_welfare(three, sc)
+    with pytest.raises(ModelDomainError, match="region count"):
+        weighted_welfare(three, profile, sc.weights, sc)
+    # A 121-step trajectory on exogenous paths of 10 rows.
+    profile = ControlProfile.constant(sc.n_regions, sc.horizon, 0.25, 0.1)
+    traj = simulate(sc.x0, profile, sc)
+    exo = sc.exo
+    short = dataclasses.replace(
+        sc, exo=ExogenousPaths(exo.tfp[:10], exo.labor[:10], exo.sigma[:10],
+                               exo.e_land[:10], exo.f_ex[:10])
+    )
+    with pytest.raises(ModelDomainError, match=r"do not cover steps \[0, 120\]"):
+        regional_welfare(traj, short)
+    with pytest.raises(ModelDomainError, match=r"do not cover steps \[0, 120\]"):
+        weighted_welfare(traj, profile, sc.weights, short)
+
+
 # ---------------------------------------------------------------------------
 # Conservation-style properties
 # ---------------------------------------------------------------------------

@@ -570,6 +570,21 @@ def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario
         assert_same_reports([got], [want])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a stall passes the objective-change stop")
+def test_cold_window_solve_agrees_with_a_restart_from_its_exit(default_scenario):
+    # The 61-step window from step 18 of the cold profile stops on
+    # objective-change after 12 iterations at -56294.12; a restart from its
+    # exit stops on gradient after 209 iterations at -52332.99.
+    sc = default_scenario
+    cold = ControlProfile.constant(sc.n_regions, sc.horizon, 0.25, 0.1)
+    x18 = simulate(sc.x0, cold, sc).state(18)
+    cold61 = cold.controls[:, :61]
+    problem = WindowProblem(sc, sc.weights, x18, 18, cold61)
+    first = maximize(problem, problem.lower, problem.upper, problem.extract(cold61))
+    restart = maximize(problem, problem.lower, problem.upper, first.x)
+    assert first.objective == pytest.approx(restart.objective, rel=1e-9, abs=0)
+
+
 def test_member_values_match_window_problem_calls(default_scenario, rng):
     # The same bits, which the lockstep's equality with serial solves rests on:
     # for a whole round and for the few members still live in a late one.

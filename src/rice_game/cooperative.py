@@ -24,7 +24,7 @@ from .model import (
     simulate,
 )
 from .noncooperative import _best_responses, _check_lengths, _receding
-from .solver import SolveOptions, SolveReport, WindowProblem, maximize
+from .solver import SolveOptions, SolveReport, WindowProblem, _curvature_scale, maximize
 
 __all__ = [
     "SwmResult",
@@ -123,12 +123,26 @@ def solve_swm(
 ) -> SwmResult:
     """Maximize global welfare under the scenario's (Negishi) weights.
 
-    Defaults to a 4-way multistart from the standard cold start.
+    Defaults to a 4-way multistart from the standard cold start. L-BFGS-B
+    runs on the controls divided by ``_curvature_scale(problem)``, which
+    makes the late abatement rates, whose cost is nearly flat, about as
+    curved as the early ones. At T=120 the solves from 44 jittered cold
+    starts all end on the gradient test within 2.4e-8 relative of each
+    other in welfare; unscaled, each stopped 2-6e-6 short of the optimum
+    at a point that depended on its start. ``report.x`` is in the
+    controls' own units.
     """
     opts = options or SolveOptions(multistart=4)
     init = _start(scenario, init)
     problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, init)
-    report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
+    d = _curvature_scale(problem)
+
+    def scaled(y):
+        f, g = problem(d * y)
+        return f, d * g
+
+    report = maximize(scaled, problem.lower / d, problem.upper / d, init.ravel() / d, opts)
+    report.x = d * report.x
     profile = ControlProfile(problem.embed(report.x))
     traj = simulate(scenario.x0, profile, scenario)
     return SwmResult(

@@ -221,8 +221,8 @@ class ControlProfile:
 
     def __post_init__(self):
         c = np.asarray(self.controls, dtype=float)
-        if c.ndim != 3 or c.shape[2] != 2:
-            raise ModelDomainError("controls must have shape (n, T+1, 2)")
+        if c.ndim != 3 or c.shape[2] != 2 or c.shape[1] == 0:
+            raise ModelDomainError("controls must have shape (n, T+1, 2) with T >= 0")
         object.__setattr__(self, "controls", c)
 
     @property

@@ -109,8 +109,9 @@ class SolveOptions:
 class SolveReport:
     """Outcome of one :func:`maximize` call.
 
-    ``initial_objective`` is the objective at the caller's initial point
-    (after clipping into the box), so callers need not evaluate it again.
+    ``objective`` is the objective at ``x``, the last value of the objective
+    log. ``initial_objective`` is the objective at the caller's initial
+    point (after clipping into the box), so callers need not evaluate it again.
     ``objective_log`` holds the unscaled objective at the initial point and
     every accepted iterate of the winning start; it is nondecreasing.
     ``termination`` is one of ``gradient``, ``objective-change``,
@@ -138,8 +139,8 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, callback):
     ``fun`` at each point ``setulb`` asks for that differs from the last one
     evaluated; the count stops the run past ``_MAX_FUN``, and the iteration
     count at ``_MAX_ITER``. ``callback()`` runs after each iteration.
-    Returns the final point and value, the iteration and evaluation counts,
-    and the termination.
+    Returns the final point, the iteration and evaluation counts, and the
+    termination.
     """
     n, m = x.size, _LBFGS_MEMORY
     x = np.clip(x, lower, upper)
@@ -187,7 +188,7 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, callback):
         termination = "max-iter"
     else:
         termination = "line-search-failure"
-    return x, f, iterations, n_evaluations, termination
+    return x, iterations, n_evaluations, termination
 
 
 def _ascent(lower, upper, init, options):
@@ -249,10 +250,12 @@ def _ascent(lower, upper, init, options):
         # initial point, answered above.
         fg = yield from fun(x_start, first if idx == 0 else None)
         log = [last_f["val"]]
-        x, f, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
+        x, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
             fun, x_start, fg, lower, upper, lambda: log.append(last_f["val"])
         )
-        f_run = -f / scale
+        # The objective at x: the value logged where setulb left it, not the
+        # last point evaluated nor its scaled round trip.
+        f_run = log[-1]
         start_objectives.append(f_run)
         if best is None or f_run > best.objective:
             best = SolveReport(
@@ -379,6 +382,27 @@ class WindowProblem:
             regions=self.free_regions,
         )
         return f, _decision_order(gs, gmu)
+
+
+def _curvature_scale(problem: WindowProblem) -> np.ndarray:
+    """Diagonal scale ``d`` of the problem's decisions, in decision order.
+
+    The abatement cost theta1 * mu**theta2 makes the curvature along each mu
+    proportional to its theta1, whose entries span a factor of about 2e6
+    over the packaged scenario's 121 steps. Each mu gets
+    ``2**round(-0.5 * log2(theta1 / max theta1))``, the max taken over the
+    window, and 1 where theta1 <= 0; each saving rate gets 1. L-BFGS-B run
+    on y = x / d sees the mu about equally curved, and since d holds powers
+    of two, x = d * y, the bounds and the starts map back bit for bit.
+    """
+    sc = problem.scenario
+    theta1 = sc._theta1[problem.t0 : problem.t0 + problem.steps, problem.free_regions].T
+    d = np.ones(theta1.shape + (2,))
+    positive = theta1 > 0.0
+    if positive.any():
+        ratio = theta1[positive] / theta1.max()
+        d[..., 1][positive] = np.exp2(np.round(-0.5 * np.log2(ratio)))
+    return d.ravel()
 
 
 def _decision_order(gs: np.ndarray, gmu: np.ndarray) -> np.ndarray:

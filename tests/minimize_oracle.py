@@ -110,7 +110,7 @@ def maximize_with_minimize(objective, lower, upper, init, options=None) -> Solve
                 "ftol": _OBJ_REL_TOL,
             },
         )
-        f_run = -res.fun / scale
+        f_run = log[-1]
         start_objectives.append(f_run)
         if best is None or f_run > best.objective:
             best = SolveReport(

@@ -104,6 +104,16 @@ def test_control_profile_shapes():
     np.testing.assert_array_equal(p.controls[1, 2], [0.2, 0.3])
 
 
+def test_control_profile_rejects_zero_steps(small_scenario):
+    # Zero steps would simulate to a horizon of -1 with zero welfare.
+    n = small_scenario.n_regions
+    with pytest.raises(ModelDomainError, match="T >= 0"):
+        ControlProfile(np.zeros((n, 0, 2)))
+    with pytest.raises(ModelDomainError, match="T >= 0"):
+        ControlProfile.constant(n, -1, 0.2, 0.3)
+    assert ControlProfile.constant(n, 0, 0.2, 0.3).horizon == 0
+
+
 def test_radiative_forcing_formula(small_scenario):
     sc = small_scenario
     traj = first_step(sc, m_at=2.0 * sc.geo.m_at_1750)

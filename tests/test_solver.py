@@ -36,6 +36,7 @@ from rice_game.solver import (
     _lbfgsb,
     _load_lbfgsb,
     _lockstep,
+    _curvature_scale,
     _member_values,
     gradient_adjoint,
     maximize,
@@ -362,6 +363,8 @@ def test_maximize_equals_the_minimize_oracle(case, monkeypatch):
     options = SolveOptions(**options)
     got = maximize(objective, lower, upper, init, options)
     assert_same_reports([got], [maximize_with_minimize(objective, lower, upper, init, options)])
+    # The reported objective is the objective at the reported point.
+    assert got.objective == objective(got.x)[0]
     if case in ("gradient", "objective-change", "max-iter", "line-search-failure"):
         assert got.termination == case
     if case == "max-fun":
@@ -448,6 +451,27 @@ def test_window_problem_matches_oracle(small_scenario, rng):
     assert grad.shape == (steps * 2,)
 
 
+def test_curvature_scale_evens_out_the_abatement_cost(small_scenario, rng):
+    # Region 2 has sigma = 0, which validation would reject: theta1 = 0.
+    sigma = small_scenario.exo.sigma.copy()
+    sigma[:, 2] = 0.0
+    exo = dataclasses.replace(small_scenario.exo, sigma=sigma)
+    sc = dataclasses.replace(small_scenario, exo=exo)
+    steps, t0 = 30, 3
+    problem = WindowProblem(sc, sc.weights, sc.x0, t0, random_profile(sc, steps, rng).controls,
+                            free_regions=[2, 0])
+    d = _curvature_scale(problem)
+    assert np.all(np.frexp(d)[0] == 0.5)  # powers of two, so x = d * (x / d)
+    d = d.reshape(2, steps, 2)
+    assert np.all(d[..., 0] == 1.0) and np.all(d[0, :, 1] == 1.0)
+    # Scaled, each mu is curved within a factor of 2 of the window's most
+    # curved one; unscaled, the curvatures span a factor of 4 or more.
+    theta1 = sc._theta1[t0 : t0 + steps, 0]
+    curvature = d[1, :, 1] ** 2 * theta1 / theta1.max()
+    assert np.all((curvature >= 0.5) & (curvature <= 2.0))
+    assert theta1.max() >= 4.0 * theta1.min()
+
+
 def test_window_problem_gradient_matches_fd(small_scenario, rng):
     sc = small_scenario
     steps = 4
@@ -531,7 +555,9 @@ def window_problems(scenario, rng, t0=1, steps=4, weights=None):
     n = scenario.n_regions
     weights = np.eye(n) if weights is None else weights
     controls = random_profile(scenario, steps, rng, margin=0.1).controls
-    x0 = simulate(scenario.x0, ControlProfile(controls[:, :t0]), scenario).state(t0)
+    x0 = scenario.x0
+    if t0:
+        x0 = simulate(scenario.x0, ControlProfile(controls[:, :t0]), scenario).state(t0)
     return [WindowProblem(scenario, weights[i], x0, t0, controls, free_regions=[i])
             for i in range(n)]
 

@@ -387,21 +387,26 @@ class WindowProblem:
 def _curvature_scale(problem: WindowProblem) -> np.ndarray:
     """Diagonal scale ``d`` of the problem's decisions, in decision order.
 
-    The abatement cost theta1 * mu**theta2 makes the curvature along each mu
-    proportional to its theta1, whose entries span a factor of about 2e6
-    over the packaged scenario's 121 steps. Each mu gets
-    ``2**round(-0.5 * log2(theta1 / max theta1))``, the max taken over the
-    window, and 1 where theta1 <= 0; each saving rate gets 1. L-BFGS-B run
-    on y = x / d sees the mu about equally curved, and since d holds powers
-    of two, x = d * y, the bounds and the starts map back bit for bit.
+    The log-utility term w_i * disc_t * L_i,t * log(c_i,t) makes the
+    curvature along each control of region i at step t proportional to
+    u = w_i * disc_t * L_i,t, and the abatement cost theta1 * mu**theta2
+    adds a factor theta1 along each mu. Over the packaged scenario's 12
+    regions and 121 steps u spans about 50x and u * theta1 about 2.5e7.
+    Each saving rate gets ``2**round(-0.5 * log2(u / max u))`` and each mu
+    the same with u * theta1, each max taken over the window's free rows,
+    and 1 where the factor is <= 0. L-BFGS-B run on y = x / d sees every
+    control about equally curved, and since d holds powers of two,
+    x = d * y, the bounds and the starts map back bit for bit.
     """
-    sc = problem.scenario
-    theta1 = sc._theta1[problem.t0 : problem.t0 + problem.steps, problem.free_regions].T
-    d = np.ones(theta1.shape + (2,))
-    positive = theta1 > 0.0
-    if positive.any():
-        ratio = theta1[positive] / theta1.max()
-        d[..., 1][positive] = np.exp2(np.round(-0.5 * np.log2(ratio)))
+    sc, free = problem.scenario, problem.free_regions
+    window = slice(problem.t0, problem.t0 + problem.steps)
+    u = (problem.weights * sc._disc[window] * sc.exo.labor[window])[:, free].T
+    d = np.ones(u.shape + (2,))
+    for k, factor in enumerate((u, u * sc._theta1[window, free].T)):
+        positive = factor > 0.0
+        if positive.any():
+            ratio = factor[positive] / factor.max()
+            d[..., k][positive] = np.exp2(np.round(-0.5 * np.log2(ratio)))
     return d.ravel()
 
 

@@ -31,8 +31,8 @@ them bit for bit, and otherwise at the resolution the solvers reach today,
 each bound about four times the gap measured in the same set-up (numpy
 2.4.6, x86-64, with and without AVX-512). Three exact answers do not hold
 yet and are not asserted: the lossless optimum's abatement is not 0 (up to
-0.055 at T=20), the twins' optimal controls are up to 9.7e-3 away from the
-original region's, and the lossless Nash play's controls are up to 4.8e-2
+0.019 at T=20), the twins' optimal controls are up to 3.4e-2 away from the
+original region's, and the lossless Nash play's controls are up to 1.1e-2
 away from the optimum's. Those are the flat directions in which the solves
 stop short of the optimum.
 """
@@ -199,8 +199,8 @@ def test_twin_split_optimum_plays_equal_twins(scenario, name):
     got = solve_swm(split, ONE_START)
     controls = got.profile.controls
     assert controls[region].tobytes() == controls[-1].tobytes()
-    # The split optimum's welfare is the original's; measured 1.4e-8 above
-    # it (US) and 1.1e-8 below it (China).
+    # The split optimum's welfare is the original's; measured 2.8e-10 (US)
+    # and 2.4e-8 (China) below it.
     want = solve_swm(scenario, ONE_START).welfare
     assert abs(got.welfare - want) <= 6e-8 * abs(want)
 
@@ -210,9 +210,9 @@ def test_region_permutation_permutes_the_optimum(scenario20):
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(scenario20.n_regions)
         got = solve_swm(with_columns(scenario20, perm), ONE_START)
-        # Measured over the five: welfare 3.2e-16 relative, controls 1.6e-12.
-        assert abs(got.welfare - want.welfare) <= 1.5e-15 * abs(want.welfare)
-        assert np.abs(got.profile.controls - want.profile.controls[perm]).max() <= 7e-12
+        # Measured over the five: welfare 1.6e-16 relative, controls 4.4e-13.
+        assert abs(got.welfare - want.welfare) <= 7e-16 * abs(want.welfare)
+        assert np.abs(got.profile.controls - want.profile.controls[perm]).max() <= 2e-12
 
 
 def test_lossless_nash_play_reaches_the_optimums_welfare(scenario20):
@@ -225,9 +225,9 @@ def test_lossless_nash_play_reaches_the_optimums_welfare(scenario20):
     rba = rba_dg(lossless, swm.profile)
     assert len(rba.episodes) == 3  # two rounds
     assert rba.converged
-    # Measured: regional welfares 2.3e-6 relative from the optimum's,
+    # Measured: regional welfares 1.9e-8 relative from the optimum's,
     # epsilon 7.3e-11.
     np.testing.assert_allclose(
-        regional_welfare(rba.trajectory, lossless), swm.regional_welfare, rtol=4e-6, atol=0
+        regional_welfare(rba.trajectory, lossless), swm.regional_welfare, rtol=8e-8, atol=0
     )
     assert verify_epsilon_ne(lossless, rba.profile).epsilon <= 3e-10

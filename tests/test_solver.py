@@ -453,23 +453,29 @@ def test_window_problem_matches_oracle(small_scenario, rng):
 
 def test_curvature_scale_evens_out_the_abatement_cost(small_scenario, rng):
     # Region 2 has sigma = 0, which validation would reject: theta1 = 0.
+    # Region 1 has zero weight, so its controls carry no curvature at all.
     sigma = small_scenario.exo.sigma.copy()
     sigma[:, 2] = 0.0
     exo = dataclasses.replace(small_scenario.exo, sigma=sigma)
-    sc = dataclasses.replace(small_scenario, exo=exo)
-    steps, t0 = 30, 3
+    sc = dataclasses.replace(small_scenario, exo=exo, weights=np.array([1.0, 0.0, 0.25]))
+    steps, t0, free = 30, 3, [2, 0, 1]
     problem = WindowProblem(sc, sc.weights, sc.x0, t0, random_profile(sc, steps, rng).controls,
-                            free_regions=[2, 0])
+                            free_regions=free)
     d = _curvature_scale(problem)
     assert np.all(np.frexp(d)[0] == 0.5)  # powers of two, so x = d * (x / d)
-    d = d.reshape(2, steps, 2)
-    assert np.all(d[..., 0] == 1.0) and np.all(d[0, :, 1] == 1.0)
-    # Scaled, each mu is curved within a factor of 2 of the window's most
-    # curved one; unscaled, the curvatures span a factor of 4 or more.
-    theta1 = sc._theta1[t0 : t0 + steps, 0]
-    curvature = d[1, :, 1] ** 2 * theta1 / theta1.max()
-    assert np.all((curvature >= 0.5) & (curvature <= 2.0))
-    assert theta1.max() >= 4.0 * theta1.min()
+    d = d.reshape(3, steps, 2)
+    assert np.all(d[2] == 1.0) and np.all(d[0, :, 1] == 1.0)
+    # The log-utility curvature w * disc * L of every control, times theta1
+    # on each mu. Scaled, each lies within a factor of 2 of its column's
+    # largest; unscaled, each column spans a factor of 4 or more. Rows 0
+    # and 1 are regions 2 and 0, the rows whose factor is positive.
+    window = slice(t0, t0 + steps)
+    u = sc.weights[free, None] * (sc._disc[window] * sc.exo.labor[window])[:, free].T
+    for column, factor, rows in ((0, u, [0, 1]), (1, u * sc._theta1[window, free].T, [1])):
+        factor = factor[rows]
+        curvature = d[rows, :, column] ** 2 * factor / factor.max()
+        assert np.all((curvature >= 0.5) & (curvature <= 2.0))
+        assert factor.max() >= 4.0 * factor.min()
 
 
 def test_window_problem_gradient_matches_fd(small_scenario, rng):

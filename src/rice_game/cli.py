@@ -48,7 +48,6 @@ from .reporting import (
     write_scc_csv,
     write_trajectory_csv,
 )
-from .solver import SolveOptions
 
 __all__ = ["main"]
 
@@ -93,12 +92,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, seed=None, horizon=False, t_rh=False, t_sim=False):
-        """Add the shared flags; ``seed`` is the help of --seed, if it is taken."""
+    def common(p, horizon=False, t_rh=False, t_sim=False):
+        """Add the shared flags."""
         p.add_argument("--scenario", help="scenario file (default: packaged scenario)")
         p.add_argument("--out", help="output directory (default: $RICE_GAME_OUT or .)")
-        if seed:
-            p.add_argument("--seed", type=_at_least(0), default=0, help=seed)
         p.add_argument(
             "--threads",
             type=_at_least(1),
@@ -119,17 +116,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", type=float, default=0.0, help="emission control rate")
 
     p = sub.add_parser("swm", help="maximize weighted social welfare")
-    common(p, seed="seed of the SWM 4-way multistart", horizon=True)
+    common(p, horizon=True)
 
     p = sub.add_parser("pareto", help="trace the developed/developing frontier")
-    common(p, seed="seed of each point's 2-way multistart", horizon=True)
+    common(p, horizon=True)
     p.add_argument("--grid", type=_at_least(1), default=21, help="number of p values")
 
     p = sub.add_parser("mpc", help="receding-horizon welfare maximization")
     common(p, t_rh=True, t_sim=True)
 
     p = sub.add_parser("rba", help="recursive best response toward open-loop Nash")
-    common(p, seed="seed of the start's SWM 4-way multistart", horizon=True)
+    common(p, horizon=True)
     p.add_argument("--episodes", type=_at_least(1), default=21, metavar="N",
                    help="at most N best-response rounds")
     p.add_argument(
@@ -139,10 +136,10 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("rhfa", help="receding-horizon feedback play")
-    common(p, seed="seed of the start's SWM 4-way multistart", t_rh=True, t_sim=True)
+    common(p, t_rh=True, t_sim=True)
 
     p = sub.add_parser("scc", help="social cost of CO2 along a policy")
-    common(p, seed="seed of --policy swm's SWM 4-way multistart", horizon=True)
+    common(p, horizon=True)
     p.add_argument(
         "--policy",
         choices=["baseline", "swm"],
@@ -236,8 +233,6 @@ def _solver_summary(report) -> dict:
         "iterations": report.iterations,
         "evaluations": report.n_evaluations,
         "termination": report.termination,
-        "start_index": report.start_index,
-        "start_objectives": list(report.start_objectives),
     }
 
 
@@ -259,13 +254,8 @@ def _cmd_simulate(args, scenario, outdir) -> tuple:
     return summary, ["trajectory.csv"]
 
 
-def _swm(args, scenario):
-    """The cooperative optimum: SWM with a 4-way multistart seeded by --seed."""
-    return solve_swm(scenario, SolveOptions(multistart=4, seed=args.seed))
-
-
 def _cmd_swm(args, scenario, outdir) -> tuple:
-    result = _swm(args, scenario)
+    result = solve_swm(scenario)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     summary = {
@@ -282,7 +272,7 @@ def _cmd_swm(args, scenario, outdir) -> tuple:
 
 def _cmd_pareto(args, scenario, outdir) -> tuple:
     grid = np.linspace(0.0, 1.0, args.grid)
-    result = pareto_frontier(scenario, grid, SolveOptions(multistart=2, seed=args.seed))
+    result = pareto_frontier(scenario, grid)
     write_frontier_csv(result.points, outdir / "frontier.csv")
     summary = {
         "points": [
@@ -317,7 +307,7 @@ def _cmd_mpc(args, scenario, outdir) -> tuple:
 
 
 def _cmd_rba(args, scenario, outdir) -> tuple:
-    result = rba_dg(scenario, _swm(args, scenario).profile, episodes=args.episodes)
+    result = rba_dg(scenario, solve_swm(scenario).profile, episodes=args.episodes)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
     write_episodes_csv(result.episodes, scenario.region_names,
@@ -357,7 +347,7 @@ def _cmd_rba(args, scenario, outdir) -> tuple:
 def _cmd_rhfa(args, scenario, outdir) -> tuple:
     # Checked before the SWM solve, which can take seconds.
     _check_lengths(scenario, args.t_sim, args.t_rh, args.t_rh)
-    first = _swm(args, scenario).profile.controls[:, 0, :]
+    first = solve_swm(scenario).profile.controls[:, 0, :]
     result = rhfa_dg(scenario, args.t_sim, args.t_rh, first)
     write_trajectory_csv(result.trajectory, result.profile, scenario,
                          outdir / "trajectory.csv")
@@ -376,7 +366,7 @@ def _cmd_scc(args, scenario, outdir) -> tuple:
     if any(not 0 <= t <= scenario.horizon for t in steps):
         raise ModelDomainError("step index out of range")
     if args.policy == "swm":
-        profile = _swm(args, scenario).profile
+        profile = solve_swm(scenario).profile
     else:
         profile = ControlProfile.constant(scenario.n_regions, scenario.horizon, 0.25, 0.0)
     table = social_cost_of_co2(scenario, scenario.x0, profile, steps)

@@ -1,7 +1,8 @@
 """Cooperative solution concepts: welfare maximization, Pareto frontier, MPC.
 
 All solvers maximize discounted welfare sums over the scenario's control
-box using the adjoint-gradient trajectory optimizer. The frontier
+box using the adjoint-gradient trajectory optimizer, each through one
+curvature-scaled solve (``_scaled_solve``) from one start. The frontier
 scalarizes the developed/developing cluster welfares; the receding-horizon
 controller re-solves a short window at every step and plays its first
 controls.
@@ -23,7 +24,7 @@ from .model import (
     regional_welfare,
     simulate,
 )
-from .noncooperative import _best_responses, _check_lengths, _receding
+from .noncooperative import _check_lengths, _receding
 from .solver import SolveOptions, SolveReport, WindowProblem, _curvature_scale, maximize
 
 __all__ = [
@@ -39,14 +40,14 @@ __all__ = [
     "mpc_rice",
 ]
 
-# Resolution floor of the frontier pipeline, as a relative gap on cluster
-# welfare. Two effects each leave gaps near 1e-6 relative: the quasi-Newton
-# line search stalls once objective differences fall to about 1e-6 of the
-# scalarized welfare regardless of the requested tolerances, and the
-# own-welfare saving polish moves the other cluster by a comparable amount
-# through the output and emissions channel. Genuine frontier defects show up
-# around 1e-3 relative, three orders of magnitude above this floor.
-AUDIT_REL_TOL = 3e-6
+# Resolution floor of the frontier, as a relative gap on cluster welfare.
+# Each point stops short of its scalarized optimum by what the quasi-Newton
+# stop tests leave. On the packaged scenario's 21-point frontiers over
+# p = 0.001 ... 0.999 and p = 0 ... 1 no pair of points gains in both
+# clusters at all: the largest mutual gain measured -3.6e-8 and -2.9e-8. A
+# cold p = 0 point that is not solved again is beaten in both clusters by
+# 2.7e-6, nine times this tolerance (see ``pareto_frontier``).
+AUDIT_REL_TOL = 3e-7
 
 
 @dataclass
@@ -116,6 +117,28 @@ def _start(scenario: Scenario, init: np.ndarray | None) -> np.ndarray:
     return np.asarray(init, dtype=float)
 
 
+def _scaled_solve(problem: WindowProblem, init: np.ndarray, options=None) -> SolveReport:
+    """:func:`maximize` of ``problem`` from the flat ``init``, run on the
+    decisions divided by ``_curvature_scale(problem)``; ``report.x`` is in the
+    controls' own units.
+
+    The scale makes every control about as curved as the most curved one in
+    its column: the late abatement rates, whose cost is nearly flat, and the
+    rates of light-weight regions and late, heavily discounted steps. Since
+    it holds powers of two, the bounds, the start and the optimum map back
+    bit for bit.
+    """
+    d = _curvature_scale(problem)
+
+    def scaled(y):
+        f, g = problem(d * y)
+        return f, d * g
+
+    report = maximize(scaled, problem.lower / d, problem.upper / d, init / d, options)
+    report.x = d * report.x
+    return report
+
+
 def solve_swm(
     scenario: Scenario,
     options: SolveOptions | None = None,
@@ -123,28 +146,16 @@ def solve_swm(
 ) -> SwmResult:
     """Maximize global welfare under the scenario's (Negishi) weights.
 
-    Defaults to a 4-way multistart from the standard cold start. L-BFGS-B
-    runs on the controls divided by ``_curvature_scale(problem)``, which
-    makes every control about as curved as the most curved one in its
-    column: the late abatement rates, whose cost is nearly flat, and the
-    rates of light-weight regions and late, heavily discounted steps. At
-    T=120 the solves from 44 jittered cold starts all end on the gradient
-    test within 6e-9 relative of each other in welfare, in 56 evaluations
-    each on average; unscaled, each stopped 2-6e-6 short of the optimum at
-    a point that depended on its start. ``report.x`` is in the controls'
-    own units.
+    One scaled solve (``_scaled_solve``) from ``init``, by default the
+    standard cold start. At T=120 the solves from 44 jittered cold starts
+    all end on the gradient test within 6e-9 relative of each other in
+    welfare, in 56 evaluations each on average, so one start settles the
+    optimum; unscaled, each stopped 2-6e-6 short of it at a point that
+    depended on its start.
     """
-    opts = options or SolveOptions(multistart=4)
     init = _start(scenario, init)
     problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, init)
-    d = _curvature_scale(problem)
-
-    def scaled(y):
-        f, g = problem(d * y)
-        return f, d * g
-
-    report = maximize(scaled, problem.lower / d, problem.upper / d, init.ravel() / d, opts)
-    report.x = d * report.x
+    report = _scaled_solve(problem, init.ravel(), options)
     profile = ControlProfile(problem.embed(report.x))
     traj = simulate(scenario.x0, profile, scenario)
     return SwmResult(
@@ -163,40 +174,23 @@ def pareto_weights(scenario: Scenario, p: float) -> np.ndarray:
     return np.where(scenario.developed, p, 1.0 - p)
 
 
-def _polish_savings(scenario: Scenario, controls: np.ndarray) -> np.ndarray:
-    """Re-solve each region's saving path against its own welfare.
-
-    Saving coordinates of a near-zero-weight region carry gradient entries
-    scaled by that weight, so the joint solve stalls on them long before
-    its own tolerance; this pass finishes them in one Jacobi round: every
-    region's own-welfare solve, with its abatement pinned, starts from
-    ``controls`` and faces the others' ``controls``, and the n solves run
-    in lockstep. A saving path touches other regions only through the
-    owner's unabated emissions, and where the stall actually occurs the
-    remaining cluster has already pushed the stalled cluster to full
-    abatement, so the refinement is exact there and a resolution-level
-    tie-break elsewhere.
-    """
-    results = _best_responses(scenario, ControlProfile(controls), pin_mu=True)
-    return np.array([r.controls for r in results])
-
-
 def solve_pareto_point(
     scenario: Scenario,
     p: float,
-    options: SolveOptions | None = None,
     init: np.ndarray | None = None,
 ) -> ParetoPoint:
-    """Maximize p * W_developed + (1-p) * W_developing.
+    """Maximize p * W_developed + (1-p) * W_developing in one scaled solve
+    (``_scaled_solve``) from ``init``, by default the standard cold start.
 
-    The joint solve is followed by a per-region refinement of the saving
-    paths; see ``_polish_savings``.
+    The profile is the solve's exit, so ``report.objective`` is its
+    scalarized welfare. At p = 0 or p = 1 one cluster weighs nothing and the
+    point is only weakly Pareto-optimal: the zero-weight cluster's welfare
+    may still rise at no cost to the other's.
     """
-    opts = options or SolveOptions(multistart=2)
     init = _start(scenario, init)
     problem = WindowProblem(scenario, pareto_weights(scenario, p), scenario.x0, 0, init)
-    report = maximize(problem, problem.lower, problem.upper, init.ravel(), opts)
-    profile = ControlProfile(_polish_savings(scenario, problem.embed(report.x)))
+    report = _scaled_solve(problem, init.ravel())
+    profile = ControlProfile(problem.embed(report.x))
     traj = simulate(scenario.x0, profile, scenario)
     welfare = regional_welfare(traj, scenario)
     return ParetoPoint(
@@ -212,41 +206,37 @@ def solve_pareto_point(
 def pareto_frontier(
     scenario: Scenario,
     p_grid: np.ndarray | None = None,
-    options: SolveOptions | None = None,
 ) -> FrontierResult:
     """Trace the developed/developing frontier over a grid of p values.
 
     One chain runs left to right, each point warm-started from the last
     solved one. The first solved point is the chain's only cold start, so
     it is solved once more from the second point's controls, keeping the
-    better scalarized objective: a cold solve at p = 0 stalls on the
-    zero-weight cluster and is dominated in both clusters (by 8.4e-6 at
-    T=120), while re-solving a warm-started point gains less than 1e-6.
-    A grid value whose solve raised a :class:`RiceGameError` (a domain
-    error or a model breakdown) is recorded in ``failures`` with its error;
-    any other exception propagates. Every pair of points is audited for
-    dominance at ``AUDIT_REL_TOL``, the measured resolution floor of the
-    solve-and-polish pipeline on this problem family.
+    better scalarized objective: at T=120 a cold solve at p = 0 is beaten
+    in both clusters by the p = 0.05 point warm-started from it, by 2.7e-6
+    relative, and after its re-solve by neither (largest mutual gain
+    -2.9e-8). A grid value whose solve raised a :class:`RiceGameError` (a
+    domain error or a model breakdown) is recorded in ``failures`` with its
+    error; any other exception propagates. Every pair of points is audited
+    for dominance at ``AUDIT_REL_TOL``, the measured resolution floor of
+    the point solves on this problem family.
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
-    opts = options or SolveOptions(multistart=2)
 
     points: list[ParetoPoint] = []
     failures = []
     init = None
     for p in np.asarray(p_grid, dtype=float):
         try:
-            point = solve_pareto_point(scenario, p, opts, init=init)
+            point = solve_pareto_point(scenario, p, init=init)
         except RiceGameError as exc:  # recorded, scan continues
             failures.append((float(p), f"{type(exc).__name__}: {exc}"))
             continue
         points.append(point)
         init = point.profile.controls
     if len(points) > 1:
-        again = solve_pareto_point(
-            scenario, points[0].p, opts, init=points[1].profile.controls
-        )
+        again = solve_pareto_point(scenario, points[0].p, init=points[1].profile.controls)
         if again.report.objective > points[0].report.objective:
             points[0] = again
 
@@ -281,7 +271,7 @@ def mpc_rice(
 
     def plan(t, x, warm, last):
         problem = WindowProblem(scenario, scenario.weights, x, t, warm)
-        report = maximize(problem, problem.lower, problem.upper, warm.ravel())
+        report = _scaled_solve(problem, warm.ravel())
         objs.append(report.objective)
         inits.append(report.initial_objective)
         return problem.embed(report.x)

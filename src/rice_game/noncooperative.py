@@ -121,26 +121,19 @@ def _own_problem(
     x0: RiceState,
     t0: int,
     controls: np.ndarray,
-    pin_mu: bool = False,
 ) -> tuple:
     """``region``'s own-welfare window problem, its bounds and its start.
 
     The window starts at absolute step ``t0`` from state ``x0``.
     ``controls`` (n, steps, 2) holds every region's controls over the
     window: the others follow their rows, and the start is ``region``'s
-    own rows. ``pin_mu`` holds ``region``'s abatement at its rows' values
-    through degenerate bounds, so only its saving moves. Returns
-    ``(problem, lower, upper, init)``, the arguments of :func:`maximize`.
+    own rows. Returns ``(problem, lower, upper, init)``, the arguments of
+    :func:`maximize`.
     """
     weights = np.zeros(scenario.n_regions)
     weights[region] = 1.0
     problem = WindowProblem(scenario, weights, x0, t0, controls, free_regions=[region])
-    init = problem.extract(controls)
-    lower, upper = problem.lower, problem.upper
-    if pin_mu:
-        lower, upper = lower.copy(), upper.copy()
-        lower[1::2] = upper[1::2] = init[1::2]
-    return problem, lower, upper, init
+    return problem, problem.lower, problem.upper, problem.extract(controls)
 
 
 def _nash_residual(scenario: Scenario, controls: np.ndarray) -> tuple:
@@ -229,17 +222,15 @@ def best_response(
     )
 
 
-def _best_responses(scenario: Scenario, profile: ControlProfile, pin_mu: bool = False) -> list:
+def _best_responses(scenario: Scenario, profile: ControlProfile) -> list:
     """Every region's :class:`BestResponseResult` against ``profile``: one
     Jacobi round, its n best responses solved in lockstep (``solver._lockstep``).
 
     Each result equals :func:`best_response`'s for its region bit for bit
     whenever the member-batched engine gives the unbatched engine's bits.
-    ``pin_mu`` pins every region's abatement at its ``profile`` rows, as
-    :func:`_own_problem` does, so that only the savings move.
     """
     setups = [
-        _own_problem(scenario, i, scenario.x0, 0, profile.controls, pin_mu)
+        _own_problem(scenario, i, scenario.x0, 0, profile.controls)
         for i in range(scenario.n_regions)
     ]
     reports = _lockstep(*zip(*setups))

@@ -28,6 +28,7 @@ from .model import (
     RiceState,
     Scenario,
     _adjoint_arrays,
+    _check_covered,
     _time_major,
 )
 
@@ -353,8 +354,7 @@ class WindowProblem:
         if free_regions is None:
             free_regions = np.arange(n)
         self.free_regions = np.asarray(free_regions, dtype=int)
-        if t0 < 0 or t0 + steps > scenario.exo.length:
-            raise ModelDomainError("window exceeds exogenous path coverage")
+        _check_covered(scenario, t0, steps)
         lo = np.concatenate([scenario.control_lower()] * steps)
         hi = np.concatenate([scenario.control_upper()] * steps)
         self.lower = np.tile(lo, self.free_regions.size)

@@ -72,11 +72,7 @@ def ne(scenario, coop):
 @pytest.fixture(scope="module")
 def frontier(scenario):
     t0 = time.perf_counter()
-    result = pareto_frontier(
-        scenario,
-        p_grid=np.linspace(0.001, 0.999, 21),
-        options=SolveOptions(multistart=1),
-    )
+    result = pareto_frontier(scenario, p_grid=np.linspace(0.001, 0.999, 21))
     result.elapsed = time.perf_counter() - t0
     return result
 

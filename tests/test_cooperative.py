@@ -5,24 +5,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_profile
+from conftest import make_scenario
 
 from rice_game import (
     ModelDomainError,
-    SolveOptions,
+    best_response,
     mpc_rice,
     pareto_frontier,
+    regional_welfare,
     simulate,
     solve_pareto_point,
     solve_swm,
     weighted_welfare,
 )
 from rice_game import cooperative
-from rice_game.cooperative import _polish_savings, default_initial_profile, pareto_weights
-from rice_game.noncooperative import _own_problem
-from rice_game.solver import WindowProblem, maximize
+from rice_game.cooperative import default_initial_profile, pareto_weights
+from rice_game.solver import WindowProblem
 
-FAST = SolveOptions(multistart=1)
 UNCOVERED = "^exogenous paths do not cover t_sim \\+ t_rh; extend the scenario$"
 
 
@@ -69,7 +68,7 @@ def test_default_initial_profile_clips_into_box():
 
 
 def test_solve_swm_result_is_internally_consistent(small_scenario):
-    res = solve_swm(small_scenario, FAST)
+    res = solve_swm(small_scenario)
     lo, hi = small_scenario.control_lower(), small_scenario.control_upper()
     assert np.all(res.profile.controls >= lo - 1e-12)
     assert np.all(res.profile.controls <= hi + 1e-12)
@@ -87,7 +86,7 @@ def test_solve_swm_result_is_internally_consistent(small_scenario):
 
 
 def test_solve_swm_improves_on_cold_start(small_scenario):
-    res = solve_swm(small_scenario, FAST)
+    res = solve_swm(small_scenario)
     steps = small_scenario.horizon + 1
     from rice_game import ControlProfile
 
@@ -104,7 +103,7 @@ def test_solve_swm_improves_on_cold_start(small_scenario):
 def test_solve_swm_honors_custom_weights(small_scenario):
     w = np.zeros(small_scenario.n_regions)
     w[1] = 1.0
-    res = solve_swm(dataclasses.replace(small_scenario, weights=w), FAST)
+    res = solve_swm(dataclasses.replace(small_scenario, weights=w))
     traj = simulate(small_scenario.x0, res.profile, small_scenario)
     assert res.welfare == pytest.approx(
         weighted_welfare(traj, res.profile, w, small_scenario), rel=1e-10
@@ -112,16 +111,16 @@ def test_solve_swm_honors_custom_weights(small_scenario):
 
 
 def test_solve_swm_warm_restart_never_loses(small_scenario):
-    first = solve_swm(small_scenario, FAST)
-    second = solve_swm(small_scenario, FAST, init=first.profile.controls)
+    first = solve_swm(small_scenario)
+    second = solve_swm(small_scenario, init=first.profile.controls)
     assert second.welfare >= first.welfare - 1e-9 * abs(first.welfare)
     # A start one step short or flattened is rejected, not solved as given.
     controls = first.profile.controls
     for bad in (controls[:, :-1], controls.ravel()):
         with pytest.raises(ModelDomainError):
-            solve_swm(small_scenario, FAST, init=bad)
+            solve_swm(small_scenario, init=bad)
         with pytest.raises(ModelDomainError):
-            solve_pareto_point(small_scenario, 0.5, FAST, init=bad)
+            solve_pareto_point(small_scenario, 0.5, init=bad)
 
 
 def test_solve_swm_optimum_does_not_depend_on_its_start(default_scenario):
@@ -133,7 +132,7 @@ def test_solve_swm_optimum_does_not_depend_on_its_start(default_scenario):
     cold = default_initial_profile(default_scenario, default_scenario.horizon + 1)
     high = cold.copy()
     high[:, :, 1] = 0.5
-    a, b = (solve_swm(default_scenario, FAST, init=init) for init in (cold, high))
+    a, b = (solve_swm(default_scenario, init=init) for init in (cold, high))
     assert a.report.termination == b.report.termination == "gradient"
     assert b.welfare == pytest.approx(a.welfare, rel=1.2e-8, abs=0)
     t_a, t_b = a.trajectory.states[-2, 0], b.trajectory.states[-2, 0]
@@ -144,7 +143,7 @@ def test_solve_swm_cold_start_converges_in_few_evaluations(default_scenario):
     # The cold one-start solve at T=120 measured 55 evaluations with every
     # control scaled by its utility curvature, 87 with only mu scaled by
     # theta1 and 235 unscaled.
-    res = solve_swm(default_scenario, FAST)
+    res = solve_swm(default_scenario)
     assert res.report.termination == "gradient"
     assert res.report.n_evaluations <= 70
 
@@ -167,7 +166,7 @@ def test_pareto_weights_rejects_out_of_range(small_scenario, p):
 
 
 def test_solve_pareto_point_cluster_accounting(small_scenario):
-    pt = solve_pareto_point(small_scenario, 0.4, FAST)
+    pt = solve_pareto_point(small_scenario, 0.4)
     assert pt.p == 0.4
     dev, devg = cluster_welfares(small_scenario, pt)
     assert pt.welfare_developed == pytest.approx(dev, rel=1e-12, abs=0)
@@ -176,63 +175,36 @@ def test_solve_pareto_point_cluster_accounting(small_scenario):
     assert pt.terminal_t_at == pytest.approx(float(traj.states[-2, 0]), abs=0)
 
 
-def unpolished_pareto_point(monkeypatch, scenario, p):
-    """``solve_pareto_point`` with the saving polish turned into a no-op."""
-    with monkeypatch.context() as patch:
-        patch.setattr(cooperative, "_polish_savings", lambda sc, controls: controls)
-        return solve_pareto_point(scenario, p, FAST)
-
-
-def test_polish_pins_abatement_and_stays_within_resolution(small_scenario, monkeypatch):
-    rough = unpolished_pareto_point(monkeypatch, small_scenario, 0.05)
-    fine = solve_pareto_point(small_scenario, 0.05, FAST)
-    np.testing.assert_array_equal(
-        rough.profile.controls[:, :, 1], fine.profile.controls[:, :, 1]
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_pareto_point_is_the_scalarized_optimum(small_scenario, p):
+    # The point is its solve's exit, so its scalarized welfare is the
+    # solve's objective, and it is the SWM under its weights bit for bit.
+    pt = solve_pareto_point(small_scenario, p)
+    assert scalarized(small_scenario, pt, p) == pytest.approx(
+        pt.report.objective, rel=1e-12, abs=0
     )
-    # With interior abatement a saving path still carries an emissions
-    # externality, so the polish is only a resolution-level tie-break here.
-    combo_rough = scalarized(small_scenario, rough, 0.05)
-    combo_fine = scalarized(small_scenario, fine, 0.05)
-    assert combo_fine == pytest.approx(combo_rough, rel=1e-4, abs=0)
+    weights = pareto_weights(small_scenario, p)
+    swm = solve_swm(dataclasses.replace(small_scenario, weights=weights))
+    assert pt.profile.controls.tobytes() == swm.profile.controls.tobytes()
+    assert pt.report.objective == swm.welfare
 
 
-def test_polish_is_exact_when_abatement_saturates(monkeypatch):
+def test_pareto_point_finishes_the_light_cluster_when_abatement_saturates():
+    # Full abatement closes every cross-region channel, so the scalarized
+    # optimum is each region's own optimum, also that of the region weighted
+    # 0.05. Each region's best response against the point gains at most
+    # 5.2e-11 relative; the unscaled solve left the light region 4.6e-9 short.
     sc = make_scenario(mu_bounds=(1.0, 1.0))
-    rough = unpolished_pareto_point(monkeypatch, sc, 0.05)
-    fine = solve_pareto_point(sc, 0.05, FAST)
-    combo_rough = scalarized(sc, rough, 0.05)
-    combo_fine = scalarized(sc, fine, 0.05)
-    assert combo_fine >= combo_rough - 1e-9 * abs(combo_rough)
-    # Zero unabated emissions close the only cross-region channel of a
-    # saving path, so every region's own welfare improves as well.
+    pt = solve_pareto_point(sc, 0.05)
+    welfare = regional_welfare(simulate(sc.x0, pt.profile, sc), sc)
     for i in range(sc.n_regions):
-        w = np.zeros(sc.n_regions)
-        w[i] = 1.0
-        own = {}
-        for tag, pt in (("rough", rough), ("fine", fine)):
-            traj = simulate(sc.x0, pt.profile, sc)
-            own[tag] = weighted_welfare(traj, pt.profile, w, sc)
-        assert own["fine"] >= own["rough"] - 1e-9 * abs(own["rough"])
-
-
-def test_polish_is_one_jacobi_round_of_pinned_own_solves(small_scenario, rng):
-    # Every region's saving solve starts from the input controls and faces
-    # the others' input controls, with one start.
-    sc = small_scenario
-    controls = random_profile(sc, sc.horizon + 1, rng, margin=0.1).controls
-    polished = _polish_savings(sc, controls)
-    assert polished.shape == controls.shape
-    np.testing.assert_array_equal(polished[:, :, 1], controls[:, :, 1])
-    for i in range(sc.n_regions):
-        problem, lower, upper, init = _own_problem(sc, i, sc.x0, 0, controls, pin_mu=True)
-        report = maximize(problem, lower, upper, init, FAST)
-        assert polished[i].tobytes() == problem.embed(report.x)[i].tobytes()
-        assert not np.array_equal(polished[i, :, 0], controls[i, :, 0])
+        best = best_response(sc, i, pt.profile).welfare
+        assert best == pytest.approx(welfare[i], rel=2e-10, abs=0)
 
 
 def test_pareto_frontier_small_grid_is_clean(small_scenario):
     grid = np.linspace(0.1, 0.9, 5)
-    res = pareto_frontier(small_scenario, p_grid=grid, options=FAST)
+    res = pareto_frontier(small_scenario, p_grid=grid)
     assert len(res.points) == 5
     assert res.failures == []
     assert res.dominance_violations == []
@@ -242,7 +214,7 @@ def test_pareto_frontier_small_grid_is_clean(small_scenario):
 
 def test_pareto_frontier_records_per_point_failures(small_scenario):
     for grid in ([0.5, 1.5], [1.5, 0.5]):
-        res = pareto_frontier(small_scenario, p_grid=np.array(grid), options=FAST)
+        res = pareto_frontier(small_scenario, p_grid=np.array(grid))
         assert len(res.points) == 1
         assert res.points[0].p == 0.5
         assert len(res.failures) == 1
@@ -261,7 +233,7 @@ def test_pareto_frontier_raises_a_fault_that_is_not_a_rice_game_error(
 
     monkeypatch.setattr(cooperative, "regional_welfare", broken)
     with pytest.raises(TypeError, match="a fault in the point solve"):
-        pareto_frontier(small_scenario, p_grid=np.linspace(0.1, 0.9, 3), options=FAST)
+        pareto_frontier(small_scenario, p_grid=np.linspace(0.1, 0.9, 3))
 
 
 def recorded_solves(monkeypatch, scenario, grid):
@@ -269,12 +241,12 @@ def recorded_solves(monkeypatch, scenario, grid):
     calls = []
     solve = cooperative.solve_pareto_point
 
-    def recording(scenario, p, options=None, init=None):
+    def recording(scenario, p, init=None):
         calls.append((float(p), init is None))
-        return solve(scenario, p, options, init=init)
+        return solve(scenario, p, init=init)
 
     monkeypatch.setattr(cooperative, "solve_pareto_point", recording)
-    return pareto_frontier(scenario, p_grid=np.array(grid), options=FAST), calls
+    return pareto_frontier(scenario, p_grid=np.array(grid)), calls
 
 
 def test_pareto_frontier_chains_warm_starts_and_resolves_first_point(
@@ -292,18 +264,17 @@ def test_pareto_frontier_warm_starts_past_a_failure(small_scenario, monkeypatch)
 
 
 def test_pareto_frontier_resolves_the_cold_endpoint(default_scenario):
-    # A cold solve at p = 0 stalls on the zero-weight developed cluster, and
-    # without its re-solve p = 0.05 dominates it in both clusters.
-    res = pareto_frontier(
-        default_scenario, p_grid=np.array([0.0, 0.05]), options=SolveOptions(multistart=1)
-    )
+    # Without its re-solve the cold p = 0 point is beaten in both clusters by
+    # p = 0.05, by 2.7e-6 relative, nine times AUDIT_REL_TOL; after it the
+    # largest mutual gain is -2.9e-8.
+    res = pareto_frontier(default_scenario, p_grid=np.array([0.0, 0.05]))
     assert res.failures == []
     assert res.dominance_violations == []
 
 
 def test_pareto_frontier_audit_tolerance_is_honored(small_scenario, monkeypatch):
     monkeypatch.setattr(cooperative, "AUDIT_REL_TOL", -10.0)
-    res = pareto_frontier(small_scenario, p_grid=np.array([0.2, 0.8]), options=FAST)
+    res = pareto_frontier(small_scenario, p_grid=np.array([0.2, 0.8]))
     assert sorted(res.dominance_violations) == [(0, 1), (1, 0)]
 
 

@@ -45,7 +45,6 @@ import pytest
 from rice_game import (
     ControlProfile,
     ExogenousPaths,
-    SolveOptions,
     rba_dg,
     regional_welfare,
     simulate,
@@ -56,7 +55,6 @@ from rice_game.solver import gradient_adjoint
 
 HORIZON = 30
 RTOL = 2e-15
-ONE_START = SolveOptions(multistart=1)
 FLOWS = ("gross_output", "net_output", "consumption", "abatement_fraction",
          "damage_fraction", "emissions")
 
@@ -180,7 +178,7 @@ def region_index(scenario, name):
 @pytest.mark.parametrize("name", ["EU", "US", "China"])
 def test_one_region_nash_play_stays_at_its_optimum(scenario20, name):
     alone = with_columns(scenario20, [region_index(scenario20, name)])
-    swm = solve_swm(alone, ONE_START)
+    swm = solve_swm(alone)
     rba = rba_dg(alone, swm.profile)
     # The first round's best response stops where it starts: one round,
     # the optimum's bits, and no unilateral gain.
@@ -196,20 +194,20 @@ def test_one_region_nash_play_stays_at_its_optimum(scenario20, name):
 def test_twin_split_optimum_plays_equal_twins(scenario, name):
     region = region_index(scenario, name)
     split, _ = twin_split(scenario, region)
-    got = solve_swm(split, ONE_START)
+    got = solve_swm(split)
     controls = got.profile.controls
     assert controls[region].tobytes() == controls[-1].tobytes()
     # The split optimum's welfare is the original's; measured 2.8e-10 (US)
     # and 2.4e-8 (China) below it.
-    want = solve_swm(scenario, ONE_START).welfare
+    want = solve_swm(scenario).welfare
     assert abs(got.welfare - want) <= 6e-8 * abs(want)
 
 
 def test_region_permutation_permutes_the_optimum(scenario20):
-    want = solve_swm(scenario20, ONE_START)
+    want = solve_swm(scenario20)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(scenario20.n_regions)
-        got = solve_swm(with_columns(scenario20, perm), ONE_START)
+        got = solve_swm(with_columns(scenario20, perm))
         # Measured over the five: welfare 1.6e-16 relative, controls 4.4e-13.
         assert abs(got.welfare - want.welfare) <= 7e-16 * abs(want.welfare)
         assert np.abs(got.profile.controls - want.profile.controls[perm]).max() <= 2e-12
@@ -221,7 +219,7 @@ def test_lossless_nash_play_reaches_the_optimums_welfare(scenario20):
         regions=[dataclasses.replace(r, a1=0.0, a2=0.0) for r in scenario20.regions],
         damage_loss_2c=np.zeros(scenario20.n_regions),
     )
-    swm = solve_swm(lossless, ONE_START)
+    swm = solve_swm(lossless)
     rba = rba_dg(lossless, swm.profile)
     assert len(rba.episodes) == 3  # two rounds
     assert rba.converged

@@ -10,7 +10,7 @@ import reporting_oracle as oracle
 from conftest import make_scenario, random_profile
 
 from rice_game import (
-    ControlProfile, SolveOptions, reporting, simulate, social_cost_of_co2, solve_swm,
+    ControlProfile, reporting, simulate, social_cost_of_co2, solve_swm,
 )
 from rice_game.noncooperative import Episode
 
@@ -53,7 +53,7 @@ def test_trajectory_random_profile(tmp_path, default_scenario, rng):
 
 def test_trajectory_solved_profile(tmp_path, default_scenario):
     sc = dataclasses.replace(default_scenario, horizon=4)
-    result = solve_swm(sc, SolveOptions(multistart=1))
+    result = solve_swm(sc)
     same_bytes(tmp_path, "write_trajectory_csv", result.trajectory, result.profile, sc)
 
 

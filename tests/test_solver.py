@@ -495,23 +495,25 @@ def test_window_problem_gradient_matches_fd(small_scenario, rng):
 
 def test_window_problem_validation(small_scenario):
     sc = small_scenario
+    for shape in ((2, 5, 2), (3, 5, 3), (3, 10), (30,)):
+        with pytest.raises(ModelDomainError):
+            WindowProblem(sc, sc.weights, sc.x0, 0, np.zeros(shape))
+
+
+def test_window_problem_rejects_an_uncovered_window(small_scenario):
+    # The window must lie inside the exogenous paths: steps t0..t0+steps-1.
+    sc = small_scenario
+    length = sc.exo.length
 
     def window(steps):
         return np.zeros((sc.n_regions, steps, 2))
 
-    for shape in ((2, 5, 2), (3, 5, 3), (3, 10), (30,)):
-        with pytest.raises(ModelDomainError):
-            WindowProblem(sc, sc.weights, sc.x0, 0, np.zeros(shape))
-    # The window must lie inside the exogenous paths: steps t0..t0+steps-1.
-    with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 1, window(2))
-    with pytest.raises(ModelDomainError):
-        WindowProblem(
-            sc, sc.weights, sc.x0, sc.exo.length - sc.horizon, window(sc.horizon + 1)
-        )
-    with pytest.raises(ModelDomainError):
-        WindowProblem(sc, sc.weights, sc.x0, -1, window(2))
-    last = WindowProblem(sc, sc.weights, sc.x0, sc.exo.length - 2, window(2))
+    for t0, steps in [(length - 1, 2), (length - sc.horizon, sc.horizon + 1), (-1, 2)]:
+        message = (f"^exogenous paths do not cover steps \\[{t0}, {t0 + steps - 1}\\]"
+                   f" \\(length {length}\\)$")
+        with pytest.raises(ModelDomainError, match=message):
+            WindowProblem(sc, sc.weights, sc.x0, t0, window(steps))
+    last = WindowProblem(sc, sc.weights, sc.x0, length - 2, window(2))
     assert last.steps == 2
 
 
@@ -533,19 +535,16 @@ def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
     sc = small_scenario
     fixed = random_profile(sc, 5, rng, margin=0.05).controls
     before = regional_welfare(simulate(sc.x0, ControlProfile(fixed), sc), sc)[2]
-    for pin_mu in (False, True):
-        problem, lower, upper, init = _own_problem(sc, 2, sc.x0, 0, fixed, pin_mu=pin_mu)
-        report = maximize(problem, lower, upper, init, SolveOptions())
-        full = problem.embed(report.x)
-        np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
-        if pin_mu:
-            np.testing.assert_array_equal(full[2, :, 1], fixed[2, :, 1])
-        assert not np.array_equal(full[2, :, 0], fixed[2, :, 0])
-        after = regional_welfare(simulate(sc.x0, ControlProfile(full), sc), sc)[2]
-        assert report.initial_objective == pytest.approx(before, rel=1e-12)
-        assert report.objective == pytest.approx(after, rel=1e-12)
-        assert report.objective >= report.initial_objective
-        assert after >= before
+    problem, lower, upper, init = _own_problem(sc, 2, sc.x0, 0, fixed)
+    report = maximize(problem, lower, upper, init, SolveOptions())
+    full = problem.embed(report.x)
+    np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
+    assert not np.array_equal(full[2, :, 0], fixed[2, :, 0])
+    after = regional_welfare(simulate(sc.x0, ControlProfile(full), sc), sc)[2]
+    assert report.initial_objective == pytest.approx(before, rel=1e-12)
+    assert report.objective == pytest.approx(after, rel=1e-12)
+    assert report.objective >= report.initial_objective
+    assert after >= before
 
 
 # ---------------------------------------------------------------------------
@@ -574,22 +573,18 @@ def lockstep(problems, options=SolveOptions()):
                      inits, options)
 
 
-def serial(problems, options=SolveOptions(), bounds=None):
-    """``maximize`` on each problem in turn, every evaluation a batch of one.
-
-    ``bounds[k]`` is problem k's ``(lower, upper)`` (default: its own box).
-    """
-    bounds = bounds or [(p.lower, p.upper) for p in problems]
+def serial(problems, options=SolveOptions()):
+    """``maximize`` on each problem in turn, every evaluation a batch of one."""
     return [
-        maximize(lambda z, p=p: _member_values([p], [z])[0], lower, upper,
+        maximize(lambda z, p=p: _member_values([p], [z])[0], p.lower, p.upper,
                  p.extract(p.controls), options)
-        for p, (lower, upper) in zip(problems, bounds, strict=True)
+        for p in problems
     ]
 
 
 def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario, rng):
     # Own-welfare window problems of the packaged scenario; region 1's mu
-    # pinned by equal bounds, as ``pin_mu`` pins it.
+    # pinned by equal bounds.
     sc = default_scenario
     problems = window_problems(sc, rng, t0=3, steps=5)
     for i, problem in enumerate(problems):
@@ -602,7 +597,7 @@ def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario
         assert_same_reports([got], [want])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a stall passes the objective-change stop")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a stall passes the objective-change stop")
 def test_cold_window_solve_agrees_with_a_restart_from_its_exit(default_scenario):
     # The 61-step window from step 18 of the cold profile stops on
     # objective-change after 12 iterations at -56294.12; a restart from its
@@ -759,28 +754,20 @@ def test_lockstep_raises_only_after_every_thread_ended(rng, probe):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize(
-    "packaged, pin_mu",
-    [(False, False), (True, False), (False, True), (True, True)],
-    ids=["False", "True", "False-pinned", "True-pinned"],
-)
-def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, pin_mu, rng):
+@pytest.mark.parametrize("packaged", [False, True], ids=["False", "True"])
+def test_jacobi_round_equals_serial_best_responses(default_scenario, packaged, rng):
     # One Jacobi round in lockstep against serial maximize solves of the same
-    # own-welfare problems, over the same (pinned or not) bounds, every
-    # evaluation a batch of one. The packaged scenario runs at a short horizon.
+    # own-welfare problems, every evaluation a batch of one. The packaged
+    # scenario runs at a short horizon.
     sc = default_scenario if packaged else make_scenario()
     steps = 13 if packaged else sc.horizon + 1
     profile = random_profile(sc, steps, rng, margin=0.1)
-    results = _best_responses(sc, profile, pin_mu=pin_mu)
-    setups = [_own_problem(sc, i, sc.x0, 0, profile.controls, pin_mu)
-              for i in range(sc.n_regions)]
-    problems = [problem for problem, _, _, _ in setups]
+    results = _best_responses(sc, profile)
+    problems = [_own_problem(sc, i, sc.x0, 0, profile.controls)[0]
+                for i in range(sc.n_regions)]
     reports = [r.report for r in results]
-    assert_same_reports(
-        reports, serial(problems, bounds=[(lower, upper) for _, lower, upper, _ in setups])
-    )
-    if packaged or not pin_mu:  # the small pinned round's three members each take 13
-        assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
+    assert_same_reports(reports, serial(problems))
+    assert len({r.n_evaluations for r in reports}) > 1  # members end in different rounds
     for i, result in enumerate(results):
         assert result.region == i
         assert result.welfare == result.report.objective

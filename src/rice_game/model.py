@@ -317,6 +317,8 @@ class Scenario:
     _phimat: np.ndarray = field(init=False, repr=False, compare=False)
     _loop_params: np.ndarray = field(init=False, repr=False, compare=False)
     _alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    _linear_damage: bool = field(init=False, repr=False, compare=False)
+    _crra: bool = field(init=False, repr=False, compare=False)
     _theta2: np.ndarray = field(init=False, repr=False, compare=False)
     _theta1: np.ndarray = field(init=False, repr=False, compare=False)
     _productivity: np.ndarray = field(init=False, repr=False, compare=False)
@@ -341,6 +343,11 @@ class Scenario:
             ]
         ).T.copy()
         self._alpha = np.array([r.alpha for r in self.regions])
+        # The damage and utility forms, decided here once: the rollout forms
+        # a1 * T_AT only where some region has a1 != 0, and the payoff takes
+        # its CRRA branch only where some region has alpha != 1.
+        self._linear_damage = bool(self._loop_params[2].any())
+        self._crra = bool((self._alpha != 1.0).any())
         self._theta2 = np.array([r.theta2 for r in self.regions])
         length = self.exo.length
         pb = np.array([r.pb for r in self.regions])
@@ -481,6 +488,9 @@ def _forward(
     if members:
         params = np.broadcast_to(params[:, None], (6,) + lead + (n,)).copy()
     gamma, keep5, a1, a2, a3, one = params
+    # Omega = (1 - a1 * T_AT) - a2 * T_AT**a3; where every a1 is 0, 1 - 0 is
+    # exactly 1, so 1 - a2 * T_AT**a3 is the same bits without the a1 term.
+    linear = scenario._linear_damage
     K = np.empty((steps + 1,) + lead + (n,))
     K[0] = x0_vec[5:]
     KG = np.empty((steps,) + lead + (n,))
@@ -503,11 +513,14 @@ def _forward(
             else:
                 t_at.fill(row[2])
             np.power(k, gamma, out=kg)
-            np.multiply(a1, t_at, out=om)
-            np.subtract(one, om, out=om)
             np.power(t_at, a3, out=tmp)
             tmp *= a2
-            om -= tmp
+            if linear:
+                np.multiply(a1, t_at, out=om)
+                np.subtract(one, om, out=om)
+                om -= tmp
+            else:
+                np.subtract(one, tmp, out=om)
             if members:
                 etot = np.vecdot(ea, kg).tolist()
                 row = [advance(r, e + land_rel, f_rel) for r, e in zip(row, etot)]
@@ -559,7 +572,7 @@ def _utilities(scenario: Scenario, cpc: np.ndarray, t0: int) -> np.ndarray:
     labor = _window(scenario.exo.labor, t0, steps, members)
     alpha = scenario._alpha
     base = labor * np.log(cpc)
-    if (alpha != 1.0).any():
+    if scenario._crra:
         # CRRA utility where alpha != 1, log utility where alpha == 1.
         with np.errstate(divide="ignore", invalid="ignore"):
             crra = labor * (cpc ** (1.0 - alpha) - 1.0) / (1.0 - alpha)

@@ -257,7 +257,8 @@ def rba_dg(
 
     Starts from ``initial_profile`` (the paper starts from the cooperative
     optimum, ``solve_swm(scenario).profile``) and plays at most
-    ``episodes`` best-response rounds. ``update`` may be ``"jacobi"``
+    ``episodes`` best-response rounds (none for 0; a negative count raises
+    :class:`ModelDomainError`). ``update`` may be ``"jacobi"``
     (simultaneous, default) or ``"gauss-seidel"`` (sequential in region
     order). Play stops after the first round whose largest Nash residual
     (:func:`_nash_residual`) is at most ``_NASH_TOL`` and has not fallen
@@ -274,6 +275,8 @@ def rba_dg(
     """
     if update not in ("jacobi", "gauss-seidel"):
         raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
+    if episodes < 0:
+        raise ModelDomainError(f"episodes = {episodes} must be at least 0")
     log = []
 
     def record(controls, dist_inf, dist_2):

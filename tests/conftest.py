@@ -37,6 +37,7 @@ def make_scenario(
     length=40,
     alpha=1.25,
     rho=0.01,
+    a1=0.0,
     weights=None,
     s_bounds=(0.05, 0.95),
     mu_bounds=(0.0, 1.0),
@@ -54,7 +55,7 @@ def make_scenario(
                 delta_k=0.1,
                 alpha=alpha if np.isscalar(alpha) else alpha[i],
                 rho=rho,
-                a1=0.0,
+                a1=a1 if np.isscalar(a1) else a1[i],
                 a2=loss / 4.0,
                 a3=2.0,
                 theta2=2.8,
@@ -106,6 +107,17 @@ def make_scenario(
         mu_bounds=mu_bounds,
         exo_spec=spec,
     )
+
+
+#: Region 1's linear damage coefficient in :func:`linear_damage_scenario`:
+#: at T_AT = 2 degC its a1 * T_AT is 0.29 times its a2 * T_AT**2.
+LINEAR_DAMAGE_A1 = (0.0, 0.001, 0.0)
+
+
+def linear_damage_scenario(**kwargs):
+    """The small scenario with a1 != 0 in region 1, so that the rollout takes
+    its linear damage term (every other test scenario has a1 = 0)."""
+    return make_scenario(a1=LINEAR_DAMAGE_A1, **kwargs)
 
 
 def random_profile(scenario, steps, rng, margin=0.0):

@@ -128,7 +128,12 @@ def test_solve_swm_optimum_does_not_depend_on_its_start(default_scenario):
     # mu at 0.5 measured 3.1e-9 relative apart in welfare and 1.1e-6 degC in
     # terminal T_AT; unscaled they ended 1.4e-6 and 4.1e-3 degC apart, and
     # with only mu scaled, by theta1, 7.8e-9 and 1e-4 degC apart. Bounds are
-    # about four times the gaps.
+    # about four times the gaps. The T_AT bound holds for these two starts
+    # at 20 correction pairs only, not for the optimum in general: with 4 to
+    # 15 pairs they ended 5.8e-6 to 1.9e-4 degC apart (welfare within
+    # 5.3e-9), and a third start (every s 0.2, every mu 0.3) at 20 pairs
+    # spans 5.1e-5 degC with the two. Terminal T_AT sits along the optimum's
+    # flat directions, which the gradient stop does not resolve.
     cold = default_initial_profile(default_scenario, default_scenario.horizon + 1)
     high = cold.copy()
     high[:, :, 1] = 0.5

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_profile
+from conftest import LINEAR_DAMAGE_A1, linear_damage_scenario, make_scenario, random_profile
 from scalar_oracle import (
     FloatBackend,
     MpBackend,
@@ -182,6 +182,23 @@ def test_abatement_and_damage_fractions(small_scenario):
     np.testing.assert_allclose(traj.damage_fraction[0], 1.0 - sc.damage_loss_2c, rtol=1e-14)
 
 
+def test_damage_and_utility_forms_are_decided_per_scenario(default_scenario):
+    # Every region of the packaged scenario has a1 = 0 and alpha = 1, so its
+    # rollout skips the linear damage term and its payoff the CRRA branch.
+    assert not default_scenario._linear_damage and not default_scenario._crra
+    sc = linear_damage_scenario()
+    assert sc._linear_damage and sc._crra
+    traj = first_step(sc, t_at=2.0)
+    np.testing.assert_allclose(
+        traj.damage_fraction[0],
+        1.0 - 2.0 * np.array(LINEAR_DAMAGE_A1) - sc.damage_loss_2c,
+        rtol=1e-14,
+    )
+    # A derived variant decides afresh.
+    flat = dataclasses.replace(sc, regions=[dataclasses.replace(r, a1=0.0) for r in sc.regions])
+    assert not flat._linear_damage
+
+
 def test_global_emissions_sum(small_scenario):
     sc = small_scenario
     traj = first_step(sc, mu=0.25)
@@ -227,39 +244,42 @@ def test_utility_branches():
 
 
 def test_simulate_matches_oracle(small_scenario, rng):
-    consts = scenario_constants(small_scenario)
-    for _ in range(5):
-        profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
-        traj = simulate(small_scenario.x0, profile, small_scenario)
-        s, mu = profile_to_lists(profile)
-        states, diag = oracle_trajectory(consts, s, mu)
-        np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(traj.gross_output, np.array(diag["Y"]), rtol=1e-12)
-        np.testing.assert_allclose(traj.net_output, np.array(diag["Q"]), rtol=1e-12)
-        np.testing.assert_allclose(traj.consumption, np.array(diag["C"]), rtol=1e-12)
-        np.testing.assert_allclose(
-            traj.abatement_fraction, np.array(diag["LAM"]), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            traj.damage_fraction, np.array(diag["OM"]), rtol=1e-12
-        )
-        np.testing.assert_allclose(traj.emissions, np.array(diag["EREG"]), rtol=1e-12)
-        np.testing.assert_allclose(
-            traj.total_emissions, np.array(diag["ETOT"]), rtol=1e-12
-        )
-        np.testing.assert_allclose(traj.forcing, np.array(diag["F"]), rtol=1e-12)
+    # The second scenario takes the rollout's linear damage term (a1 != 0).
+    for sc in (small_scenario, linear_damage_scenario()):
+        consts = scenario_constants(sc)
+        for _ in range(5):
+            profile = random_profile(sc, sc.horizon + 1, rng)
+            traj = simulate(sc.x0, profile, sc)
+            s, mu = profile_to_lists(profile)
+            states, diag = oracle_trajectory(consts, s, mu)
+            np.testing.assert_allclose(traj.states, np.array(states), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(traj.gross_output, np.array(diag["Y"]), rtol=1e-12)
+            np.testing.assert_allclose(traj.net_output, np.array(diag["Q"]), rtol=1e-12)
+            np.testing.assert_allclose(traj.consumption, np.array(diag["C"]), rtol=1e-12)
+            np.testing.assert_allclose(
+                traj.abatement_fraction, np.array(diag["LAM"]), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                traj.damage_fraction, np.array(diag["OM"]), rtol=1e-12
+            )
+            np.testing.assert_allclose(traj.emissions, np.array(diag["EREG"]), rtol=1e-12)
+            np.testing.assert_allclose(
+                traj.total_emissions, np.array(diag["ETOT"]), rtol=1e-12
+            )
+            np.testing.assert_allclose(traj.forcing, np.array(diag["F"]), rtol=1e-12)
 
 
 def test_weighted_welfare_matches_oracle(small_scenario, rng):
-    consts = scenario_constants(small_scenario)
     weights = np.array([0.5, 0.3, 0.2])
-    for _ in range(5):
-        profile = random_profile(small_scenario, small_scenario.horizon + 1, rng)
-        traj = simulate(small_scenario.x0, profile, small_scenario)
-        value = weighted_welfare(traj, profile, weights, small_scenario)
-        s, mu = profile_to_lists(profile)
-        expect = oracle_weighted_welfare(consts, s, mu, list(weights), FloatBackend())
-        assert value == pytest.approx(expect, rel=1e-12, abs=0)
+    for sc in (small_scenario, linear_damage_scenario()):
+        consts = scenario_constants(sc)
+        for _ in range(5):
+            profile = random_profile(sc, sc.horizon + 1, rng)
+            traj = simulate(sc.x0, profile, sc)
+            value = weighted_welfare(traj, profile, weights, sc)
+            s, mu = profile_to_lists(profile)
+            expect = oracle_weighted_welfare(consts, s, mu, list(weights), FloatBackend())
+            assert value == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_simulate_with_offset_matches_oracle(small_scenario, rng):
@@ -829,44 +849,45 @@ def test_scc_matches_oracle_central_differences(small_scenario, rng):
     # reference runs at 40 digits, where these steps agree to about 1e-12.
     import mpmath
 
-    sc = small_scenario
-    steps = sc.horizon + 1
-    n = sc.n_regions
-    consts = scenario_constants(sc)
-    profile = random_profile(sc, steps, rng, margin=0.05)
-    s, mu = profile_to_lists(profile)
-    consumption = oracle_trajectory(consts, s, mu)[1]["C"]
-    table = social_cost_of_co2(sc, sc.x0, profile)
+    # The second scenario takes the linear damage term (a1 != 0).
+    for sc in (small_scenario, linear_damage_scenario()):
+        steps = sc.horizon + 1
+        n = sc.n_regions
+        consts = scenario_constants(sc)
+        profile = random_profile(sc, steps, rng, margin=0.05)
+        s, mu = profile_to_lists(profile)
+        consumption = oracle_trajectory(consts, s, mu)[1]["C"]
+        table = social_cost_of_co2(sc, sc.x0, profile)
 
-    # Emissions at the last two steps reach no welfare-relevant state.
-    np.testing.assert_array_equal(table[-2:], 0.0)
+        # Emissions at the last two steps reach no welfare-relevant state.
+        np.testing.assert_array_equal(table[-2:], 0.0)
 
-    with mpmath.workdps(40):
-        backend = MpBackend(mpmath)
+        with mpmath.workdps(40):
+            backend = MpBackend(mpmath)
 
-        def welfare(i, t, de=0, dc=0):
-            e_extra = [0] * steps
-            e_extra[t] = de
-            c_extra = [[0] * n for _ in range(steps)]
-            c_extra[t][i] = dc
-            weights = [1.0 if j == i else 0.0 for j in range(n)]
-            return oracle_weighted_welfare(
-                consts, s, mu, weights, backend, e_extra=e_extra, c_extra=c_extra
-            )
+            def welfare(i, t, de=0, dc=0):
+                e_extra = [0] * steps
+                e_extra[t] = de
+                c_extra = [[0] * n for _ in range(steps)]
+                c_extra[t][i] = dc
+                weights = [1.0 if j == i else 0.0 for j in range(n)]
+                return oracle_weighted_welfare(
+                    consts, s, mu, weights, backend, e_extra=e_extra, c_extra=c_extra
+                )
 
-        de = mpmath.mpf("1e-6")
-        for t in range(steps - 2):
-            for i in range(n):
-                dc = de * consumption[t][i]
-                dw_de = (welfare(i, t, de=de) - welfare(i, t, de=-de)) / (2 * de)
-                dw_dc = (welfare(i, t, dc=dc) - welfare(i, t, dc=-dc)) / (2 * dc)
-                ref = float(-1000 * dw_de / dw_dc)
-                assert ref != 0.0
-                assert abs(table[t, i] - ref) <= 1e-6 * abs(ref), (t, i, table[t, i], ref)
+            de = mpmath.mpf("1e-6")
+            for t in range(steps - 2):
+                for i in range(n):
+                    dc = de * consumption[t][i]
+                    dw_de = (welfare(i, t, de=de) - welfare(i, t, de=-de)) / (2 * de)
+                    dw_dc = (welfare(i, t, dc=dc) - welfare(i, t, dc=-dc)) / (2 * dc)
+                    ref = float(-1000 * dw_de / dw_dc)
+                    assert ref != 0.0
+                    assert abs(table[t, i] - ref) <= 1e-6 * abs(ref), (t, i, table[t, i], ref)
 
 
 def test_batched_adjoint_rows_match_single_sweeps(small_scenario, default_scenario, rng):
-    for sc in (small_scenario, default_scenario):
+    for sc in (small_scenario, default_scenario, linear_damage_scenario()):
         n, steps = sc.n_regions, sc.horizon + 1
         profile = random_profile(sc, steps, rng)
         s_tn = np.ascontiguousarray(profile.saving.T)
@@ -924,13 +945,18 @@ def test_adjoint_forms_gradients_of_picked_regions_only(small_scenario, rng):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     members=st.integers(min_value=1, max_value=6),
-    packaged=st.booleans(),
+    kind=st.sampled_from(["packaged", "small", "linear damage"]),
 )
-def test_member_sweeps_match_single_members(default_scenario, seed, members, packaged):
+def test_member_sweeps_match_single_members(default_scenario, seed, members, kind):
     # Each member of a member-batched rollout and sweep is the same bits as
     # that member swept alone (lockstep solves fall back on this after a
-    # breakdown) and as the unbatched engine.
-    sc = default_scenario if packaged else make_scenario()
+    # breakdown) and as the unbatched engine, with and without the linear
+    # damage term.
+    sc = {
+        "packaged": default_scenario,
+        "small": make_scenario(),
+        "linear damage": linear_damage_scenario(),
+    }[kind]
     rng = np.random.default_rng(seed)
     n = sc.n_regions
     steps = int(rng.integers(1, sc.horizon + 2))

@@ -132,6 +132,11 @@ def test_rba_zero_episodes_returns_initial(small_scenario):
     assert len(res.episodes) == 1
 
 
+def test_rba_rejects_negative_episodes(small_scenario):
+    with pytest.raises(ModelDomainError, match="episodes"):
+        rba_dg(small_scenario, cold_profile(small_scenario), episodes=-3)
+
+
 def test_rba_converges_and_certifies_on_toy(small_scenario):
     # The Nash residual stalls near the inner solves' resolution, where play
     # stops; the certificate is the real equilibrium evidence and lands near

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import make_scenario, random_profile
+from conftest import linear_damage_scenario, make_scenario, random_profile
 from finite_difference import gradient_fd
 from minimize_oracle import maximize_with_minimize
 from scalar_oracle import (
@@ -78,57 +78,59 @@ def test_decision_vector_round_trip(small_scenario, rng):
 
 
 def test_adjoint_matches_package_fd(small_scenario, rng):
-    sc = small_scenario
-    steps = sc.horizon + 1
-    lower = np.tile(sc.control_lower(), 3 * steps)
-    upper = np.tile(sc.control_upper(), 3 * steps)
+    # The second scenario takes the linear damage term (a1 != 0).
+    for sc in (small_scenario, linear_damage_scenario()):
+        steps = sc.horizon + 1
+        lower = np.tile(sc.control_lower(), 3 * steps)
+        upper = np.tile(sc.control_upper(), 3 * steps)
 
-    def objective(x):
-        profile = ControlProfile(x.reshape(3, steps, 2))
-        traj = simulate(sc.x0, profile, sc)
-        return weighted_welfare(traj, profile, sc.weights, sc)
+        def objective(x):
+            profile = ControlProfile(x.reshape(3, steps, 2))
+            traj = simulate(sc.x0, profile, sc)
+            return weighted_welfare(traj, profile, sc.weights, sc)
 
-    for _ in range(4):
-        profile = random_profile(sc, steps, rng, margin=0.05)
-        x = profile.controls.ravel()
-        g_adj = gradient_adjoint(profile, sc, sc.weights)
-        g_fd, one_sided = gradient_fd(
-            objective, x, step=1e-4, lower=lower, upper=upper
-        )
-        assert not one_sided.any()
-        # Float64 central differences carry subtraction noise of order
-        # eps * |objective| / step, so small-gradient coordinates get an
-        # absolute escape; the mpmath oracle test below pins those tighter.
-        mask = np.abs(g_fd) > 1e-7
-        err = np.abs(g_adj - g_fd)[mask]
-        rel = err / np.abs(g_fd)[mask]
-        assert np.all((rel < 1e-5) | (err < 1e-7)), rel.max()
+        for _ in range(4):
+            profile = random_profile(sc, steps, rng, margin=0.05)
+            x = profile.controls.ravel()
+            g_adj = gradient_adjoint(profile, sc, sc.weights)
+            g_fd, one_sided = gradient_fd(
+                objective, x, step=1e-4, lower=lower, upper=upper
+            )
+            assert not one_sided.any()
+            # Float64 central differences carry subtraction noise of order
+            # eps * |objective| / step, so small-gradient coordinates get an
+            # absolute escape; the mpmath oracle test below pins those tighter.
+            mask = np.abs(g_fd) > 1e-7
+            err = np.abs(g_adj - g_fd)[mask]
+            rel = err / np.abs(g_fd)[mask]
+            assert np.all((rel < 1e-5) | (err < 1e-7)), rel.max()
 
 
 def test_adjoint_matches_high_precision_oracle(small_scenario, rng):
     import mpmath
 
-    sc = small_scenario
-    steps = sc.horizon + 1
-    consts = scenario_constants(sc)
-    profile = random_profile(sc, steps, rng, margin=0.05)
-    x = profile.controls.ravel()
-    g_adj = gradient_adjoint(profile, sc, sc.weights)
-    coords = rng.choice(x.size, size=10, replace=False)
-    with mpmath.workdps(40):
-        backend = MpBackend(mpmath)
-        h = 1e-7
-        for j in coords:
-            vals = []
-            for delta in (h, -h):
-                xj = x.copy()
-                xj[j] += delta
-                s, mu = pack(xj.reshape(3, steps, 2))
-                vals.append(
-                    oracle_weighted_welfare(consts, s, mu, list(sc.weights), backend)
-                )
-            g_mp = (vals[0] - vals[1]) / (2 * mpmath.mpf(h))
-            assert abs(g_adj[j] - float(g_mp)) <= 1e-9 * max(abs(float(g_mp)), 1e-12)
+    # The second scenario takes the linear damage term (a1 != 0).
+    for sc in (small_scenario, linear_damage_scenario()):
+        steps = sc.horizon + 1
+        consts = scenario_constants(sc)
+        profile = random_profile(sc, steps, rng, margin=0.05)
+        x = profile.controls.ravel()
+        g_adj = gradient_adjoint(profile, sc, sc.weights)
+        coords = rng.choice(x.size, size=10, replace=False)
+        with mpmath.workdps(40):
+            backend = MpBackend(mpmath)
+            h = 1e-7
+            for j in coords:
+                vals = []
+                for delta in (h, -h):
+                    xj = x.copy()
+                    xj[j] += delta
+                    s, mu = pack(xj.reshape(3, steps, 2))
+                    vals.append(
+                        oracle_weighted_welfare(consts, s, mu, list(sc.weights), backend)
+                    )
+                g_mp = (vals[0] - vals[1]) / (2 * mpmath.mpf(h))
+                assert abs(g_adj[j] - float(g_mp)) <= 1e-9 * max(abs(float(g_mp)), 1e-12)
 
 
 def test_gradient_adjoint_validation(small_scenario):

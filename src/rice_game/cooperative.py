@@ -117,7 +117,7 @@ def _start(scenario: Scenario, init: np.ndarray | None) -> np.ndarray:
     return np.asarray(init, dtype=float)
 
 
-def _scaled_solve(problem: WindowProblem, init: np.ndarray, options=None) -> SolveReport:
+def _scaled_solve(problem: WindowProblem, init: np.ndarray) -> SolveReport:
     """:func:`maximize` of ``problem`` from the flat ``init``, run on the
     decisions divided by ``_curvature_scale(problem)``; ``report.x`` is in the
     controls' own units.
@@ -134,7 +134,7 @@ def _scaled_solve(problem: WindowProblem, init: np.ndarray, options=None) -> Sol
         f, g = problem(d * y)
         return f, d * g
 
-    report = maximize(scaled, problem.lower / d, problem.upper / d, init / d, options)
+    report = maximize(scaled, problem.lower / d, problem.upper / d, init / d)
     report.x = d * report.x
     return report
 
@@ -151,11 +151,12 @@ def solve_swm(
     all end on the gradient test within 6e-9 relative of each other in
     welfare, in 56 evaluations each on average, so one start settles the
     optimum; unscaled, each stopped 2-6e-6 short of it at a point that
-    depended on its start.
+    depended on its start. ``options`` is kept for callers that pass it and
+    is not read; :class:`SolveOptions` holds only ``multistart=1``.
     """
     init = _start(scenario, init)
     problem = WindowProblem(scenario, scenario.weights, scenario.x0, 0, init)
-    report = _scaled_solve(problem, init.ravel(), options)
+    report = _scaled_solve(problem, init.ravel())
     profile = ControlProfile(problem.embed(report.x))
     traj = simulate(scenario.x0, profile, scenario)
     return SwmResult(

@@ -208,7 +208,9 @@ def best_response(
     """Maximize region's own welfare with all other regions frozen.
 
     Warm-starts from the region's own slice of ``profile``; solver
-    failures surface in the attached report rather than raising.
+    failures surface in the attached report rather than raising. No package
+    code calls it: :func:`rba_dg` and :func:`verify_epsilon_ne` solve every
+    region's best response at once, in lockstep (``_best_responses``).
     """
     if not 0 <= region < scenario.n_regions:
         raise ModelDomainError("region index out of range")
@@ -257,24 +259,24 @@ def rba_dg(
 
     Starts from ``initial_profile`` (the paper starts from the cooperative
     optimum, ``solve_swm(scenario).profile``) and plays at most
-    ``episodes`` best-response rounds (none for 0; a negative count raises
-    :class:`ModelDomainError`). ``update`` may be ``"jacobi"``
-    (simultaneous, default) or ``"gauss-seidel"`` (sequential in region
-    order). Play stops after the first round whose largest Nash residual
-    (:func:`_nash_residual`) is at most ``_NASH_TOL`` and has not fallen
-    below ``_RESIDUAL_STALL`` times the previous round's, i.e. has stalled
-    at the inner solves' resolution. ``converged`` is true only after such
-    a stop whose round had every best response end on its gradient or
-    objective-change test.
+    ``episodes`` simultaneous (Jacobi) best-response rounds (none for 0; a
+    negative count raises :class:`ModelDomainError`). Play stops after the
+    first round whose largest Nash residual (:func:`_nash_residual`) is at
+    most ``_NASH_TOL`` and has not fallen below ``_RESIDUAL_STALL`` times
+    the previous round's, i.e. has stalled at the inner solves' resolution.
+    ``converged`` is true only after such a stop whose round had every best
+    response end on its gradient or objective-change test.
 
-    A Jacobi round's n best responses run in lockstep (``solver._lockstep``):
-    one L-BFGS-B per region, all driven from the calling thread, every
-    round of their evaluations one member-batched rollout and adjoint
-    sweep. Gauss-Seidel rounds solve one region after another. ``threads``
-    is kept for callers that pass it and is not read.
+    A round's n best responses run in lockstep (``solver._lockstep``): one
+    L-BFGS-B per region, all driven from the calling thread, every round of
+    their evaluations one member-batched rollout and adjoint sweep.
+    ``threads`` and ``update`` are kept for callers that pass them;
+    ``threads`` is not read, and ``"jacobi"`` is the only ``update``.
     """
-    if update not in ("jacobi", "gauss-seidel"):
-        raise ModelDomainError("update must be 'jacobi' or 'gauss-seidel'")
+    if update != "jacobi":
+        raise ModelDomainError(
+            f"update = {update!r}: Gauss-Seidel play was removed and 'jacobi' is the only rule"
+        )
     if episodes < 0:
         raise ModelDomainError(f"episodes = {episodes} must be at least 0")
     log = []
@@ -290,17 +292,9 @@ def rba_dg(
     record(controls, float("nan"), float("nan"))
     converged = False
     for _ in range(episodes):
-        if update == "jacobi":
-            results = _best_responses(scenario, ControlProfile(controls))
-            new = np.array([r.controls for r in results])
-            terminations = [r.report.termination for r in results]
-        else:
-            new = controls.copy()
-            terminations = []
-            for i in range(scenario.n_regions):
-                res = best_response(scenario, i, ControlProfile(new))
-                new[i] = res.controls
-                terminations.append(res.report.termination)
+        results = _best_responses(scenario, ControlProfile(controls))
+        new = np.array([r.controls for r in results])
+        terminations = [r.report.termination for r in results]
         dist_inf = float(np.max(np.abs(new - controls)))
         dist_2 = float(np.linalg.norm((new - controls).ravel()))
         controls = new

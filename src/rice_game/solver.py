@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -84,26 +83,30 @@ _GRAD_TOL = 1e-6
 _OBJ_REL_TOL = 1e-10
 #: L-BFGS-B's correction pairs and function evaluations per line search,
 #: and the caps on the iterations and (scipy's default) the evaluations of
-#: one start.
+#: one solve.
 _LBFGS_MEMORY = 20
 _MAX_LINE_SEARCH = 40
 _MAX_ITER = 2000
 _MAX_FUN = 15000
-#: Half-width of a multistart's uniform jitter, as a fraction of the box.
-_PERTURB_SCALE = 0.1
 
 
 @dataclass
 class SolveOptions:
-    """Knobs for :func:`maximize`.
+    """The options of :func:`~rice_game.cooperative.solve_swm`, which reads none.
 
-    ``multistart`` runs the given initial point plus bound-respecting
-    random perturbations of it (deterministic in ``seed``); exact
-    objective ties keep the lowest start index.
+    Every solve runs one start, from the caller's point. ``multistart`` is
+    kept for callers that pass it, and 1 is its only value: the multistart
+    was removed.
     """
 
     multistart: int = 1
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.multistart != 1:
+            raise ModelDomainError(
+                f"multistart = {self.multistart!r}: the multistart was removed and 1 is "
+                "its only value; every solve runs one start"
+            )
 
 
 @dataclass
@@ -114,7 +117,7 @@ class SolveReport:
     log. ``initial_objective`` is the objective at the caller's initial
     point (after clipping into the box), so callers need not evaluate it again.
     ``objective_log`` holds the unscaled objective at the initial point and
-    every accepted iterate of the winning start; it is nondecreasing.
+    every accepted iterate; it is nondecreasing.
     ``termination`` is one of ``gradient``, ``objective-change``,
     ``max-iter`` or ``line-search-failure``.
     """
@@ -125,9 +128,7 @@ class SolveReport:
     iterations: int
     n_evaluations: int
     termination: str
-    start_index: int
     objective_log: np.ndarray
-    start_objectives: list = field(default_factory=list)
 
 
 def _minimize_lbfgsb(fun, x, fg, lower, upper, callback):
@@ -192,17 +193,16 @@ def _minimize_lbfgsb(fun, x, fg, lower, upper, callback):
     return x, iterations, n_evaluations, termination
 
 
-def _ascent(lower, upper, init, options):
+def _ascent(lower, upper, init):
     """One box-constrained ascent, as a generator that yields each point to evaluate.
 
     It is sent the point's ``(value, gradient)``, or the
     :class:`ModelBreakdownError` that evaluating it raised, and returns the
     :class:`SolveReport`. Its iterates depend on those answers only. It
-    runs L-BFGS-B on the negated objective scaled by 1/|f(init)|, charges a
-    point that breaks the model ``_BREAKDOWN_MARGIN``, keeps the best of
-    ``options.multistart`` starts, and never ends below the initial objective.
+    runs L-BFGS-B from ``init`` on the negated objective scaled by
+    1/|f(init)|, charges a point that breaks the model
+    ``_BREAKDOWN_MARGIN``, and never ends below the initial objective.
     """
-    opts = options or SolveOptions()
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     init = np.asarray(init, dtype=float)
@@ -223,61 +223,37 @@ def _ascent(lower, upper, init, options):
     if not np.isfinite(f0):
         raise ModelDomainError("objective at init is not finite")
     scale = 1.0 / max(abs(f0), 1e-12)
+    log, last = [f0], f0
 
-    starts = [init]
-    if opts.multistart > 1:
-        rng = np.random.default_rng(opts.seed)
-        span = upper - lower
-        for _ in range(opts.multistart - 1):
-            jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
-            starts.append(np.clip(init + jitter, lower, upper))
+    def fun(x):
+        nonlocal last
+        answer = yield x
+        if isinstance(answer, ModelBreakdownError):
+            f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
+        else:
+            f, g = answer
+        last = f
+        return -scale * f, -scale * np.asarray(g)
 
-    best = None
-    start_objectives = []
-    for idx, x_start in enumerate(starts):
-        last_f = {"val": math.nan}
-
-        def fun(x, answer=None):
-            if answer is None:
-                answer = yield x
-            if isinstance(answer, ModelBreakdownError):
-                f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
-            else:
-                f, g = answer
-            last_f["val"] = f
-            return -scale * f, -scale * np.asarray(g)
-
-        # Each point is evaluated once: the first start is the caller's
-        # initial point, answered above.
-        fg = yield from fun(x_start, first if idx == 0 else None)
-        log = [last_f["val"]]
-        x, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
-            fun, x_start, fg, lower, upper, lambda: log.append(last_f["val"])
-        )
-        # The objective at x: the value logged where setulb left it, not the
-        # last point evaluated nor its scaled round trip.
-        f_run = log[-1]
-        start_objectives.append(f_run)
-        if best is None or f_run > best.objective:
-            best = SolveReport(
-                x=x,
-                objective=f_run,
-                initial_objective=f0,
-                iterations=iterations,
-                n_evaluations=n_evaluations,
-                termination=termination,
-                start_index=idx,
-                objective_log=np.asarray(log),
-            )
-
-    best.start_objectives = start_objectives
-    if best.objective < f0:
-        # No start improved on the caller's initial point; honor the
-        # ascent guarantee by returning it unchanged.
-        best.x = init.copy()
-        best.objective = f0
-        best.objective_log = np.array([f0])
-    return best
+    # The start is the initial point, answered above: each point is evaluated once.
+    fg = -scale * f0, -scale * np.asarray(first[1])
+    x, iterations, n_evaluations, termination = yield from _minimize_lbfgsb(
+        fun, init, fg, lower, upper, lambda: log.append(last)
+    )
+    # The objective at x is the value logged where setulb left it, not the
+    # last point evaluated nor its scaled round trip. A run that ends below
+    # the initial point returns it unchanged: the ascent guarantee.
+    if log[-1] < f0:
+        x, log = init.copy(), [f0]
+    return SolveReport(
+        x=x,
+        objective=log[-1],
+        initial_objective=f0,
+        iterations=iterations,
+        n_evaluations=n_evaluations,
+        termination=termination,
+        objective_log=np.asarray(log),
+    )
 
 
 def maximize(
@@ -285,7 +261,6 @@ def maximize(
     lower: np.ndarray,
     upper: np.ndarray,
     init: np.ndarray,
-    options: SolveOptions | None = None,
 ) -> SolveReport:
     """Maximize ``objective`` over the box [lower, upper] from ``init``.
 
@@ -295,7 +270,7 @@ def maximize(
     negated objective, scaled by 1/|f(init)| so tolerances behave uniformly
     across problems. The returned objective never falls below the initial one.
     """
-    return _lockstep([objective], [lower], [upper], [init], options)[0]
+    return _lockstep([objective], [lower], [upper], [init])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +440,7 @@ def _round_values(problems, points) -> list:
     return [_round_values([p], [z])[0] for p, z in zip(problems, points)]
 
 
-def _lockstep(problems, lowers, uppers, inits, options=None) -> list:
+def _lockstep(problems, lowers, uppers, inits) -> list:
     """The :class:`SolveReport` of one :func:`_ascent` of each ``problems[k]``
     from ``inits[k]`` over its box, all driven from the calling thread.
 
@@ -477,7 +452,7 @@ def _lockstep(problems, lowers, uppers, inits, options=None) -> list:
     can be solved alone. Any other exception closes every solve and is
     raised at once.
     """
-    ascents = [_ascent(*args, options) for args in zip(lowers, uppers, inits)]
+    ascents = [_ascent(*args) for args in zip(lowers, uppers, inits)]
     reports, points = [None] * len(ascents), {}
 
     def advance(k, answer):

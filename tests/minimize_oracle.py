@@ -1,6 +1,6 @@
 """``maximize`` through scipy's ``minimize``, the reference for the solver's
 own L-BFGS-B driver loop: the same checks, memo, scaling, breakdown penalty,
-multistart, objective log and ascent guarantee, with the loop left to
+objective log and ascent guarantee, with the loop left to
 ``scipy.optimize.minimize(method="L-BFGS-B")``. The iteration and evaluation
 caps are read from ``rice_game.solver`` at each call, so a test that
 patches them there patches both sides."""
@@ -20,8 +20,6 @@ from rice_game.solver import (
     _LBFGS_MEMORY,
     _MAX_LINE_SEARCH,
     _OBJ_REL_TOL,
-    _PERTURB_SCALE,
-    SolveOptions,
     SolveReport,
 )
 
@@ -37,9 +35,8 @@ def _termination_reason(res) -> str:
     return "line-search-failure"
 
 
-def maximize_with_minimize(objective, lower, upper, init, options=None) -> SolveReport:
+def maximize_with_minimize(objective, lower, upper, init) -> SolveReport:
     """:func:`rice_game.solver.maximize`, with scipy's ``minimize`` as the engine."""
-    opts = options or SolveOptions()
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     init = np.asarray(init, dtype=float)
@@ -65,68 +62,46 @@ def maximize_with_minimize(objective, lower, upper, init, options=None) -> Solve
         raise ModelDomainError("objective at init is not finite")
     scale = 1.0 / max(abs(f0), 1e-12)
 
-    rng = np.random.default_rng(opts.seed)
-    starts = [init]
-    span = upper - lower
-    for _ in range(max(opts.multistart, 1) - 1):
-        jitter = _PERTURB_SCALE * rng.uniform(-1.0, 1.0, size=init.shape) * span
-        starts.append(np.clip(init + jitter, lower, upper))
+    last_f = {"val": math.nan}
 
-    bounds = list(zip(lower, upper))
-    best = None
-    start_objectives = []
-    for idx, x_start in enumerate(starts):
-        last_f = {"val": math.nan}
-
-        def fun(x):
-            try:
-                f, g = evaluate(x)
-            except ModelBreakdownError:
-                f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
-            last_f["val"] = f
-            return -scale * f, -scale * np.asarray(g)
-
+    def fun(x):
         try:
-            log = [evaluate(x_start)[0]]
+            f, g = evaluate(x)
         except ModelBreakdownError:
-            log = [-_BREAKDOWN_MARGIN / scale]
+            f, g = -_BREAKDOWN_MARGIN / scale, np.zeros_like(x)
+        last_f["val"] = f
+        return -scale * f, -scale * np.asarray(g)
 
-        def callback(xk):
-            log.append(last_f["val"])
+    log = [f0]
 
-        res = minimize(
-            fun,
-            x_start,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            callback=callback,
-            options={
-                "maxiter": solver._MAX_ITER,
-                "maxfun": solver._MAX_FUN,
-                "maxcor": _LBFGS_MEMORY,
-                "maxls": _MAX_LINE_SEARCH,
-                "gtol": _GRAD_TOL,
-                "ftol": _OBJ_REL_TOL,
-            },
-        )
-        f_run = log[-1]
-        start_objectives.append(f_run)
-        if best is None or f_run > best.objective:
-            best = SolveReport(
-                x=res.x.copy(),
-                objective=f_run,
-                initial_objective=f0,
-                iterations=res.nit,
-                n_evaluations=res.nfev,
-                termination=_termination_reason(res),
-                start_index=idx,
-                objective_log=np.asarray(log),
-            )
+    def callback(xk):
+        log.append(last_f["val"])
 
-    best.start_objectives = start_objectives
-    if best.objective < f0:
-        best.x = init.copy()
-        best.objective = f0
-        best.objective_log = np.array([f0])
-    return best
+    res = minimize(
+        fun,
+        init,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=list(zip(lower, upper)),
+        callback=callback,
+        options={
+            "maxiter": solver._MAX_ITER,
+            "maxfun": solver._MAX_FUN,
+            "maxcor": _LBFGS_MEMORY,
+            "maxls": _MAX_LINE_SEARCH,
+            "gtol": _GRAD_TOL,
+            "ftol": _OBJ_REL_TOL,
+        },
+    )
+    x = res.x.copy()
+    if log[-1] < f0:
+        x, log = init.copy(), [f0]
+    return SolveReport(
+        x=x,
+        objective=log[-1],
+        initial_objective=f0,
+        iterations=res.nit,
+        n_evaluations=res.nfev,
+        termination=_termination_reason(res),
+        objective_log=np.asarray(log),
+    )

@@ -25,7 +25,6 @@ from scalar_oracle import (
 
 from rice_game import (
     ControlProfile,
-    SolveOptions,
     build_default_scenario,
     gradient_adjoint,
     mpc_rice,
@@ -56,7 +55,7 @@ def scenario():
 @pytest.fixture(scope="module")
 def coop(scenario):
     t0 = time.perf_counter()
-    result = solve_swm(scenario, SolveOptions(multistart=2))
+    result = solve_swm(scenario)
     result.elapsed = time.perf_counter() - t0
     return result
 
@@ -296,7 +295,7 @@ def test_criterion_03_small_problem_matches_grid_search():
     x0 = (lower + upper) / 2.0
     _, best_oracle = _coordinate_search(fun, lower, upper, x0)
 
-    result = solve_swm(sc, SolveOptions(multistart=4))
+    result = solve_swm(sc)
     rel = abs(result.welfare - best_oracle) / abs(best_oracle)
     elapsed = time.perf_counter() - t_start
     ok = rel < 1e-6 and elapsed < 300.0

@@ -9,6 +9,7 @@ from conftest import make_scenario
 
 from rice_game import (
     ModelDomainError,
+    SolveOptions,
     best_response,
     mpc_rice,
     pareto_frontier,
@@ -114,6 +115,10 @@ def test_solve_swm_warm_restart_never_loses(small_scenario):
     first = solve_swm(small_scenario)
     second = solve_swm(small_scenario, init=first.profile.controls)
     assert second.welfare >= first.welfare - 1e-9 * abs(first.welfare)
+    # The options the benchmark passes change no bit of the solve.
+    passed = solve_swm(small_scenario, SolveOptions(multistart=1), init=first.profile.controls)
+    assert passed.profile.controls.tobytes() == second.profile.controls.tobytes()
+    assert passed.report.objective_log.tobytes() == second.report.objective_log.tobytes()
     # A start one step short or flattened is rejected, not solved as given.
     controls = first.profile.controls
     for bad in (controls[:, :-1], controls.ravel()):

@@ -187,7 +187,7 @@ def quadratic(center):
 def test_maximize_reaches_interior_optimum():
     obj = quadratic([0.4, 0.6, 0.5])
     lo, hi = np.zeros(3), np.ones(3)
-    report = maximize(obj, lo, hi, np.full(3, 0.1), SolveOptions())
+    report = maximize(obj, lo, hi, np.full(3, 0.1))
     np.testing.assert_allclose(report.x, [0.4, 0.6, 0.5], atol=1e-7)
     assert report.objective == pytest.approx(-1.0, rel=1e-12, abs=0)
     assert report.termination in {
@@ -203,40 +203,41 @@ def test_maximize_reaches_interior_optimum():
 def test_maximize_clips_to_bounds():
     obj = quadratic([1.4, -0.2, 0.5])
     lo, hi = np.zeros(3), np.ones(3)
-    report = maximize(obj, lo, hi, np.full(3, 0.5), SolveOptions())
+    report = maximize(obj, lo, hi, np.full(3, 0.5))
     np.testing.assert_allclose(report.x, [1.0, 0.0, 0.5], atol=1e-7)
 
 
 def test_maximize_deterministic_and_multistart():
     obj = quadratic([0.25, 0.75])
     lo, hi = np.zeros(2), np.ones(2)
-    opts = SolveOptions(multistart=4, seed=11)
-    a = maximize(obj, lo, hi, np.full(2, 0.9), opts)
-    b = maximize(obj, lo, hi, np.full(2, 0.9), opts)
-    np.testing.assert_array_equal(a.x, b.x)
-    assert a.start_index == b.start_index
-    assert len(a.start_objectives) == 4
-    assert a.objective == pytest.approx(max(a.start_objectives), rel=1e-12, abs=0)
+    a = maximize(obj, lo, hi, np.full(2, 0.9))
+    b = maximize(obj, lo, hi, np.full(2, 0.9))
+    assert_same_reports([a], [b])
+    # One start is the only value, and there is no seed.
+    assert SolveOptions() == SolveOptions(multistart=1)
+    for starts in (0, 2, 4):
+        with pytest.raises(ModelDomainError, match="multistart was removed"):
+            SolveOptions(multistart=starts)
+    with pytest.raises(TypeError):
+        SolveOptions(seed=3)
 
 
 def test_maximize_validation():
     obj = quadratic([0.5])
     with pytest.raises(ModelDomainError):
-        maximize(obj, np.zeros(2), np.ones(1), np.zeros(1), SolveOptions())
+        maximize(obj, np.zeros(2), np.ones(1), np.zeros(1))
     with pytest.raises(ModelDomainError):
-        maximize(obj, np.array([1.0]), np.array([0.0]), np.array([0.5]),
-                 SolveOptions())
+        maximize(obj, np.array([1.0]), np.array([0.0]), np.array([0.5]))
     with pytest.raises(ModelDomainError):
-        maximize(obj, np.zeros(1), np.ones(1), np.array([2.0]), SolveOptions())
+        maximize(obj, np.zeros(1), np.ones(1), np.array([2.0]))
     with pytest.raises(ModelDomainError, match="flat"):
-        maximize(obj, np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5),
-                 SolveOptions())
+        maximize(obj, np.zeros((1, 1)), np.ones((1, 1)), np.full((1, 1), 0.5))
 
     def broken(x):
         return float("nan"), np.zeros(1)
 
     with pytest.raises(ModelDomainError):
-        maximize(broken, np.zeros(1), np.ones(1), np.array([0.5]), SolveOptions())
+        maximize(broken, np.zeros(1), np.ones(1), np.array([0.5]))
 
 
 def test_maximize_never_returns_below_init():
@@ -249,7 +250,7 @@ def test_maximize_never_returns_below_init():
         return float(-(d @ d)), 2.0 * d
 
     init = np.array([0.9])
-    report = maximize(lying, np.zeros(1), np.ones(1), init, SolveOptions())
+    report = maximize(lying, np.zeros(1), np.ones(1), init)
     assert report.objective >= -(0.4**2) - 1e-12
     assert np.all(report.x >= 0.0) and np.all(report.x <= 1.0)
 
@@ -266,7 +267,7 @@ def breaks_above(limit, center):
 
 def test_maximize_survives_breakdown_regions():
     report = maximize(
-        breaks_above(0.6, 0.55), np.zeros(1), np.ones(1), np.array([0.2]), SolveOptions()
+        breaks_above(0.6, 0.55), np.zeros(1), np.ones(1), np.array([0.2])
     )
     assert report.x[0] == pytest.approx(0.55, abs=1e-6)
 
@@ -284,26 +285,9 @@ def test_maximize_evaluates_each_point_once(objective):
         return objective(x)
 
     report = maximize(
-        counting, np.zeros(1), np.ones(1), np.array([0.2]), SolveOptions(multistart=1)
+        counting, np.zeros(1), np.ones(1), np.array([0.2])
     )
     assert len(calls) == report.n_evaluations
-
-
-def test_maximize_multistart_escapes_poor_basin():
-    # Piecewise objective with a flat shelf around the init and a better
-    # peak elsewhere; random restarts must find the peak. The shelf ends
-    # within the multistart's jitter of the box (a tenth of its width).
-    def shelf(x):
-        v = x[0]
-        base = -((v - 0.9) ** 2)
-        if v < 0.1:
-            return -0.5, np.array([0.0])
-        return float(base), np.array([-2.0 * (v - 0.9)])
-
-    opts = SolveOptions(multistart=8, seed=3)
-    report = maximize(shelf, np.zeros(1), np.ones(1), np.array([0.05]), opts)
-    assert report.objective > -1e-6
-    assert report.start_index > 0
 
 
 def rosenbrock(x):
@@ -329,20 +313,17 @@ def wall(x):
     return float(x[0] ** 2 + 0.1 * x[1]), np.array([2.0 * x[0], 0.1])
 
 
-#: Each case: objective, bounds, init, SolveOptions fields, and the solver
-#: caps patched for it.
+#: Each case: objective, bounds, init, and the solver caps patched for it.
 ORACLE_CASES = {
-    "gradient": (quadratic([0.4, 0.6, 0.5]), np.zeros(3), np.ones(3), np.full(3, 0.1), {}, {}),
-    "objective-change": (kinked, np.zeros(3), np.ones(3), np.full(3, 0.9), {}, {}),
+    "gradient": (quadratic([0.4, 0.6, 0.5]), np.zeros(3), np.ones(3), np.full(3, 0.1), {}),
+    "objective-change": (kinked, np.zeros(3), np.ones(3), np.full(3, 0.9), {}),
     "max-iter": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
-                 {}, {"_MAX_ITER": 3}),
+                 {"_MAX_ITER": 3}),
     "max-fun": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
-                {}, {"_MAX_FUN": 8}),
-    "line-search-failure": (wall, np.zeros(2), np.ones(2), np.array([0.2, 0.3]), {}, {}),
+                {"_MAX_FUN": 8}),
+    "line-search-failure": (wall, np.zeros(2), np.ones(2), np.array([0.2, 0.3]), {}),
     "pinned": (rosenbrock, np.array([-2.0, 0.5, -2.0, -2.0]), np.array([2.0, 0.5, 2.0, 2.0]),
-               np.array([-1.0, 0.5, -1.0, 0.3]), {}, {}),
-    "multistart": (rosenbrock, np.full(4, -2.0), np.full(4, 2.0), np.full(4, -1.0),
-                   {"multistart": 2, "seed": 5}, {}),
+               np.array([-1.0, 0.5, -1.0, 0.3]), {}),
 }
 
 
@@ -352,19 +333,17 @@ def assert_same_reports(got, want):
         for name in ("x", "objective", "initial_objective", "objective_log"):
             u, v = getattr(a, name), getattr(b, name)
             assert type(u) is type(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes(), name
-        assert (a.iterations, a.n_evaluations, a.termination, a.start_index) == (
-            b.iterations, b.n_evaluations, b.termination, b.start_index)
-        assert a.start_objectives == b.start_objectives
+        assert (a.iterations, a.n_evaluations, a.termination) == (
+            b.iterations, b.n_evaluations, b.termination)
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_maximize_equals_the_minimize_oracle(case, monkeypatch):
-    objective, lower, upper, init, options, caps = ORACLE_CASES[case]
+    objective, lower, upper, init, caps = ORACLE_CASES[case]
     for name, value in caps.items():
         monkeypatch.setattr(solver, name, value)
-    options = SolveOptions(**options)
-    got = maximize(objective, lower, upper, init, options)
-    assert_same_reports([got], [maximize_with_minimize(objective, lower, upper, init, options)])
+    got = maximize(objective, lower, upper, init)
+    assert_same_reports([got], [maximize_with_minimize(objective, lower, upper, init)])
     # The reported objective is the objective at the reported point.
     assert got.objective == objective(got.x)[0]
     if case in ("gradient", "objective-change", "max-iter", "line-search-failure"):
@@ -374,8 +353,6 @@ def test_maximize_equals_the_minimize_oracle(case, monkeypatch):
         # and 37 iterations) and reports as the iteration cap does.
         assert got.termination == "max-iter"
         assert got.n_evaluations > 8 > got.iterations
-    if case == "multistart":
-        assert len(got.start_objectives) == 2
 
 
 def test_setulb_takes_the_arguments_the_port_passes():
@@ -525,7 +502,7 @@ def test_window_problem_solve_stays_in_box(small_scenario, rng):
     controls = random_profile(sc, steps, rng).controls
     problem = WindowProblem(sc, sc.weights, sc.x0, 0, controls)
     init = controls.ravel()
-    report = maximize(problem, problem.lower, problem.upper, init, SolveOptions())
+    report = maximize(problem, problem.lower, problem.upper, init)
     assert np.all(report.x >= problem.lower - 1e-12)
     assert np.all(report.x <= problem.upper + 1e-12)
     f_init = problem(init)[0]
@@ -538,7 +515,7 @@ def test_window_problem_frozen_regions_unchanged(small_scenario, rng):
     fixed = random_profile(sc, 5, rng, margin=0.05).controls
     before = regional_welfare(simulate(sc.x0, ControlProfile(fixed), sc), sc)[2]
     problem, lower, upper, init = _own_problem(sc, 2, sc.x0, 0, fixed)
-    report = maximize(problem, lower, upper, init, SolveOptions())
+    report = maximize(problem, lower, upper, init)
     full = problem.embed(report.x)
     np.testing.assert_array_equal(full[[0, 1]], fixed[[0, 1]])
     assert not np.array_equal(full[2, :, 0], fixed[2, :, 0])
@@ -569,17 +546,16 @@ def window_problems(scenario, rng, t0=1, steps=4, weights=None):
             for i in range(n)]
 
 
-def lockstep(problems, options=SolveOptions()):
+def lockstep(problems):
     inits = [p.extract(p.controls) for p in problems]
-    return _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems],
-                     inits, options)
+    return _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems], inits)
 
 
-def serial(problems, options=SolveOptions()):
+def serial(problems):
     """``maximize`` on each problem in turn, every evaluation a batch of one."""
     return [
         maximize(lambda z, p=p: _member_values([p], [z])[0], p.lower, p.upper,
-                 p.extract(p.controls), options)
+                 p.extract(p.controls))
         for p in problems
     ]
 
@@ -594,8 +570,8 @@ def test_maximize_equals_the_minimize_oracle_on_window_problems(default_scenario
         init = problem.extract(problem.controls)
         if i == 1:
             lower[1::2] = upper[1::2] = init[1::2]
-        got = maximize(problem, lower, upper, init, SolveOptions())
-        want = maximize_with_minimize(problem, lower, upper, init, SolveOptions())
+        got = maximize(problem, lower, upper, init)
+        want = maximize_with_minimize(problem, lower, upper, init)
         assert_same_reports([got], [want])
 
 
@@ -656,7 +632,7 @@ def test_lockstep_penalizes_only_the_member_that_breaks(rng):
             raise
 
     p0 = problems[0]
-    maximize(counted, p0.lower, p0.upper, p0.extract(p0.controls), SolveOptions())
+    maximize(counted, p0.lower, p0.upper, p0.extract(p0.controls))
     assert broke
     reports = lockstep(problems)
     assert_same_reports(reports, serial(problems))
@@ -682,8 +658,8 @@ def test_lockstep_evaluates_a_breaking_point_once():
     # lockstep must too, also where the point breaks the model.
     lower, upper, init = np.zeros(3), np.ones(3), np.full(3, 0.2)
     alone, member = BreakingQuadratic(), BreakingQuadratic()
-    want = maximize(alone, lower, upper, init, SolveOptions())
-    got = _lockstep([member], [lower], [upper], [init], SolveOptions())
+    want = maximize(alone, lower, upper, init)
+    got = _lockstep([member], [lower], [upper], [init])
     assert_same_reports(got, [want])
     assert any(z[0] > 0.6 for z in member.points)
     assert len(member.points) == len(alone.points)
@@ -751,8 +727,7 @@ def test_lockstep_raises_only_after_every_thread_ended(rng, probe):
     inits = [p.extract(p.controls) for p in problems]
     inits[1] = inits[1] + 2.0
     with pytest.raises(ModelDomainError, match="init must lie within the bounds"):
-        _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems],
-                  inits, SolveOptions())
+        _lockstep(problems, [p.lower for p in problems], [p.upper for p in problems], inits)
     assert threading.active_count() == before
 
 
